@@ -8,15 +8,14 @@ from .eoc import PlanInput, classify, eoc_exponent, optimal_resolution
 from .harness import (LadderRow, OrderFit, ReferenceSpec, StudyConfig,
                       StudyReport, estimate_ms_error, measure_order,
                       paper_reference, plan_rows, run_study, scaled_reference)
-from .noise import (NoisePacket, alg1_iterated, alg1_iterated_batch,
-                    alg1_iterated_nested, chain_iterated, choose_D1, choose_D2,
-                    exact_second_moment, sample_increments, substream)
+from .noise import (NoisePacket, alg1_iterated_batch, alg1_iterated_nested,
+                    chain_arrays, choose_D1, choose_D2, exact_second_moment,
+                    sample_increments_batch, substream)
 from .problems import (ProblemSpec, RegularityParams, check_growth_bounds,
                        commutativity_defect, eval_diffusion_column,
                        eval_diffusion_derivative, eval_drift, make_example,
                        make_problem_from_config)
-from .schemes import (SchemeConfig, integrate, step_dfm, step_ees, step_lie,
-                      step_mil)
+from .schemes import SchemeConfig, integrate
 from .spectral import (EigenLaw, SpectralField, basis_field, project,
                        semigroup_apply, sobolev_norm, zero_field)
 
@@ -26,14 +25,14 @@ __all__ = [
     "LadderRow", "OrderFit", "ReferenceSpec", "StudyConfig", "StudyReport",
     "estimate_ms_error", "measure_order", "paper_reference", "plan_rows",
     "run_study", "scaled_reference",
-    "NoisePacket", "alg1_iterated", "alg1_iterated_batch",
-    "alg1_iterated_nested", "chain_iterated", "choose_D1", "choose_D2",
-    "exact_second_moment", "sample_increments", "substream",
+    "NoisePacket", "alg1_iterated_batch", "alg1_iterated_nested",
+    "chain_arrays", "choose_D1", "choose_D2", "exact_second_moment",
+    "sample_increments_batch", "substream",
     "ProblemSpec", "RegularityParams", "check_growth_bounds",
     "commutativity_defect", "eval_diffusion_column",
     "eval_diffusion_derivative", "eval_drift", "make_example",
     "make_problem_from_config",
-    "SchemeConfig", "integrate", "step_dfm", "step_ees", "step_lie", "step_mil",
+    "SchemeConfig", "integrate",
     "EigenLaw", "SpectralField", "basis_field", "project", "semigroup_apply",
     "sobolev_norm", "zero_field",
 ]

@@ -17,16 +17,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .cost import cost_formula
+from .cost import CostLedger, cost_formula
 from .eoc import PlanInput, classify, eoc_exponent, optimal_resolution
-from .harness import (LadderRow, ReferenceSpec, StudyConfig, paper_reference,
-                      plan_rows, run_study, scaled_reference)
-from .noise import (alg1_iterated_batch, choose_D1, exact_second_moment,
+from .harness import (ReferenceSpec, StudyConfig, paper_reference, plan_rows,
+                      run_study, scaled_reference)
+from .noise import (alg1_iterated_batch, exact_second_moment,
                     sample_increments_batch, substream)
-from .cost import CostLedger
 from .problems import make_example, make_problem_from_config
-
-_SCHEME_CHOICES = ("DFM", "MIL", "EES", "LIE")
+from .schemes import KINDS
 
 
 def _parse_int_list(text: str):
@@ -46,6 +44,9 @@ def _cmd_study(args) -> int:
     ladder = _parse_int_list(args.ladder)
     rows = plan_rows(problem, schemes, ladder)
     if args.full_reference:
+        if args.config:
+            raise ValueError("--full-reference needs --example: published reference "
+                             "resolutions exist only for the shipped examples")
         reference = paper_reference(args.example)
     elif args.scaled_reference:
         reference = scaled_reference()
@@ -67,24 +68,26 @@ def _cmd_study(args) -> int:
 
 
 def _cmd_eoc(args) -> int:
-    if args.example is not None:
+    if args.example is not None or args.config:
         problem = _load_problem(args)
         params = dict(gamma=problem.params.gamma, beta=problem.params.beta,
                       alpha=problem.params.alpha, rho_a=problem.params.rho_a,
                       rho_q=problem.params.rho_q)
+    elif args.gamma is None or args.alpha is None:
+        raise ValueError("eoc needs --example, --config, or both --gamma and --alpha")
     else:
         params = dict(gamma=Fraction(args.gamma), beta=Fraction(args.beta),
                       alpha=Fraction(args.alpha), rho_a=Fraction(args.rho_a),
                       rho_q=Fraction(args.rho_q))
     out = {"finite_dim": args.finite_dim, "schemes": {}}
     plans = {s: PlanInput(scheme=s, finite_dim_noise=args.finite_dim, **params)
-             for s in _SCHEME_CHOICES}
+             for s in KINDS}
     cls = classify(plans["DFM"])
     out["case"] = {"row": cls.row, "label": cls.label, "optimal": list(cls.optimal)}
     exps = {s: eoc_exponent(p) for s, p in plans.items()}
-    ranking = sorted(exps, key=lambda s: (-exps[s], _SCHEME_CHOICES.index(s)))
+    ranking = sorted(exps, key=lambda s: (-exps[s], KINDS.index(s)))
     out["ranking"] = ranking
-    for s in _SCHEME_CHOICES:
+    for s in KINDS:
         entry = {"eoc": str(exps[s]), "eoc_float": float(exps[s])}
         if args.ladder:
             entry["ladder"] = []
@@ -107,8 +110,7 @@ def _cmd_cost(args) -> int:
     q = problem.params.q_dfm
     sys.stdout.write("scheme,N,M,K,D,cost\n")
     for row in rows:
-        q_row = q if row.scheme in ("DFM", "MIL") else None
-        c = cost_formula(row.scheme, row.n, row.k, row.m, q_row)
+        c = cost_formula(row.scheme, row.n, row.k, row.m, q)
         d = "" if row.d is None else str(row.d)
         sys.stdout.write(f"{row.scheme},{row.n},{row.m},{row.k},{d},{c}\n")
     return 0
@@ -163,10 +165,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_study.add_argument("--seed", type=int, default=0)
     p_study.add_argument("--workers", type=int, default=1)
     p_study.add_argument("--error-at", choices=("final", "all-grid"), default="final")
-    p_study.add_argument("--scaled-reference", action="store_true",
-                         help="desk-scale reference preset (LIE, N=64, M=2^14)")
-    p_study.add_argument("--full-reference", action="store_true",
-                         help="published reference resolutions (long)")
+    preset = p_study.add_mutually_exclusive_group()
+    preset.add_argument("--scaled-reference", action="store_true",
+                        help="desk-scale reference preset (LIE, N=64, M=2^14)")
+    preset.add_argument("--full-reference", action="store_true",
+                        help="published reference resolutions of --example (long)")
     p_study.add_argument("--ref-scheme", default="LIE")
     p_study.add_argument("--ref-n", type=int, default=64)
     p_study.add_argument("--ref-k", type=int, default=3)

@@ -12,30 +12,19 @@ are
 evaluated with the real-valued power and a single final ceiling. The
 instrumented ledger of an actual run uses the integer series depth
 D = ceil(M^(2q-1)) instead, so the two totals are reported separately.
+The per-step counts of every kind are read from `schemes.REGISTRY`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-__all__ = ["CostLedger", "StepCounts", "cost_formula", "ledger_expected",
-           "canonical_kind"]
+from .schemes import REGISTRY, canonical_kind
 
-_KIND_ALIASES = {
-    "DFM": "DFM", "DFMA": "DFM",
-    "MIL": "MIL", "MILA": "MIL",
-    "EES": "EES", "LIE": "LIE",
-}
-
-
-def canonical_kind(kind: str) -> str:
-    try:
-        return _KIND_ALIASES[kind.upper()]
-    except KeyError:
-        raise ValueError(f"unknown scheme kind {kind!r}") from None
+__all__ = ["CostLedger", "StepCounts", "cost_formula", "ledger_expected"]
 
 
 @dataclass
@@ -120,14 +109,14 @@ def cost_formula(kind: str, n: int, k: int, m: int,
     the series-depth term M^(2q-1) enters; exact rationals keep perfectly
     representable powers exact.
     """
-    kind = canonical_kind(kind)
+    scheme = REGISTRY[canonical_kind(kind)]
     if min(n, k, m) < 1:
         raise ValueError("resolutions must be positive")
-    if kind in ("EES", "LIE"):
-        return m * n + m * n * k + m * k
+    base = m * (n + scheme.b_per_nk * n * k + scheme.bprime_per_n2k * n * n * k)
+    if not scheme.milstein:
+        return base + m * k
     if q is None:
         raise ValueError("Milstein-type cost needs the temporal order q")
-    base = m * n + 2 * m * n * k if kind == "DFM" else m * n + m * n * k + m * n * n * k
     if isinstance(q, Fraction):
         e = 2 * q - 1
         t_exact = _exact_int_power(m, e)
@@ -147,11 +136,11 @@ def ledger_expected(kind: str, n: int, k: int, d: Optional[int] = None) -> StepC
     schemes (their packets cost K(1+2D) draws per step); Euler-type schemes
     draw only the K increments.
     """
-    kind = canonical_kind(kind)
-    if kind in ("EES", "LIE"):
-        return StepCounts(f=n, b=k * n, bprime=0, normals=k)
-    if d is None or d < 1:
-        raise ValueError("Milstein-type schemes need a series depth d >= 1")
-    if kind == "DFM":
-        return StepCounts(f=n, b=2 * k * n, bprime=0, normals=k * (1 + 2 * d))
-    return StepCounts(f=n, b=k * n, bprime=k * n * n, normals=k * (1 + 2 * d))
+    scheme = REGISTRY[canonical_kind(kind)]
+    normals = k
+    if scheme.milstein:
+        if d is None or d < 1:
+            raise ValueError("Milstein-type schemes need a series depth d >= 1")
+        normals = k * (1 + 2 * d)
+    return StepCounts(f=n, b=scheme.b_per_nk * k * n,
+                      bprime=scheme.bprime_per_n2k * k * n * n, normals=normals)

@@ -21,12 +21,11 @@ from typing import Optional, Tuple
 
 from .exactmath import ceil_power
 from .noise import choose_D1
-from .problems import ProblemSpec, RegularityParams
+from .problems import ProblemSpec, RegularityParams, temporal_order
+from .schemes import REGISTRY, canonical_kind
 
 __all__ = ["PlanInput", "Classification", "Resolution", "classify",
-           "eoc_exponent", "optimal_resolution", "SCHEMES"]
-
-SCHEMES = ("DFM", "MIL", "EES", "LIE")
+           "eoc_exponent", "optimal_resolution"]
 
 
 @dataclass(frozen=True)
@@ -44,14 +43,7 @@ class PlanInput:
     def __post_init__(self):
         for name in ("gamma", "beta", "alpha", "rho_a", "rho_q"):
             object.__setattr__(self, name, Fraction(getattr(self, name)))
-        scheme = self.scheme.upper()
-        if scheme == "DFMA":
-            scheme = "DFM"
-        if scheme == "MILA":
-            scheme = "MIL"
-        if scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        object.__setattr__(self, "scheme", scheme)
+        object.__setattr__(self, "scheme", canonical_kind(self.scheme))
         if not (0 <= self.beta < 1):
             raise ValueError("beta must lie in [0,1)")
         if self.gamma <= self.beta or self.gamma <= 0:
@@ -75,16 +67,16 @@ class PlanInput:
 
     @property
     def q_milstein(self) -> Fraction:
-        return min(2 * (self.gamma - self.beta), self.gamma)
+        return temporal_order(self.gamma, self.beta, milstein=True)
 
     @property
     def q_euler(self) -> Fraction:
-        return min(Fraction(1, 2), self.q_milstein)
+        return temporal_order(self.gamma, self.beta, milstein=False)
 
     @property
     def q(self) -> Fraction:
         """Temporal order of this input's scheme."""
-        return self.q_milstein if self.scheme in ("DFM", "MIL") else self.q_euler
+        return temporal_order(self.gamma, self.beta, REGISTRY[self.scheme].milstein)
 
 
 @dataclass(frozen=True)
@@ -144,17 +136,17 @@ def eoc_exponent(plan: PlanInput) -> Fraction:
     """
     g = plan.gamma * plan.rho_a
     a = plan.alpha * plan.rho_q
-    q = plan.q_milstein
-    qe = plan.q_euler
+    q = plan.q
     scheme = plan.scheme
+    milstein = REGISTRY[scheme].milstein
     if plan.finite_dim_noise:
-        if scheme in ("EES", "LIE"):
-            return g * qe / (g + qe)
+        if not milstein:
+            return g * q / (g + q)
         if scheme == "DFM":
             return g * q / (g + q) if g * (2 * q - 1) <= q else Fraction(1, 2)
         return g * q / (g + 2 * q) if g * (2 * q - 1) <= 2 * q else Fraction(1, 2)
-    if scheme in ("EES", "LIE"):
-        return _balanced(g, a, qe)
+    if not milstein:
+        return _balanced(g, a, q)
     if scheme == "DFM":
         return _balanced(g, a, q) if g * (2 * q - 1) <= q else _series_capped(a)
     return _mil_balanced(g, a, q) if g * (2 * q - 1) <= 2 * q else _series_capped(a)
@@ -194,5 +186,5 @@ def optimal_resolution(plan: PlanInput, anchor_n: int) -> Resolution:
     else:
         e_k = g / a
         k = ceil_power(anchor_n, e_k)
-    d = choose_D1(m, plan.q_milstein) if plan.scheme in ("DFM", "MIL") else None
+    d = choose_D1(m, q) if REGISTRY[plan.scheme].milstein else None
     return Resolution(n=anchor_n, m=m, k=k, d=d, m_exponent=e_m, k_exponent=e_k)

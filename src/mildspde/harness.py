@@ -4,7 +4,7 @@ Per path, one fine Brownian lattice is generated. The reference scheme is
 integrated on it; every ladder row is integrated on a coarse grid whose
 increments are block sums of the fine ones, so reference and approximation
 share the driving path. Milstein-type rows additionally need iterated
-integral packets: these are generated once at the finest Milstein level of
+integrals: these are generated once at the finest Milstein level of
 the ladder (or taken from the reference lattice when the reference itself
 is a Milstein-type scheme) and folded to coarser levels with the exact
 chaining rule, preserving the pathwise coupling.
@@ -25,6 +25,10 @@ K increments plus, for Milstein-type rows, the 2 D K series draws of its
 own depth), with functional evaluations instrumented from the actual run;
 noise generation being shared across coupled levels, billed draws are the
 cost a standalone run would pay.
+
+Every integrated reference and row result is checked for finiteness; a
+non-finite one raises ValueError naming the seed, lattice group, path and
+scheme.
 """
 
 from __future__ import annotations
@@ -32,19 +36,21 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import noise as noise_mod
-from .cost import CostLedger, canonical_kind, cost_formula
+from .cost import CostLedger, cost_formula, ledger_expected
 from .eoc import PlanInput, optimal_resolution
 from .exactmath import ceil_power
-from .noise import NoisePacket, alg1_iterated_batch, choose_D1, sample_increments_batch, substream
-from .problems import ProblemSpec, make_example
-from .schemes import EULER_KINDS, MILSTEIN_KINDS, SchemeConfig, integrate
+from .noise import alg1_iterated_batch, choose_D1, sample_increments_batch, substream
+# imported only so that bench/tracer.py, which patches this name, keeps working
+from .noise import NoisePacket  # noqa: F401
+from .problems import ProblemSpec
+from .schemes import REGISTRY, SchemeConfig, canonical_kind, integrate
 
 __all__ = [
     "ReferenceSpec", "LadderRow", "StudyConfig", "ReportRow", "StudyReport",
@@ -53,9 +59,9 @@ __all__ = [
     "estimate_sup_second_moment",
 ]
 
-# substream purposes (kept distinct from the raw noise-module codes)
-_P_INC = 11
-_P_SERIES = 12
+# substream purposes: the first key of each (purpose, group, path) substream
+_PURPOSE_INCREMENTS = 11
+_PURPOSE_SERIES = 12
 _DEFAULT_GUARDRAIL = 2**33
 
 
@@ -89,9 +95,10 @@ class LadderRow:
         object.__setattr__(self, "scheme", canonical_kind(self.scheme))
         if not 1 <= self.k <= self.n or self.m < 1:
             raise ValueError("row needs 1 <= K <= N and M >= 1")
-        if self.scheme in MILSTEIN_KINDS and (self.d is None or self.d < 1):
-            raise ValueError("Milstein-type rows need a series depth")
-        if self.scheme in EULER_KINDS and self.d is not None:
+        if REGISTRY[self.scheme].milstein:
+            if self.d is None or self.d < 1:
+                raise ValueError("Milstein-type rows need a series depth")
+        elif self.d is not None:
             raise ValueError("Euler-type rows take no series depth")
 
 
@@ -278,7 +285,7 @@ class _GroupContext:
     gid: int
     error_at: str
     error_space: str
-    q_mil: Fraction
+    q_milstein: Fraction
 
 
 def _aggregate(fine: np.ndarray, m_coarse: int) -> Tuple[np.ndarray, int]:
@@ -286,31 +293,11 @@ def _aggregate(fine: np.ndarray, m_coarse: int) -> Tuple[np.ndarray, int]:
     return fine.reshape(m_coarse, ratio, fine.shape[1]).sum(axis=1), ratio
 
 
-def _packets_iter(db, iq, h, d, eta, ledger, billed):
-    for m in range(db.shape[0]):
-        if ledger is not None:
-            ledger.charge_normals(billed)
-        yield NoisePacket(delta_beta=db[m], h=h, iterated=iq[m], d=d, eta=eta)
-
-
-def _increments_iter(db, ledger, billed):
-    for m in range(db.shape[0]):
-        if ledger is not None:
-            ledger.charge_normals(billed)
-        yield db[m]
-
-
-def _row_sq_errors(ctx: _GroupContext, row: LadderRow, db_row, iq_row, h_row,
-                   d_meta, eta_full, ref_final, ref_captures, lattice_m, ledger):
+def _row_sq_errors(ctx: _GroupContext, row: LadderRow, db_row, iq_row,
+                   ref_final, ref_captures, lattice_m, ledger, path):
     problem = ctx.problem
     cfg = SchemeConfig(kind=row.scheme, n=row.n, k=row.k, m=row.m,
                        d=row.d, horizon=problem.horizon)
-    eta_row = eta_full[: row.k]
-    if row.scheme in MILSTEIN_KINDS:
-        billed = row.k * (1 + 2 * row.d)
-        source = _packets_iter(db_row, iq_row, h_row, d_meta, eta_row, ledger, billed)
-    else:
-        source = _increments_iter(db_row, ledger, row.k)
 
     def sq_diff(ref_state, y):
         if ctx.error_space == "row":
@@ -321,14 +308,22 @@ def _row_sq_errors(ctx: _GroupContext, row: LadderRow, db_row, iq_row, h_row,
         return float(np.dot(diff, diff))
 
     if ctx.error_at == "final":
-        y_final = integrate(cfg, problem, source, ledger=ledger, store="final")
+        y_final = integrate(cfg, problem, db_row, iq_row, ledger=ledger, store="final")
+        _check_finite(y_final, ctx, path, row.scheme)
         return np.array([sq_diff(ref_final, y_final)])
-    traj = integrate(cfg, problem, source, ledger=ledger, store="trajectory")
+    traj = integrate(cfg, problem, db_row, iq_row, ledger=ledger, store="trajectory")
+    _check_finite(traj, ctx, path, row.scheme)
     stride = lattice_m // row.m
     out = np.empty(row.m + 1)
     for step in range(row.m + 1):
         out[step] = sq_diff(ref_captures[step * stride], traj[step])
     return out
+
+
+def _check_finite(states, ctx: _GroupContext, path: int, kind: str) -> None:
+    if not np.isfinite(states).all():
+        raise ValueError(f"non-finite state: seed {ctx.seed}, group {ctx.gid}, "
+                         f"path {path}, scheme {kind}")
 
 
 def _lcm_all(values) -> int:
@@ -345,11 +340,11 @@ def _run_group_path(args):
     lattice = ctx.lattice_m
     h_f = problem.horizon / lattice
     eta_ref = problem.q_law.values(ref.k)
-    rng_inc = substream(ctx.seed, _P_INC, ctx.gid, path)
-    rng_series = substream(ctx.seed, _P_SERIES, ctx.gid, path)
+    rng_inc = substream(ctx.seed, _PURPOSE_INCREMENTS, ctx.gid, path)
+    rng_series = substream(ctx.seed, _PURPOSE_SERIES, ctx.gid, path)
     db_fine = sample_increments_batch(rng_inc, lattice, ref.k, h_f)
 
-    mil_rows = [(i, r) for i, r in ctx.rows if r.scheme in MILSTEIN_KINDS]
+    mil_rows = [(i, r) for i, r in ctx.rows if REGISTRY[r.scheme].milstein]
     capture = None
     if ctx.error_at == "all-grid":
         capture = set()
@@ -357,33 +352,32 @@ def _run_group_path(args):
             stride = lattice // r.m
             capture.update(step * stride for step in range(r.m + 1))
 
-    # reference integration (packets only if the reference is Milstein-type)
+    # reference integration (iterated integrals only if the reference is
+    # Milstein-type)
+    ref_milstein = REGISTRY[ref.kind].milstein
     ref_cfg = SchemeConfig(kind=ref.kind, n=ref.n, k=ref.k, m=lattice,
-                           d=ref.d if ref.kind in MILSTEIN_KINDS else None,
+                           d=ref.d if ref_milstein else None,
                            horizon=problem.horizon)
     gen_db = gen_iq = None
-    gen_m = gen_k = gen_d = None
-    if ref.kind in MILSTEIN_KINDS:
+    gen_m = gen_k = None
+    if ref_milstein:
         gen_db = db_fine
         gen_iq = alg1_iterated_batch(rng_series, db_fine, h_f, ref.d, eta_ref)
-        gen_m, gen_k, gen_d = lattice, ref.k, ref.d
-        ref_source = _packets_iter(gen_db, gen_iq, h_f, ref.d, eta_ref, None, 0)
-    else:
-        ref_source = _increments_iter(db_fine, None, 0)
-    ref_out = integrate(ref_cfg, problem, ref_source, store="final", capture=capture)
+        gen_m, gen_k = lattice, ref.k
+    ref_out = integrate(ref_cfg, problem, db_fine, gen_iq, store="final", capture=capture)
     ref_final, ref_captures = ref_out if capture is not None else (ref_out, None)
+    _check_finite(ref_final, ctx, path, ref.kind)
 
     # generation level for Milstein rows when the reference consumes no
-    # packets: the coarsest grid every Milstein row refines
+    # iterated integrals: the coarsest grid every Milstein row refines
     if mil_rows and gen_iq is None:
         gen_m = _lcm_all(r.m for _, r in mil_rows)
         gen_k = max(r.k for _, r in mil_rows)
-        gen_d = choose_D1(gen_m, ctx.q_mil)
         gen_db, _ = _aggregate(db_fine[:, :gen_k], gen_m)
         gen_iq = alg1_iterated_batch(rng_series, gen_db, problem.horizon / gen_m,
-                                     gen_d, eta_ref[:gen_k])
+                                     choose_D1(gen_m, ctx.q_milstein), eta_ref[:gen_k])
 
-    # fold the generation-level packets onto each coarser Milstein grid
+    # fold the generation-level integrals onto each coarser Milstein grid
     level_arrays = {}
     if mil_rows:
         level_arrays[gen_m] = (gen_db, gen_iq)
@@ -400,18 +394,17 @@ def _run_group_path(args):
     ledgers: Dict[int, Tuple[int, int, int, int]] = {}
     for row_id, row in ctx.rows:
         ledger = CostLedger()
-        h_row = problem.horizon / row.m
-        if row.scheme in MILSTEIN_KINDS:
+        # bill the draws a standalone run of this row would make
+        ledger.charge_normals(row.m * ledger_expected(row.scheme, row.n, row.k, row.d).normals)
+        if REGISTRY[row.scheme].milstein:
             db_lvl, iq_lvl = level_arrays[row.m]
             db_row = db_lvl[:, : row.k]
             iq_row = iq_lvl[:, : row.k, : row.k]
-            sq = _row_sq_errors(ctx, row, db_row, iq_row, h_row, gen_d,
-                                eta_ref, ref_final, ref_captures, lattice, ledger)
         else:
             db_row, _ = _aggregate(db_fine[:, : row.k], row.m)
-            sq = _row_sq_errors(ctx, row, db_row, None, h_row, None,
-                                eta_ref, ref_final, ref_captures, lattice, ledger)
-        sq_errors[row_id] = sq
+            iq_row = None
+        sq_errors[row_id] = _row_sq_errors(ctx, row, db_row, iq_row, ref_final,
+                                           ref_captures, lattice, ledger, path)
         ledgers[row_id] = (ledger.functional_evals_f, ledger.functional_evals_b,
                            ledger.functional_evals_bprime, ledger.normal_draws)
     return path, sq_errors, ledgers
@@ -431,7 +424,7 @@ def run_study(config: StudyConfig) -> StudyReport:
     """
     problem = config.problem
     ref = config.reference
-    q_mil = problem.params.q_dfm
+    q_milstein = problem.params.q_dfm
 
     lattice_of_row = {i: _lattice_for(row.m, ref.m) for i, row in enumerate(config.rows)}
     lattices = sorted(set(lattice_of_row.values()))
@@ -447,14 +440,15 @@ def run_study(config: StudyConfig) -> StudyReport:
         group_rows = tuple((i, row) for i, row in enumerate(config.rows)
                            if lattice_of_row[i] == lattice)
         ref_d = ref.d
-        if ref.kind in MILSTEIN_KINDS and ref_d is None:
-            ref_d = choose_D1(lattice, q_mil)
+        if REGISTRY[ref.kind].milstein and ref_d is None:
+            ref_d = choose_D1(lattice, q_milstein)
         ctx = _GroupContext(problem=problem,
                             reference=replace(ref, m=lattice, d=ref_d),
                             lattice_m=lattice, rows=group_rows,
                             seed=config.seed, gid=gid,
                             error_at=config.error_at,
-                            error_space=config.error_space, q_mil=q_mil)
+                            error_space=config.error_space,
+                            q_milstein=q_milstein)
         args = [(ctx, p) for p in range(config.paths)]
         if config.workers == 1:
             results = [_run_group_path(a) for a in args]
@@ -474,8 +468,7 @@ def run_study(config: StudyConfig) -> StudyReport:
         mean_per_point = stacked.mean(axis=0)
         at = int(np.argmax(mean_per_point))
         error, std = estimate_ms_error(stacked[:, at])
-        q_row = q_mil if row.scheme in MILSTEIN_KINDS else None
-        cf = cost_formula(row.scheme, row.n, row.k, row.m, q_row)
+        cf = cost_formula(row.scheme, row.n, row.k, row.m, q_milstein)
         led = row_ledger[row_id]
         report_rows.append(ReportRow(
             scheme=row.scheme, n=row.n, m=row.m, k=row.k, d=row.d,
@@ -486,8 +479,7 @@ def run_study(config: StudyConfig) -> StudyReport:
         "problem": problem.name,
         "horizon": problem.horizon,
         "params": {name: str(getattr(problem.params, name))
-                   for name in ("beta", "gamma", "delta", "alpha", "vartheta",
-                                "rho_a", "rho_q")},
+                   for name in ("beta", "gamma", "delta", "alpha", "rho_a", "rho_q")},
         "reference": {"kind": ref.kind, "N": ref.n, "K": ref.k, "M": ref.m,
                       "D": ref.d if ref.d is not None else "auto"},
         "rows": [{"scheme": r.scheme, "N": r.n, "M": r.m, "K": r.k, "D": r.d}
@@ -508,26 +500,22 @@ def estimate_sup_second_moment(problem: ProblemSpec, kind: str, n: int, k: int,
     """Monte Carlo estimate of max over grid points of E |Y_step|^2 in the
     fractional norm of order r (default: the problem's delta)."""
     kind = canonical_kind(kind)
+    milstein = REGISTRY[kind].milstein
     if r is None:
         r = float(problem.params.delta)
-    if kind in MILSTEIN_KINDS and d is None:
+    if milstein and d is None:
         d = choose_D1(m, problem.params.q_dfm)
     h = problem.horizon / m
     eta = problem.q_law.values(k)
     weights = problem.a_law.values(n) ** (2.0 * r)
-    cfg = SchemeConfig(kind=kind, n=n, k=k, m=m,
-                       d=d if kind in MILSTEIN_KINDS else None,
+    cfg = SchemeConfig(kind=kind, n=n, k=k, m=m, d=d if milstein else None,
                        horizon=problem.horizon)
     acc = np.zeros(m + 1)
     for path in range(paths):
         rng_inc = substream(seed, 71, m, path, 1)
         rng_series = substream(seed, 71, m, path, 2)
         db = sample_increments_batch(rng_inc, m, k, h)
-        if kind in MILSTEIN_KINDS:
-            iq = alg1_iterated_batch(rng_series, db, h, d, eta)
-            source = _packets_iter(db, iq, h, d, eta, None, 0)
-        else:
-            source = _increments_iter(db, None, 0)
-        traj = integrate(cfg, problem, source, store="trajectory")
+        iq = alg1_iterated_batch(rng_series, db, h, d, eta) if milstein else None
+        traj = integrate(cfg, problem, db, iq, store="trajectory")
         acc += (traj**2 * weights[None, :]).sum(axis=1)
     return float((acc / paths).max())

@@ -19,8 +19,10 @@ entry (i,j) by sqrt(eta_i * eta_j). Two identities hold for every sample
 and every D: the diagonal equals eta_i (db_i^2 - h)/2, and
 I[i,j] + I[j,i] = sqrt(eta_i eta_j) db_i db_j - delta_ij eta_i h.
 
-Packets over adjacent steps chain exactly, which couples coarse grids to a
-fine lattice without fresh randomness.
+Noise is held as arrays: (M, K) increments and (M, K, K) iterated
+integrals for M steps. Packets over adjacent steps chain exactly
+(`chain_arrays`), which couples coarse grids to a fine lattice without
+fresh randomness.
 
 All sampling is driven by counter-based generators derived from a seed and
 an explicit substream key, so results do not depend on execution order or
@@ -33,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -42,25 +44,14 @@ from .exactmath import ceil_power
 __all__ = [
     "NoisePacket",
     "substream",
-    "P_INCREMENTS",
-    "P_SERIES",
-    "sample_increments",
     "sample_increments_batch",
-    "alg1_iterated",
     "alg1_iterated_batch",
     "alg1_iterated_nested",
-    "chain_iterated",
     "chain_arrays",
     "choose_D1",
     "choose_D2",
     "exact_second_moment",
-    "direct_packets",
-    "direct_increments",
 ]
-
-# substream purpose codes
-P_INCREMENTS = 1
-P_SERIES = 2
 
 _TWO_PI = 2.0 * np.pi
 
@@ -73,7 +64,8 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class NoisePacket:
-    """Driving noise for one time step.
+    """Driving noise for one time step, as one validated object. The
+    solvers and the harness take the array form instead.
 
     delta_beta holds the K standard Brownian increments, iterated the K x K
     covariance-scaled iterated-integral matrix, eta the covariance
@@ -123,17 +115,6 @@ def _charge(ledger, n: int) -> None:
         ledger.charge_normals(n)
 
 
-def sample_increments(rng: np.random.Generator, k: int, h: float,
-                      ledger=None) -> np.ndarray:
-    """K independent Normal(0, h) increments; consumes exactly k draws."""
-    if h <= 0:
-        raise ValueError("step length must be positive")
-    if k < 1:
-        raise ValueError("need at least one noise coordinate")
-    _charge(ledger, k)
-    return math.sqrt(h) * rng.standard_normal(k)
-
-
 def sample_increments_batch(rng: np.random.Generator, s: int, k: int, h: float,
                             ledger=None) -> np.ndarray:
     """(s, k) array of Normal(0, h) increments; s*k draws."""
@@ -161,34 +142,14 @@ def _tail_scale(d: int) -> float:
     return math.sqrt(_S_INF / _partial_basel(d))
 
 
-def alg1_iterated(rng: np.random.Generator, delta_beta: np.ndarray, h: float,
-                  d: int, eta: np.ndarray, ledger=None) -> np.ndarray:
-    """Covariance-scaled iterated-integral matrix for one step.
-
-    Draws exactly 2*d*k fresh standard normals (the increments are inputs).
-
-    Args:
-        delta_beta: (k,) standard Brownian increments over the step.
-        h: step length.
-        d: series truncation depth, >= 1.
-        eta: (k,) covariance eigenvalues.
-
-    Returns:
-        (k, k) matrix of covariance-scaled iterated integrals.
-    """
-    out = alg1_iterated_batch(rng, np.asarray(delta_beta, dtype=float)[None, :],
-                              h, d, eta, ledger=ledger)
-    return out[0]
-
-
 def alg1_iterated_batch(rng: np.random.Generator, delta_beta: np.ndarray,
                         h: float, d: int, eta: np.ndarray, ledger=None,
                         max_chunk_elems: int = 1 << 22) -> np.ndarray:
     """Vectorized iterated-integral sampling for a batch of steps.
 
     delta_beta has shape (s, k); the result has shape (s, k, k). Consumes
-    exactly 2*d*k normals per row, drawn in row order so that a batch of
-    one reproduces the single-step function.
+    exactly 2*d*k normals per row, drawn in row order, so the first rows of
+    a batch equal a shorter batch drawn from the same generator state.
     """
     if d < 1:
         raise ValueError("truncation depth must be >= 1")
@@ -268,42 +229,16 @@ def alg1_iterated_nested(rng: np.random.Generator, delta_beta: np.ndarray,
     return out
 
 
-def chain_iterated(fine: Sequence[NoisePacket]) -> NoisePacket:
-    """Fold contiguous fine packets into one coarse packet.
-
-    The coarse increments are the sums of the fine increments; the coarse
-    iterated matrix follows the exact composition rule
-    I[a,c] = I[a,b] + I[b,c] + dW[a,b] (x) dW[b,c] (outer product of the
-    covariance-scaled increments), applied left to right. The two packet
-    identities are closed under this rule, so chained packets satisfy them
-    to roundoff whenever the inputs do.
-    """
-    packets = list(fine)
-    if not packets:
-        raise ValueError("cannot chain an empty packet list")
-    k = packets[0].k
-    eta = packets[0].eta
-    sqrt_eta = np.sqrt(eta)
-    db = packets[0].delta_beta.copy()
-    iq = packets[0].iterated.copy()
-    h = packets[0].h
-    d = packets[0].d
-    for p in packets[1:]:
-        if p.k != k or not np.array_equal(p.eta, eta):
-            raise ValueError("packets to chain must share noise dimension and eta")
-        iq += p.iterated + np.outer(sqrt_eta * db, sqrt_eta * p.delta_beta)
-        db += p.delta_beta
-        h += p.h
-        d = min(d, p.d)
-    return NoisePacket(delta_beta=db, h=h, iterated=iq, d=d, eta=eta)
-
-
 def chain_arrays(db: np.ndarray, iq: np.ndarray, eta: np.ndarray):
-    """Array form of packet chaining, vectorized over groups.
+    """Fold contiguous fine steps into coarse ones, vectorized over groups.
 
     db has shape (g, r, k) and iq shape (g, r, k, k): g groups of r
-    contiguous fine steps each. Returns the (g, k) coarse increments and
-    (g, r-free) coarse iterated matrices (g, k, k).
+    contiguous fine steps each. Returns the (g, k) coarse increments (sums
+    of the fine ones) and the (g, k, k) coarse iterated matrices, by the
+    exact composition rule I[a,c] = I[a,b] + I[b,c] + dW[a,b] (x) dW[b,c]
+    (outer product of the covariance-scaled increments) applied left to
+    right. The two packet identities are closed under this rule, so chained
+    matrices satisfy them to roundoff whenever the inputs do.
     """
     g, r, k = db.shape
     sqrt_eta = np.sqrt(np.asarray(eta, dtype=float))
@@ -346,20 +281,3 @@ def exact_second_moment(i: int, j: int, h: float, eta: np.ndarray) -> float:
     eta_i * eta_j * h**2 / 2. Cross-moments of distinct index pairs vanish."""
     eta = np.asarray(eta, dtype=float)
     return 0.5 * float(eta[i - 1]) * float(eta[j - 1]) * h * h
-
-
-def direct_packets(rng_inc: np.random.Generator, rng_series: np.random.Generator,
-                   m: int, k: int, h: float, d: int, eta: np.ndarray,
-                   ledger=None) -> Iterator[NoisePacket]:
-    """Yield m freshly sampled packets on a uniform grid."""
-    for _ in range(m):
-        db = sample_increments(rng_inc, k, h, ledger=ledger)
-        iq = alg1_iterated(rng_series, db, h, d, eta, ledger=ledger)
-        yield NoisePacket(delta_beta=db, h=h, iterated=iq, d=d, eta=np.asarray(eta, dtype=float))
-
-
-def direct_increments(rng_inc: np.random.Generator, m: int, k: int, h: float,
-                      ledger=None) -> Iterator[np.ndarray]:
-    """Yield m freshly sampled increment vectors on a uniform grid."""
-    for _ in range(m):
-        yield sample_increments(rng_inc, k, h, ledger=ledger)

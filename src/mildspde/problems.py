@@ -23,6 +23,7 @@ from .spectral import EigenLaw, SpectralField
 
 __all__ = [
     "RegularityParams",
+    "temporal_order",
     "ProblemSpec",
     "GrowthBoundReport",
     "AffineDrift",
@@ -48,57 +49,53 @@ def _frac(x: RationalLike) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def temporal_order(gamma: Fraction, beta: Fraction, milstein: bool) -> Fraction:
+    """Temporal order q = min(2(gamma-beta), gamma) of the Milstein-type
+    schemes; the Euler-type schemes are further capped at 1/2."""
+    q = min(2 * (gamma - beta), gamma)
+    return q if milstein else min(Fraction(1, 2), q)
+
+
 @dataclass(frozen=True)
 class RegularityParams:
     """Regularity exponents of a problem, kept as exact rationals.
 
-    The temporal orders are derived: q = min(2(gamma-beta), gamma) for the
-    Milstein-type schemes and min(1/2, 2(gamma-beta), gamma) for the
-    exponential/implicit Euler schemes. Upper interval ends are accepted
-    closed because the shipped examples sit at the vanishing-slack limit.
-    vartheta is carried for completeness; no computation reads it.
+    The temporal orders are derived by `temporal_order`. Upper interval
+    ends are accepted closed because the shipped examples sit at the
+    vanishing-slack limit.
     """
 
     beta: Fraction
     gamma: Fraction
     delta: Fraction
     alpha: Fraction
-    vartheta: Fraction
     rho_a: Fraction
     rho_q: Fraction
 
     def __post_init__(self):
-        beta, gamma, delta = _frac(self.beta), _frac(self.gamma), _frac(self.delta)
-        alpha, vartheta = _frac(self.alpha), _frac(self.vartheta)
-        rho_a, rho_q = _frac(self.rho_a), _frac(self.rho_q)
-        for name, val in (("beta", beta), ("gamma", gamma), ("delta", delta),
-                          ("alpha", alpha), ("vartheta", vartheta),
-                          ("rho_a", rho_a), ("rho_q", rho_q)):
-            object.__setattr__(self, name, val)
+        for name in ("beta", "gamma", "delta", "alpha", "rho_a", "rho_q"):
+            object.__setattr__(self, name, _frac(getattr(self, name)))
+        beta, gamma, delta = self.beta, self.gamma, self.delta
         if not (0 <= beta < 1):
             raise ValueError("beta must lie in [0,1)")
         if not (0 < delta <= Fraction(1, 2)):
             raise ValueError("delta must lie in (0,1/2]")
-        if not (0 < vartheta <= Fraction(1, 2)):
-            raise ValueError("vartheta must lie in (0,1/2]")
         if not (max(beta, delta) <= gamma <= delta + Fraction(1, 2)):
             raise ValueError("gamma must lie in [max(beta,delta), delta+1/2]")
-        if alpha <= 0:
+        if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-        if rho_q <= 1:
+        if self.rho_q <= 1:
             raise ValueError("rho_q must exceed 1 for a trace-class covariance")
-        if rho_a <= 0:
+        if self.rho_a <= 0:
             raise ValueError("rho_a must be positive")
 
     @property
     def q_dfm(self) -> Fraction:
-        return min(2 * (self.gamma - self.beta), self.gamma)
-
-    q_mil = q_dfm
+        return temporal_order(self.gamma, self.beta, milstein=True)
 
     @property
     def q_ees(self) -> Fraction:
-        return min(Fraction(1, 2), 2 * (self.gamma - self.beta), self.gamma)
+        return temporal_order(self.gamma, self.beta, milstein=False)
 
 
 # --- drift variants -------------------------------------------------------
@@ -285,22 +282,19 @@ def make_example(example_id: int) -> ProblemSpec:
     if example_id == 1:
         params = RegularityParams(
             beta=Fraction(0), gamma=Fraction(7, 8), delta=Fraction(3, 8),
-            alpha=Fraction(9, 4), vartheta=Fraction(1, 4),
-            rho_a=Fraction(2), rho_q=Fraction(3))
+            alpha=Fraction(9, 4), rho_a=Fraction(2), rho_q=Fraction(3))
         return ProblemSpec("example-1", a_law, q_law, AffineDrift(),
                            RationalDecayDiffusion(p=4.0 / 3.0), ZeroInitial(), params)
     if example_id == 2:
         params = RegularityParams(
             beta=Fraction(0), gamma=Fraction(17, 24), delta=Fraction(5, 24),
-            alpha=Fraction(77, 36), vartheta=Fraction(1, 4),
-            rho_a=Fraction(2), rho_q=Fraction(3))
+            alpha=Fraction(77, 36), rho_a=Fraction(2), rho_q=Fraction(3))
         return ProblemSpec("example-2", a_law, q_law, AffineDrift(),
                            RationalDecayDiffusion(p=44.0 / 41.0), ZeroInitial(), params)
     if example_id == 3:
         params = RegularityParams(
             beta=Fraction(7, 8), gamma=Fraction(1), delta=Fraction(1, 2),
-            alpha=Fraction(7, 3), vartheta=Fraction(1, 2),
-            rho_a=Fraction(2), rho_q=Fraction(3))
+            alpha=Fraction(7, 3), rho_a=Fraction(2), rho_q=Fraction(3))
         return ProblemSpec("example-3", a_law, q_law,
                            SpectralSineDrift(s=3.5, r=3.5),
                            RationalDecayDiffusion(p=4.0),
@@ -309,20 +303,33 @@ def make_example(example_id: int) -> ProblemSpec:
 
 
 _DRIFTS = {"affine": AffineDrift, "spectral_sine": SpectralSineDrift, "zero": ZeroDrift}
+_CONFIG_REQUIRED = ("p", "rho_q", "gamma", "delta", "alpha")
+_CONFIG_OPTIONAL = ("beta", "rho_a", "drift", "s", "r", "initial", "horizon",
+                    "a_scale", "name")
 
 
 def make_problem_from_config(cfg: dict) -> ProblemSpec:
     """Build a custom problem from a plain dict (e.g. parsed JSON).
 
-    Recognized keys: p, rho_q, drift ("affine" | "spectral_sine" | "zero"),
-    s, r (for the sine drift), initial ("zero" or {"power": exponent}),
-    beta, gamma, delta, alpha, vartheta, rho_a (exact rationals as strings
-    or numbers), horizon, a_scale, name.
+    Required keys: p, rho_q, gamma, delta, alpha. Optional: beta, rho_a,
+    drift ("affine" | "spectral_sine" | "zero"; the sine drift also
+    requires s and r), initial ("zero" or {"power": exponent}), horizon,
+    a_scale, name. Exponents are exact rationals as strings or numbers.
+    Unknown or missing keys raise ValueError.
     """
+    accepted = ", ".join(_CONFIG_REQUIRED + _CONFIG_OPTIONAL)
+    unknown = sorted(set(cfg) - set(_CONFIG_REQUIRED + _CONFIG_OPTIONAL))
+    if unknown:
+        raise ValueError(f"unknown config key(s) {', '.join(unknown)}; accepted: {accepted}")
+    required = _CONFIG_REQUIRED
+    if cfg.get("drift") == "spectral_sine":
+        required += ("s", "r")
+    missing = [key for key in required if key not in cfg]
+    if missing:
+        raise ValueError(f"missing config key(s) {', '.join(missing)}; accepted: {accepted}")
     params = RegularityParams(
         beta=_frac(cfg.get("beta", 0)), gamma=_frac(cfg["gamma"]),
         delta=_frac(cfg["delta"]), alpha=_frac(cfg["alpha"]),
-        vartheta=_frac(cfg.get("vartheta", Fraction(1, 4))),
         rho_a=_frac(cfg.get("rho_a", 2)), rho_q=_frac(cfg["rho_q"]))
     drift_kind = cfg.get("drift", "affine")
     if drift_kind == "spectral_sine":

@@ -25,7 +25,6 @@ from mildspde.noise import (alg1_iterated_batch, alg1_iterated_nested,
                             sample_increments_batch, substream)
 from mildspde.problems import make_example
 from mildspde.schemes import SchemeConfig, integrate
-from mildspde.harness import _packets_iter
 
 WORKERS = max(1, min(8, os.cpu_count() or 1))
 
@@ -126,8 +125,8 @@ def test_criterion_04_linear_b_degeneracy():
             iq = alg1_iterated_batch(substream(40 + ex, path, 2), db, h, d, eta)
             cfg_d = SchemeConfig("DFM", n=n, k=k, m=m, d=d, horizon=prob.horizon)
             cfg_m = SchemeConfig("MIL", n=n, k=k, m=m, d=d, horizon=prob.horizon)
-            td = integrate(cfg_d, prob, _packets_iter(db, iq, h, d, eta, None, 0))
-            tm = integrate(cfg_m, prob, _packets_iter(db, iq, h, d, eta, None, 0))
+            td = integrate(cfg_d, prob, db, iq)
+            tm = integrate(cfg_m, prob, db, iq)
             scale = np.maximum(np.abs(td), 1.0)
             worst = max(worst, float((np.abs(td - tm) / scale).max()))
     _verdict(4, "DFM == MIL on linear problems (100 paths, every step)",

@@ -67,3 +67,55 @@ def test_invalid_configuration_exits_nonzero(capsys):
                "--ref-m", "64"])   # ladder N exceeds reference N
     assert rc != 0
     assert "error:" in capsys.readouterr().err
+
+
+_EXAMPLE1_CONFIG = {"p": "4/3", "rho_q": 3, "gamma": "7/8", "delta": "3/8",
+                    "alpha": "9/4", "drift": "affine", "initial": "zero"}
+
+
+def _write_config(tmp_path, cfg):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_eoc_loads_config(tmp_path, capsys):
+    path = _write_config(tmp_path, _EXAMPLE1_CONFIG)
+    assert main(["eoc", "--config", path, "--ladder", "2,4"]) == 0
+    from_config = capsys.readouterr().out
+    assert main(["eoc", "--example", "1", "--ladder", "2,4"]) == 0
+    assert from_config == capsys.readouterr().out
+
+
+def test_eoc_without_parameters_exits_2(capsys):
+    assert main(["eoc"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_eoc_gamma_without_alpha_exits_2(capsys):
+    assert main(["eoc", "--gamma", "7/8"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_full_reference_with_config_exits_2(tmp_path, capsys):
+    path = _write_config(tmp_path, _EXAMPLE1_CONFIG)
+    rc = main(["study", "--config", path, "--full-reference", "--ladder", "2",
+               "--schemes", "EES", "--paths", "2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "--full-reference" in err
+
+
+def test_reference_presets_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["study", "--example", "1", "--scaled-reference", "--full-reference",
+              "--ladder", "2", "--schemes", "EES", "--paths", "2"])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cost_config_missing_key_exits_2(tmp_path, capsys):
+    cfg = {k: v for k, v in _EXAMPLE1_CONFIG.items() if k != "gamma"}
+    assert main(["cost", "--config", _write_config(tmp_path, cfg), "--ladder", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "gamma" in err

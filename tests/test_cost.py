@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from mildspde.cost import CostLedger, cost_formula, ledger_expected
-from mildspde.noise import direct_increments, direct_packets, substream
+from mildspde.noise import alg1_iterated_batch, sample_increments_batch, substream
 from mildspde.problems import make_example
-from mildspde.schemes import SchemeConfig, integrate
+from mildspde.schemes import MILSTEIN_KINDS, SchemeConfig, integrate
 
 Q1 = Fraction(7, 8)
 Q2 = Fraction(17, 24)
@@ -78,16 +78,16 @@ def test_instrumented_ledger_matches_expected_for_every_scheme():
     h = prob.horizon / m
     for kind in ("DFM", "MIL", "EES", "LIE"):
         led = CostLedger()
-        if kind in ("DFM", "MIL"):
+        db = sample_increments_batch(substream(0, 1), m, k, h, ledger=led)
+        if kind in MILSTEIN_KINDS:
             cfg = SchemeConfig(kind, n=n, k=k, m=m, d=d, horizon=prob.horizon)
-            src = direct_packets(substream(0, 1), substream(0, 2), m, k, h, d,
-                                 eta, ledger=led)
+            iq = alg1_iterated_batch(substream(0, 2), db, h, d, eta, ledger=led)
             exp = ledger_expected(kind, n, k, d)
         else:
             cfg = SchemeConfig(kind, n=n, k=k, m=m, horizon=prob.horizon)
-            src = direct_increments(substream(0, 3), m, k, h, ledger=led)
+            iq = None
             exp = ledger_expected(kind, n, k)
-        integrate(cfg, prob, src, ledger=led)
+        integrate(cfg, prob, db, iq, ledger=led)
         got = (led.functional_evals_f, led.functional_evals_b,
                led.functional_evals_bprime, led.normal_draws)
         assert got == (m * exp.f, m * exp.b, m * exp.bprime, m * exp.normals)

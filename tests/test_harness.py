@@ -12,6 +12,14 @@ from mildspde.problems import (ProblemSpec, PowerLawInitial, ZeroDiffusion,
                                ZeroDrift, make_example)
 
 
+class _OverflowDrift:
+    """Drift whose first evaluation already overflows to inf (test-local)."""
+
+    def __call__(self, y):
+        with np.errstate(over="ignore"):
+            return np.square(1e200 + np.abs(y))
+
+
 def _synthetic_report(scheme, ms, errors, costs=None):
     from mildspde.harness import ReportRow
     rows = []
@@ -203,3 +211,17 @@ def test_csv_layout():
     lines = text.strip().split("\n")
     assert lines[0] == "scheme,N,M,K,D,cost_formula,cost_ledger,error,std,paths"
     assert lines[1].startswith("DFM,4,4,2,3,")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("workers", [1, 2])
+def test_non_finite_path_is_reported(workers):
+    from dataclasses import replace
+    prob = replace(make_example(1), drift=_OverflowDrift())
+    ref = ReferenceSpec("LIE", n=8, k=2, m=64)
+    rows = (LadderRow("DFM", n=4, m=16, k=2, d=8), LadderRow("EES", n=4, m=16, k=2))
+    cfg = StudyConfig(problem=prob, rows=rows, reference=ref, paths=4, seed=3,
+                      workers=workers)
+    with pytest.raises(ValueError,
+                       match="non-finite state: seed 3, group 0, path 0, scheme LIE"):
+        run_study(cfg)

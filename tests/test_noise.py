@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mildspde.cost import CostLedger
-from mildspde.noise import (NoisePacket, alg1_iterated, alg1_iterated_batch,
-                            alg1_iterated_nested, chain_arrays, chain_iterated,
-                            choose_D1, choose_D2, exact_second_moment,
-                            sample_increments, sample_increments_batch,
-                            substream)
+from mildspde.noise import (NoisePacket, alg1_iterated_batch,
+                            alg1_iterated_nested, chain_arrays, choose_D1,
+                            choose_D2, exact_second_moment,
+                            sample_increments_batch, substream)
 
 ETA2 = np.arange(1.0, 3.0) ** -3.0   # cubic covariance decay, two modes
 
@@ -33,19 +33,19 @@ def test_increment_moments():
 
 
 def test_increment_replay_is_bit_identical():
-    a = sample_increments(substream(42, 5), 8, 0.5)
-    b = sample_increments(substream(42, 5), 8, 0.5)
+    a = sample_increments_batch(substream(42, 5), 1, 8, 0.5)
+    b = sample_increments_batch(substream(42, 5), 1, 8, 0.5)
     np.testing.assert_array_equal(a, b)
 
 
 def test_increment_rejects_bad_step():
     with pytest.raises(ValueError):
-        sample_increments(substream(0, 0), 3, 0.0)
+        sample_increments_batch(substream(0, 0), 1, 3, 0.0)
 
 
 def test_increment_draw_count():
     led = CostLedger()
-    sample_increments(substream(0, 0), 7, 0.1, ledger=led)
+    sample_increments_batch(substream(0, 0), 1, 7, 0.1, ledger=led)
     assert led.normal_draws == 7
 
 
@@ -58,23 +58,23 @@ def test_alg1_identities_every_sample():
 
 def test_alg1_diagonal_is_depth_independent():
     rng = substream(2, 1)
-    db = sample_increments(rng, 2, 0.3)
+    db = sample_increments_batch(rng, 1, 2, 0.3)
     for d in (1, 7, 40):
-        iq = alg1_iterated(substream(2, 2 + d), db, 0.3, d, ETA2)
-        expect = ETA2 * (db**2 - 0.3) / 2.0
+        iq = alg1_iterated_batch(substream(2, 2 + d), db, 0.3, d, ETA2)[0]
+        expect = ETA2 * (db[0]**2 - 0.3) / 2.0
         np.testing.assert_allclose(np.diag(iq), expect, rtol=1e-12)
 
 
 def test_alg1_draw_count_exact():
     led = CostLedger()
-    db = sample_increments(substream(3, 1), 4, 0.1, ledger=led)
-    alg1_iterated(substream(3, 2), db, 0.1, 6, np.ones(4), ledger=led)
+    db = sample_increments_batch(substream(3, 1), 1, 4, 0.1, ledger=led)
+    alg1_iterated_batch(substream(3, 2), db, 0.1, 6, np.ones(4), ledger=led)
     assert led.normal_draws == 4 + 2 * 6 * 4
 
 
 def test_alg1_rejects_zero_depth():
     with pytest.raises(ValueError):
-        alg1_iterated(substream(0, 0), np.zeros(2), 0.1, 0, ETA2)
+        alg1_iterated_batch(substream(0, 0), np.zeros((1, 2)), 0.1, 0, ETA2)
 
 
 def test_alg1_second_moment_and_mean():
@@ -99,11 +99,17 @@ def test_alg1_cross_moments_vanish():
     assert abs(prod.mean()) < 5 * se
 
 
-def test_batch_matches_single_sample():
-    db = sample_increments(substream(6, 1), 3, 0.2)
-    one = alg1_iterated(substream(6, 2), db, 0.2, 4, np.ones(3))
-    batch = alg1_iterated_batch(substream(6, 2), db[None, :], 0.2, 4, np.ones(3))
-    np.testing.assert_array_equal(one, batch[0])
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(s=st.integers(1, 6), extra=st.integers(0, 5), k=st.integers(1, 4),
+       d=st.integers(1, 9))
+def test_batch_prefix_matches_shorter_batch(s, extra, k, d):
+    # rows are drawn in order, so the first s rows of a batch equal a batch
+    # of just those rows drawn from the same substream
+    eta = np.arange(1.0, k + 1.0) ** -3.0
+    db = sample_increments_batch(substream(6, 1), s + extra, k, 0.2)
+    full = alg1_iterated_batch(substream(6, 2), db, 0.2, d, eta)
+    head = alg1_iterated_batch(substream(6, 2), db[:s], 0.2, d, eta)
+    np.testing.assert_array_equal(full[:s], head)
 
 
 def test_exact_second_moment_values():
@@ -112,37 +118,44 @@ def test_exact_second_moment_values():
     assert exact_second_moment(2, 1, 0.5, np.array([1.0, 1 / 8])) == pytest.approx(1 / 64)
 
 
+def _fine_steps(seed, g, r, k, h, d=6):
+    eta = np.arange(1.0, k + 1.0) ** -3.0
+    db = sample_increments_batch(substream(seed, 1), g * r, k, h)
+    iq = alg1_iterated_batch(substream(seed, 2), db, h, d, eta)
+    return db.reshape(g, r, k), iq.reshape(g, r, k, k), eta
+
+
 def test_chain_single_packet_unchanged():
-    db = sample_increments(substream(7, 1), 2, 0.1)
-    iq = alg1_iterated(substream(7, 2), db, 0.1, 5, ETA2)
-    pk = NoisePacket(db, 0.1, iq, 5, ETA2)
-    out = chain_iterated([pk])
-    np.testing.assert_array_equal(out.delta_beta, pk.delta_beta)
-    np.testing.assert_array_equal(out.iterated, pk.iterated)
-    assert out.h == pk.h
+    db, iq, eta = _fine_steps(7, 4, 1, 2, 0.1)
+    out_db, out_iq = chain_arrays(db, iq, eta)
+    np.testing.assert_array_equal(out_db, db[:, 0])
+    np.testing.assert_array_equal(out_iq, iq[:, 0])
 
 
-def test_chain_preserves_identities():
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(a=st.integers(1, 5), b=st.integers(1, 5), k=st.integers(1, 4),
+       seed=st.integers(0, 2**16))
+def test_chain_arrays_folds_associatively(a, b, k, seed):
+    # folding r = a*b steps at once equals folding b steps, then a
     h = 0.05
-    packets = []
-    for m in range(8):
-        db = sample_increments(substream(8, 2 * m), 3, h)
-        iq = alg1_iterated(substream(8, 2 * m + 1), db, h, 6, np.ones(3))
-        packets.append(NoisePacket(db, h, iq, 6, np.ones(3)))
-    out = chain_iterated(packets)
-    assert out.identity_residual() < 1e-12
-    assert out.h == pytest.approx(8 * h)
+    db, iq, eta = _fine_steps(seed, 2, a * b, k, h)
+    once_db, once_iq = chain_arrays(db, iq, eta)
+    inner_db, inner_iq = chain_arrays(db.reshape(2 * a, b, k),
+                                      iq.reshape(2 * a, b, k, k), eta)
+    two_db, two_iq = chain_arrays(inner_db.reshape(2, a, k),
+                                  inner_iq.reshape(2, a, k, k), eta)
+    np.testing.assert_allclose(two_db, once_db, rtol=1e-12, atol=1e-12 * np.abs(once_db).max())
+    np.testing.assert_allclose(two_iq, once_iq, rtol=1e-12, atol=1e-12 * np.abs(once_iq).max())
 
 
-def test_chain_rejects_mismatched_packets():
-    db = np.zeros(2)
-    iq = np.zeros((2, 2))
-    a = NoisePacket(db, 0.1, iq, 1, ETA2)
-    b = NoisePacket(np.zeros(3), 0.1, np.zeros((3, 3)), 1, np.ones(3))
-    with pytest.raises(ValueError):
-        chain_iterated([a, b])
-    with pytest.raises(ValueError):
-        chain_iterated([])
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(r=st.integers(1, 12), k=st.integers(1, 4), seed=st.integers(0, 2**16))
+def test_chain_preserves_identities(r, k, seed):
+    # I + I^T = dW dW^T - diag(eta) h holds after chaining r steps of length h
+    h = 0.05
+    db, iq, eta = _fine_steps(seed, 3, r, k, h)
+    out_db, out_iq = chain_arrays(db, iq, eta)
+    assert _identity_residual(out_db, out_iq, eta, r * h) < 1e-12
 
 
 def test_chain_two_halves_matches_direct_coarse_moments():

@@ -162,7 +162,7 @@ def test_growth_bounds_doubling_doubles_operator_norm():
 
 def test_regularity_params_validation():
     good = dict(beta=Fraction(0), gamma=Fraction(7, 8), delta=Fraction(3, 8),
-                alpha=Fraction(9, 4), vartheta=Fraction(1, 4),
+                alpha=Fraction(9, 4),
                 rho_a=Fraction(2), rho_q=Fraction(3))
     RegularityParams(**good)
     for key, bad in [("beta", Fraction(1)), ("delta", Fraction(0)),
@@ -188,7 +188,7 @@ def test_problem_from_config_roundtrip():
 
 def test_problem_from_config_sine_drift_and_power_initial():
     cfg = {"p": 4, "rho_q": 3, "gamma": 1, "delta": "1/2", "alpha": "7/3",
-           "beta": "7/8", "vartheta": "1/2", "drift": "spectral_sine",
+           "beta": "7/8", "drift": "spectral_sine",
            "s": "7/2", "r": "7/2", "initial": {"power": 2}}
     prob = make_problem_from_config(cfg)
     ref = make_example(3)
@@ -197,3 +197,21 @@ def test_problem_from_config_sine_drift_and_power_initial():
     np.testing.assert_array_equal(eval_drift(prob, y).coeffs,
                                   eval_drift(ref, y).coeffs)
     np.testing.assert_array_equal(prob.initial_coeffs(6), ref.initial_coeffs(6))
+
+
+def test_problem_from_config_rejects_unknown_keys():
+    cfg = {"p": "4/3", "rho_q": 3, "gamma": "7/8", "delta": "3/8", "alpha": "9/4"}
+    for bad in ({"rho_Q": 5}, {"vartheta": "1/4"}):
+        with pytest.raises(ValueError, match="unknown config key") as exc:
+            make_problem_from_config({**cfg, **bad})
+        assert next(iter(bad)) in str(exc.value)
+        assert "accepted: p, rho_q, gamma" in str(exc.value)
+
+
+def test_problem_from_config_names_missing_keys():
+    with pytest.raises(ValueError, match="missing config key") as exc:
+        make_problem_from_config({"p": "4/3", "rho_q": 3, "delta": "3/8", "alpha": "9/4"})
+    assert "gamma" in str(exc.value) and "accepted:" in str(exc.value)
+    with pytest.raises(ValueError, match="s, r"):
+        make_problem_from_config({"p": 4, "rho_q": 3, "gamma": 1, "delta": "1/2",
+                                  "alpha": "7/3", "beta": "7/8", "drift": "spectral_sine"})

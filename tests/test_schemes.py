@@ -1,24 +1,39 @@
 import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
-from mildspde.noise import NoisePacket, direct_increments, direct_packets, substream
+from mildspde.noise import alg1_iterated_batch, sample_increments_batch, substream
 from mildspde.problems import (ProblemSpec, ZeroDiffusion, ZeroDrift,
                                PowerLawInitial, make_example)
-from mildspde.schemes import (SchemeConfig, integrate, step_dfm, step_ees,
-                              step_lie, step_mil)
-from mildspde.spectral import SpectralField, zero_field
+from mildspde.schemes import MILSTEIN_KINDS, SchemeConfig, integrate
+
+
+@dataclass(frozen=True)
+class _FixedInitial:
+    """Initial law that returns a fixed start vector (test-local)."""
+
+    start: tuple
+
+    def coeffs(self, n):
+        assert n == len(self.start)
+        return np.array(self.start)
+
+
+def _one_step(kind, prob, y, db, iq, h):
+    """State after one step of `kind` from y: integrate with m = 1."""
+    cfg = SchemeConfig(kind, n=len(y), k=len(db), m=1,
+                       d=1 if kind in MILSTEIN_KINDS else None, horizon=h)
+    start = replace(prob, initial=_FixedInitial(tuple(y)))
+    iq = None if iq is None else np.asarray(iq, dtype=float)[None]
+    return integrate(cfg, start, np.asarray(db, dtype=float)[None], iq, store="final")
 
 
 def _zero_noise_problem():
     base = make_example(1)
     return ProblemSpec("heat", base.a_law, base.q_law, ZeroDrift(),
                        ZeroDiffusion(), PowerLawInitial(2.0), base.params)
-
-
-def _zero_packet(k, h, eta):
-    return NoisePacket(np.zeros(k), h, np.zeros((k, k)), 1, eta)
 
 
 def test_config_validation():
@@ -36,15 +51,13 @@ def test_config_validation():
 def test_zero_packet_reduces_to_semigroup():
     prob = _zero_noise_problem()
     h = 0.25
-    eta = prob.q_law.values(3)
-    y = SpectralField(np.array([1.0, -2.0, 0.5]))
+    y = np.array([1.0, -2.0, 0.5])
     decay = np.exp(-prob.a_law.values(3) * h)
-    pk = _zero_packet(3, h, eta)
-    for step in (step_dfm, step_mil):
-        out = step(prob, y, pk)
-        np.testing.assert_allclose(out.coeffs, decay * y.coeffs, rtol=1e-15)
-    out = step_ees(prob, y, np.zeros(3), h)
-    np.testing.assert_allclose(out.coeffs, decay * y.coeffs, rtol=1e-15)
+    for kind in ("DFM", "MIL"):
+        out = _one_step(kind, prob, y, np.zeros(3), np.zeros((3, 3)), h)
+        np.testing.assert_allclose(out, decay * y, rtol=1e-15)
+    out = _one_step("EES", prob, y, np.zeros(3), None, h)
+    np.testing.assert_allclose(out, decay * y, rtol=1e-15)
 
 
 def test_dfm_from_zero_state_is_drift_only():
@@ -54,13 +67,11 @@ def test_dfm_from_zero_state_is_drift_only():
     eta = prob.q_law.values(4)
     rng = substream(0, 1)
     db = rng.standard_normal(4) * math.sqrt(h)
-    from mildspde.noise import alg1_iterated
-    iq = alg1_iterated(substream(0, 2), db, h, 5, eta)
-    pk = NoisePacket(db, h, iq, 5, eta)
-    out = step_dfm(prob, zero_field(4), pk)
+    iq = alg1_iterated_batch(substream(0, 2), db[None], h, 5, eta)[0]
+    out = _one_step("DFM", prob, np.zeros(4), db, iq, h)
     decay = np.exp(-prob.a_law.values(4) * h)
     expect = decay * (h * prob.drift(np.zeros(4)))
-    np.testing.assert_allclose(out.coeffs, expect, rtol=1e-14)
+    np.testing.assert_allclose(out, expect, rtol=1e-14)
 
 
 def test_dfm_matches_mil_on_linear_diffusion():
@@ -69,13 +80,11 @@ def test_dfm_matches_mil_on_linear_diffusion():
         h = 1 / 16
         eta = prob.q_law.values(6)
         rng = np.random.default_rng(ex)
-        y = SpectralField(rng.standard_normal(6))
+        y = rng.standard_normal(6)
         db = rng.standard_normal(6) * math.sqrt(h)
-        from mildspde.noise import alg1_iterated
-        iq = alg1_iterated(substream(ex, 3), db, h, 8, eta)
-        pk = NoisePacket(db, h, iq, 8, eta)
-        a = step_dfm(prob, y, pk).coeffs
-        b = step_mil(prob, y, pk).coeffs
+        iq = alg1_iterated_batch(substream(ex, 3), db[None], h, 8, eta)[0]
+        a = _one_step("DFM", prob, y, db, iq, h)
+        b = _one_step("MIL", prob, y, db, iq, h)
         assert np.abs(a - b).max() <= 1e-10 * max(1.0, np.abs(a).max())
 
 
@@ -85,14 +94,13 @@ def test_mil_single_noise_direction_expansion():
     eta = prob.q_law.values(1)
     db = np.array([0.23])
     iq = np.array([[eta[0] * (db[0] ** 2 - h) / 2.0]])
-    pk = NoisePacket(db, h, iq, 1, eta)
     rng = np.random.default_rng(5)
-    y = SpectralField(rng.standard_normal(4))
-    got = step_mil(prob, y, pk).coeffs
+    y = rng.standard_normal(4)
+    got = _one_step("MIL", prob, y, db, iq, h)
     decay = np.exp(-prob.a_law.values(4) * h)
-    col = prob.diffusion.column(y.coeffs, 1, 4)
-    deriv = prob.diffusion.deriv_column(y.coeffs, col, 1, 4)
-    expect = decay * (y.coeffs + h * prob.drift(y.coeffs)
+    col = prob.diffusion.column(y, 1, 4)
+    deriv = prob.diffusion.deriv_column(y, col, 1, 4)
+    expect = decay * (y + h * prob.drift(y)
                       + col * math.sqrt(eta[0]) * db[0]
                       + iq[0, 0] * deriv)
     np.testing.assert_allclose(got, expect, rtol=1e-14)
@@ -101,30 +109,28 @@ def test_mil_single_noise_direction_expansion():
 def test_ees_is_dfm_without_stage_sum():
     prob = make_example(1)
     h = 0.2
-    eta = prob.q_law.values(4)
     rng = np.random.default_rng(7)
-    y = SpectralField(rng.standard_normal(4))
+    y = rng.standard_normal(4)
     db = rng.standard_normal(4) * math.sqrt(h)
-    pk = NoisePacket(db, h, np.zeros((4, 4)), 1, eta)
     # with a zero iterated matrix every stage equals y, so the sums agree
-    np.testing.assert_allclose(step_dfm(prob, y, pk).coeffs,
-                               step_ees(prob, y, db, h).coeffs, rtol=1e-14)
+    np.testing.assert_allclose(_one_step("DFM", prob, y, db, np.zeros((4, 4)), h),
+                               _one_step("EES", prob, y, db, None, h), rtol=1e-14)
 
 
 def test_ees_near_identity_for_tiny_step():
     prob = make_example(1)
-    y = SpectralField(np.array([0.4, -0.3]))
-    out = step_ees(prob, y, np.zeros(2), 1e-12)
-    np.testing.assert_allclose(out.coeffs, y.coeffs, rtol=1e-9)
+    y = np.array([0.4, -0.3])
+    out = _one_step("EES", prob, y, np.zeros(2), None, 1e-12)
+    np.testing.assert_allclose(out, y, rtol=1e-9)
 
 
 def test_lie_single_mode_resolvent():
     prob = _zero_noise_problem()
     h = 0.5
     lam = prob.a_law.values(3)
-    y = SpectralField(np.array([2.0, 0.0, -1.0]))
-    out = step_lie(prob, y, np.zeros(3), h)
-    np.testing.assert_allclose(out.coeffs, y.coeffs / (1 + lam * h), rtol=1e-15)
+    y = np.array([2.0, 0.0, -1.0])
+    out = _one_step("LIE", prob, y, np.zeros(3), None, h)
+    np.testing.assert_allclose(out, y / (1 + lam * h), rtol=1e-15)
 
 
 def test_lie_vs_ees_second_order_gap_per_mode():
@@ -132,29 +138,31 @@ def test_lie_vs_ees_second_order_gap_per_mode():
     prob = _zero_noise_problem()
     for x in (1e-2, 1e-3):
         h = x / prob.a_law.values(1)[0]
-        y = SpectralField(np.array([1.0]))
-        gap = abs(step_lie(prob, y, np.zeros(1), h).coeffs[0]
-                  - step_ees(prob, y, np.zeros(1), h).coeffs[0])
+        y = np.array([1.0])
+        gap = abs(_one_step("LIE", prob, y, np.zeros(1), None, h)[0]
+                  - _one_step("EES", prob, y, np.zeros(1), None, h)[0])
         assert 0.4 * x**2 < gap < 0.6 * x**2
 
 
 def test_integrate_single_step_matches_step():
+    # each step of a trajectory is a one-step integrate from the previous state
     prob = make_example(1)
-    cfg = SchemeConfig("DFM", n=4, k=2, m=1, d=2, horizon=1.0)
+    m, h = 2, 0.5
+    cfg = SchemeConfig("DFM", n=4, k=2, m=m, d=2, horizon=1.0)
     eta = prob.q_law.values(2)
-    pk = list(direct_packets(substream(1, 1), substream(1, 2), 1, 2, 1.0, 2, eta))
-    traj = integrate(cfg, prob, iter(pk))
-    y0 = SpectralField(prob.initial_coeffs(4))
-    one = step_dfm(prob, y0, pk[0])
-    np.testing.assert_array_equal(traj[1], one.coeffs)
+    db = sample_increments_batch(substream(1, 1), m, 2, h)
+    iq = alg1_iterated_batch(substream(1, 2), db, h, 2, eta)
+    traj = integrate(cfg, prob, db, iq)
+    for step in range(m):
+        one = _one_step("DFM", prob, traj[step], db[step], iq[step], h)
+        np.testing.assert_array_equal(traj[step + 1], one)
 
 
 def test_integrate_pure_heat_decay():
     prob = _zero_noise_problem()
     m, n = 8, 5
     cfg = SchemeConfig("EES", n=n, k=2, m=m, horizon=1.0)
-    src = (np.zeros(2) for _ in range(m))
-    traj = integrate(cfg, prob, src)
+    traj = integrate(cfg, prob, np.zeros((m, 2)))
     lam = prob.a_law.values(n)
     xi = prob.initial_coeffs(n)
     for step in range(m + 1):
@@ -168,9 +176,9 @@ def test_integrate_replay_bitwise():
     eta = prob.q_law.values(3)
 
     def run():
-        src = direct_packets(substream(9, 1), substream(9, 2), 12, 3,
-                             1 / 12, 4, eta)
-        return integrate(cfg, prob, src)
+        db = sample_increments_batch(substream(9, 1), 12, 3, 1 / 12)
+        iq = alg1_iterated_batch(substream(9, 2), db, 1 / 12, 4, eta)
+        return integrate(cfg, prob, db, iq)
 
     np.testing.assert_array_equal(run(), run())
 
@@ -178,12 +186,9 @@ def test_integrate_replay_bitwise():
 def test_integrate_final_mode_and_capture():
     prob = make_example(1)
     cfg = SchemeConfig("LIE", n=4, k=2, m=8, horizon=1.0)
-
-    def src():
-        return direct_increments(substream(3, 1), 8, 2, 1 / 8)
-
-    traj = integrate(cfg, prob, src())
-    final, caps = integrate(cfg, prob, src(), store="final", capture={0, 4, 8})
+    db = sample_increments_batch(substream(3, 1), 8, 2, 1 / 8)
+    traj = integrate(cfg, prob, db)
+    final, caps = integrate(cfg, prob, db, store="final", capture={0, 4, 8})
     np.testing.assert_array_equal(final, traj[-1])
     np.testing.assert_array_equal(caps[4], traj[4])
     np.testing.assert_array_equal(caps[0], traj[0])
@@ -192,15 +197,21 @@ def test_integrate_final_mode_and_capture():
 def test_integrate_rejects_short_noise():
     prob = make_example(1)
     cfg = SchemeConfig("EES", n=4, k=2, m=8, horizon=1.0)
-    src = (np.zeros(2) for _ in range(3))
     with pytest.raises(ValueError):
-        integrate(cfg, prob, src)
+        integrate(cfg, prob, np.zeros((3, 2)))
+    with pytest.raises(ValueError):
+        integrate(cfg, prob, np.zeros((8, 3)))                     # wrong K
+    with pytest.raises(ValueError):
+        integrate(cfg, prob, np.zeros((8, 2)), np.zeros((8, 2, 2)))  # Euler takes no iq
+    mil = SchemeConfig("MIL", n=4, k=2, m=8, d=1, horizon=1.0)
+    with pytest.raises(ValueError):
+        integrate(mil, prob, np.zeros((8, 2)))                     # iq missing
+    with pytest.raises(ValueError):
+        integrate(mil, prob, np.zeros((8, 2)), np.zeros((7, 2, 2)))
 
 
 def test_step_output_stays_projected():
     prob = make_example(1)
-    eta = prob.q_law.values(3)
-    y = SpectralField(np.arange(1.0, 6.0))
-    pk = _zero_packet(3, 0.1, eta)
-    assert step_dfm(prob, y, pk).dim == 5
-    assert step_ees(prob, y, np.zeros(3), 0.1).dim == 5
+    y = np.arange(1.0, 6.0)
+    assert _one_step("DFM", prob, y, np.zeros(3), np.zeros((3, 3)), 0.1).shape == (5,)
+    assert _one_step("EES", prob, y, np.zeros(3), None, 0.1).shape == (5,)
