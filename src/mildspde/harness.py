@@ -26,9 +26,17 @@ own depth), with functional evaluations instrumented from the actual run;
 noise generation being shared across coupled levels, billed draws are the
 cost a standalone run would pay.
 
-Every integrated reference and row result is checked for finiteness; a
-non-finite one raises ValueError naming the seed, lattice group, path and
-scheme.
+Paths run in chunks. Each path draws from its own (purpose, group, path)
+substreams; the chunk stacks its paths' noise and integrates the reference
+and every row with one batched `integrate` call each. A chunk holds
+min(ceil(paths / workers), max(1, 2^19 // noise elements per path)) paths,
+so its stacked noise stays within 4 MB unless one path alone is larger.
+One process pool per study maps every (lattice group, chunk) task. Batched
+and single-path integration agree bit for bit, so the chunking, like the
+worker count, cannot change a report.
+
+A reference or row state that turns non-finite stops its integration and
+raises ValueError naming the seed, lattice group, path and scheme.
 """
 
 from __future__ import annotations
@@ -50,7 +58,7 @@ from .noise import alg1_iterated_batch, choose_D1, sample_increments_batch, subs
 # imported only so that bench/tracer.py, which patches this name, keeps working
 from .noise import NoisePacket  # noqa: F401
 from .problems import ProblemSpec
-from .schemes import REGISTRY, SchemeConfig, canonical_kind, integrate
+from .schemes import REGISTRY, NonFiniteState, SchemeConfig, canonical_kind, integrate
 
 __all__ = [
     "ReferenceSpec", "LadderRow", "StudyConfig", "ReportRow", "StudyReport",
@@ -272,10 +280,22 @@ def measure_order(report: StudyReport, axis: str = "M",
 
 # --- study execution ---------------------------------------------------------
 
+# A path chunk stacks at most this many noise elements (4 MB of float64)
+# into its batched integrate calls, or one path's worth if that is more.
+_CHUNK_NOISE_ELEMS = 2**19
+
+
 @dataclass(frozen=True)
 class _GroupContext:
-    """Everything one worker needs to run all rows of a lattice group on
-    one path. Must stay picklable."""
+    """Everything one worker needs to run all rows of a lattice group on a
+    chunk of paths. Must stay picklable.
+
+    The Milstein-type rows take their iterated integrals from one
+    generation level, gen_m steps in gen_k directions at depth gen_d: the
+    reference lattice when the reference is Milstein-type, otherwise the
+    coarsest grid every Milstein-type row refines. All three are None when
+    the group runs no Milstein-type scheme.
+    """
 
     problem: ProblemSpec
     reference: ReferenceSpec
@@ -285,7 +305,47 @@ class _GroupContext:
     gid: int
     error_at: str
     error_space: str
-    q_milstein: Fraction
+    gen_m: Optional[int]
+    gen_k: Optional[int]
+    gen_d: Optional[int]
+
+    def levels(self) -> List[int]:
+        """Step counts of the generation level and of every Milstein-type
+        row, finest (the generation level) first."""
+        if self.gen_m is None:
+            return []
+        row_ms = {r.m for _, r in self.rows if REGISTRY[r.scheme].milstein}
+        return sorted(row_ms | {self.gen_m}, reverse=True)
+
+    def noise_per_path(self) -> int:
+        """Noise elements one path stacks: its fine increments plus the
+        increments and iterated integrals of every level."""
+        elems = self.lattice_m * self.reference.k
+        if self.gen_m is not None:
+            elems += sum(self.levels()) * (self.gen_k + self.gen_k**2)
+        return elems
+
+
+def _group_context(config: "StudyConfig", gid: int, lattice: int,
+                   rows: Tuple[Tuple[int, LadderRow], ...]) -> _GroupContext:
+    q_milstein = config.problem.params.q_dfm
+    ref = config.reference
+    gen_m = gen_k = gen_d = None
+    if REGISTRY[ref.kind].milstein:
+        gen_m, gen_k = lattice, ref.k
+        gen_d = ref.d if ref.d is not None else choose_D1(lattice, q_milstein)
+        reference = replace(ref, m=lattice, d=gen_d)
+    else:
+        reference = replace(ref, m=lattice, d=None)
+        mil_rows = [r for _, r in rows if REGISTRY[r.scheme].milstein]
+        if mil_rows:
+            gen_m = _lcm_all(r.m for r in mil_rows)
+            gen_k = max(r.k for r in mil_rows)
+            gen_d = choose_D1(gen_m, q_milstein)
+    return _GroupContext(problem=config.problem, reference=reference,
+                         lattice_m=lattice, rows=rows, seed=config.seed, gid=gid,
+                         error_at=config.error_at, error_space=config.error_space,
+                         gen_m=gen_m, gen_k=gen_k, gen_d=gen_d)
 
 
 def _aggregate(fine: np.ndarray, m_coarse: int) -> Tuple[np.ndarray, int]:
@@ -293,11 +353,27 @@ def _aggregate(fine: np.ndarray, m_coarse: int) -> Tuple[np.ndarray, int]:
     return fine.reshape(m_coarse, ratio, fine.shape[1]).sum(axis=1), ratio
 
 
-def _row_sq_errors(ctx: _GroupContext, row: LadderRow, db_row, iq_row,
-                   ref_final, ref_captures, lattice_m, ledger, path):
-    problem = ctx.problem
+def _stack(per_path: List[np.ndarray]) -> np.ndarray:
+    """(P, ...) stack of per-path arrays; a view for a single path, so a
+    one-path chunk holds its noise only once."""
+    return per_path[0][None] if len(per_path) == 1 else np.stack(per_path)
+
+
+def _integrate_paths(ctx: _GroupContext, lo: int, cfg: SchemeConfig, db, iq, **kwargs):
+    """Batched `integrate` of paths lo, lo+1, ...; a non-finite path is
+    reported by its seed, lattice group, path index and scheme."""
+    try:
+        return integrate(cfg, ctx.problem, db, iq, **kwargs)
+    except NonFiniteState as exc:
+        raise ValueError(f"non-finite state: seed {ctx.seed}, group {ctx.gid}, "
+                         f"path {lo + exc.path}, scheme {exc.kind}") from None
+
+
+def _row_sq_errors(ctx: _GroupContext, lo: int, row: LadderRow, db_row, iq_row,
+                   ref_final, ref_captures, ledger) -> np.ndarray:
+    """(P, grid points) squared errors of one row on the chunk's paths."""
     cfg = SchemeConfig(kind=row.scheme, n=row.n, k=row.k, m=row.m,
-                       d=row.d, horizon=problem.horizon)
+                       d=row.d, horizon=ctx.problem.horizon)
 
     def sq_diff(ref_state, y):
         if ctx.error_space == "row":
@@ -308,22 +384,17 @@ def _row_sq_errors(ctx: _GroupContext, row: LadderRow, db_row, iq_row,
         return float(np.dot(diff, diff))
 
     if ctx.error_at == "final":
-        y_final = integrate(cfg, problem, db_row, iq_row, ledger=ledger, store="final")
-        _check_finite(y_final, ctx, path, row.scheme)
-        return np.array([sq_diff(ref_final, y_final)])
-    traj = integrate(cfg, problem, db_row, iq_row, ledger=ledger, store="trajectory")
-    _check_finite(traj, ctx, path, row.scheme)
-    stride = lattice_m // row.m
-    out = np.empty(row.m + 1)
-    for step in range(row.m + 1):
-        out[step] = sq_diff(ref_captures[step * stride], traj[step])
+        y_final = _integrate_paths(ctx, lo, cfg, db_row, iq_row, ledger=ledger,
+                                   store="final")
+        return np.array([[sq_diff(r, y)] for r, y in zip(ref_final, y_final)])
+    traj = _integrate_paths(ctx, lo, cfg, db_row, iq_row, ledger=ledger,
+                            store="trajectory")
+    stride = ctx.lattice_m // row.m
+    out = np.empty((traj.shape[0], row.m + 1))
+    for i, path_traj in enumerate(traj):
+        for step in range(row.m + 1):
+            out[i, step] = sq_diff(ref_captures[step * stride][i], path_traj[step])
     return out
-
-
-def _check_finite(states, ctx: _GroupContext, path: int, kind: str) -> None:
-    if not np.isfinite(states).all():
-        raise ValueError(f"non-finite state: seed {ctx.seed}, group {ctx.gid}, "
-                         f"path {path}, scheme {kind}")
 
 
 def _lcm_all(values) -> int:
@@ -333,62 +404,69 @@ def _lcm_all(values) -> int:
     return out
 
 
-def _run_group_path(args):
-    ctx, path = args
+def _run_chunk(args):
+    """All rows of one lattice group on paths lo..hi-1.
+
+    Each path draws from its own (purpose, group, path) substreams; the
+    draws are stacked, then the reference and every row are integrated by
+    one batched call each. Returns per row the (hi-lo, grid points) squared
+    errors and the ledger counts of one path.
+    """
+    ctx, lo, hi = args
     problem = ctx.problem
     ref = ctx.reference
     lattice = ctx.lattice_m
     h_f = problem.horizon / lattice
     eta_ref = problem.q_law.values(ref.k)
-    rng_inc = substream(ctx.seed, _PURPOSE_INCREMENTS, ctx.gid, path)
-    rng_series = substream(ctx.seed, _PURPOSE_SERIES, ctx.gid, path)
-    db_fine = sample_increments_batch(rng_inc, lattice, ref.k, h_f)
+    ref_milstein = REGISTRY[ref.kind].milstein
 
-    mil_rows = [(i, r) for i, r in ctx.rows if REGISTRY[r.scheme].milstein]
+    db_fine, ref_iq, rngs_series = [], [], []
+    for path in range(lo, hi):
+        rng_inc = substream(ctx.seed, _PURPOSE_INCREMENTS, ctx.gid, path)
+        rngs_series.append(substream(ctx.seed, _PURPOSE_SERIES, ctx.gid, path))
+        db_fine.append(sample_increments_batch(rng_inc, lattice, ref.k, h_f))
+        if ref_milstein:
+            ref_iq.append(alg1_iterated_batch(rngs_series[-1], db_fine[-1], h_f,
+                                              ref.d, eta_ref))
+    db_fine = _stack(db_fine)
+    ref_iq = _stack(ref_iq) if ref_milstein else None
+
     capture = None
     if ctx.error_at == "all-grid":
         capture = set()
         for _, r in ctx.rows:
             stride = lattice // r.m
             capture.update(step * stride for step in range(r.m + 1))
-
-    # reference integration (iterated integrals only if the reference is
-    # Milstein-type)
-    ref_milstein = REGISTRY[ref.kind].milstein
-    ref_cfg = SchemeConfig(kind=ref.kind, n=ref.n, k=ref.k, m=lattice,
-                           d=ref.d if ref_milstein else None,
+    ref_cfg = SchemeConfig(kind=ref.kind, n=ref.n, k=ref.k, m=lattice, d=ref.d,
                            horizon=problem.horizon)
-    gen_db = gen_iq = None
-    gen_m = gen_k = None
-    if ref_milstein:
-        gen_db = db_fine
-        gen_iq = alg1_iterated_batch(rng_series, db_fine, h_f, ref.d, eta_ref)
-        gen_m, gen_k = lattice, ref.k
-    ref_out = integrate(ref_cfg, problem, db_fine, gen_iq, store="final", capture=capture)
+    ref_out = _integrate_paths(ctx, lo, ref_cfg, db_fine, ref_iq, store="final",
+                               capture=capture)
     ref_final, ref_captures = ref_out if capture is not None else (ref_out, None)
-    _check_finite(ref_final, ctx, path, ref.kind)
 
-    # generation level for Milstein rows when the reference consumes no
-    # iterated integrals: the coarsest grid every Milstein row refines
-    if mil_rows and gen_iq is None:
-        gen_m = _lcm_all(r.m for _, r in mil_rows)
-        gen_k = max(r.k for _, r in mil_rows)
-        gen_db, _ = _aggregate(db_fine[:, :gen_k], gen_m)
-        gen_iq = alg1_iterated_batch(rng_series, gen_db, problem.horizon / gen_m,
-                                     choose_D1(gen_m, ctx.q_milstein), eta_ref[:gen_k])
-
-    # fold the generation-level integrals onto each coarser Milstein grid
-    level_arrays = {}
-    if mil_rows:
-        level_arrays[gen_m] = (gen_db, gen_iq)
-        for target_m in sorted({r.m for _, r in mil_rows}, reverse=True):
-            if target_m in level_arrays:
-                continue
-            ratio = gen_m // target_m
-            db_lvl = gen_db.reshape(target_m, ratio, gen_k)
-            iq_lvl = gen_iq.reshape(target_m, ratio, gen_k, gen_k)
-            level_arrays[target_m] = noise_mod.chain_arrays(db_lvl, iq_lvl,
-                                                            eta_ref[:gen_k])
+    # iterated integrals at the generation level (the reference's own when
+    # it is Milstein-type), folded onto each coarser Milstein grid
+    per_level = {m: ([], []) for m in ctx.levels()}
+    if per_level:
+        gen_m, gen_k = ctx.gen_m, ctx.gen_k
+        eta_gen = eta_ref[:gen_k]
+        for i in range(hi - lo):
+            if ref_milstein:
+                gen_db, gen_iq = db_fine[i], ref_iq[i]
+            else:
+                gen_db, _ = _aggregate(db_fine[i][:, :gen_k], gen_m)
+                gen_iq = alg1_iterated_batch(rngs_series[i], gen_db,
+                                             problem.horizon / gen_m, ctx.gen_d, eta_gen)
+            for target_m, (dbs, iqs) in per_level.items():
+                if target_m == gen_m:
+                    db_lvl, iq_lvl = gen_db, gen_iq
+                else:
+                    ratio = gen_m // target_m
+                    db_lvl, iq_lvl = noise_mod.chain_arrays(
+                        gen_db.reshape(target_m, ratio, gen_k),
+                        gen_iq.reshape(target_m, ratio, gen_k, gen_k), eta_gen)
+                dbs.append(db_lvl)
+                iqs.append(iq_lvl)
+    levels = {m: (_stack(dbs), _stack(iqs)) for m, (dbs, iqs) in per_level.items()}
 
     sq_errors: Dict[int, np.ndarray] = {}
     ledgers: Dict[int, Tuple[int, int, int, int]] = {}
@@ -397,17 +475,17 @@ def _run_group_path(args):
         # bill the draws a standalone run of this row would make
         ledger.charge_normals(row.m * ledger_expected(row.scheme, row.n, row.k, row.d).normals)
         if REGISTRY[row.scheme].milstein:
-            db_lvl, iq_lvl = level_arrays[row.m]
-            db_row = db_lvl[:, : row.k]
-            iq_row = iq_lvl[:, : row.k, : row.k]
+            db_lvl, iq_lvl = levels[row.m]
+            db_row = db_lvl[:, :, : row.k]
+            iq_row = iq_lvl[:, :, : row.k, : row.k]
         else:
-            db_row, _ = _aggregate(db_fine[:, : row.k], row.m)
+            db_row = _stack([_aggregate(db[:, : row.k], row.m)[0] for db in db_fine])
             iq_row = None
-        sq_errors[row_id] = _row_sq_errors(ctx, row, db_row, iq_row, ref_final,
-                                           ref_captures, lattice, ledger, path)
+        sq_errors[row_id] = _row_sq_errors(ctx, lo, row, db_row, iq_row, ref_final,
+                                           ref_captures, ledger)
         ledgers[row_id] = (ledger.functional_evals_f, ledger.functional_evals_b,
                            ledger.functional_evals_bprime, ledger.normal_draws)
-    return path, sq_errors, ledgers
+    return sq_errors, ledgers
 
 
 def _lattice_for(m_row: int, m_target: int) -> int:
@@ -434,33 +512,29 @@ def run_study(config: StudyConfig) -> StudyReport:
             f"study would take ~{total_steps:.2e} fine steps; pass allow_big=True "
             f"or raise the guardrail to run it")
 
-    row_sq: Dict[int, np.ndarray] = {}
-    row_ledger: Dict[int, Tuple[int, int, int, int]] = {}
+    tasks = []
+    chunk_cap = -(-config.paths // config.workers)
     for gid, lattice in enumerate(lattices):
         group_rows = tuple((i, row) for i, row in enumerate(config.rows)
                            if lattice_of_row[i] == lattice)
-        ref_d = ref.d
-        if REGISTRY[ref.kind].milstein and ref_d is None:
-            ref_d = choose_D1(lattice, q_milstein)
-        ctx = _GroupContext(problem=problem,
-                            reference=replace(ref, m=lattice, d=ref_d),
-                            lattice_m=lattice, rows=group_rows,
-                            seed=config.seed, gid=gid,
-                            error_at=config.error_at,
-                            error_space=config.error_space,
-                            q_milstein=q_milstein)
-        args = [(ctx, p) for p in range(config.paths)]
-        if config.workers == 1:
-            results = [_run_group_path(a) for a in args]
-        else:
-            with ProcessPoolExecutor(max_workers=config.workers) as pool:
-                results = list(pool.map(_run_group_path, args,
-                                        chunksize=max(1, config.paths // (4 * config.workers))))
-        results.sort(key=lambda t: t[0])
-        for row_id, _ in group_rows:
-            stacked = np.stack([res[1][row_id] for res in results])
-            row_sq[row_id] = stacked
-            row_ledger[row_id] = results[0][2][row_id]
+        ctx = _group_context(config, gid, lattice, group_rows)
+        size = min(chunk_cap, max(1, _CHUNK_NOISE_ELEMS // ctx.noise_per_path()))
+        tasks += [(ctx, lo, min(lo + size, config.paths))
+                  for lo in range(0, config.paths, size)]
+    if config.workers == 1:
+        results = [_run_chunk(task) for task in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+            results = list(pool.map(_run_chunk, tasks))
+
+    # tasks run group by group, paths ascending within a group
+    sq_parts: Dict[int, List[np.ndarray]] = {}
+    row_ledger: Dict[int, Tuple[int, int, int, int]] = {}
+    for sq_errors, ledgers in results:
+        for row_id, part in sq_errors.items():
+            sq_parts.setdefault(row_id, []).append(part)
+            row_ledger.setdefault(row_id, ledgers[row_id])
+    row_sq = {row_id: np.concatenate(parts) for row_id, parts in sq_parts.items()}
 
     report_rows = []
     for row_id, row in enumerate(config.rows):
@@ -510,12 +584,18 @@ def estimate_sup_second_moment(problem: ProblemSpec, kind: str, n: int, k: int,
     weights = problem.a_law.values(n) ** (2.0 * r)
     cfg = SchemeConfig(kind=kind, n=n, k=k, m=m, d=d if milstein else None,
                        horizon=problem.horizon)
+    chunk = max(1, _CHUNK_NOISE_ELEMS // (m * k * (k + 1 if milstein else 1)))
     acc = np.zeros(m + 1)
-    for path in range(paths):
-        rng_inc = substream(seed, 71, m, path, 1)
-        rng_series = substream(seed, 71, m, path, 2)
-        db = sample_increments_batch(rng_inc, m, k, h)
-        iq = alg1_iterated_batch(rng_series, db, h, d, eta) if milstein else None
-        traj = integrate(cfg, problem, db, iq, store="trajectory")
-        acc += (traj**2 * weights[None, :]).sum(axis=1)
+    for lo in range(0, paths, chunk):
+        dbs, iqs = [], []
+        for path in range(lo, min(lo + chunk, paths)):
+            db = sample_increments_batch(substream(seed, 71, m, path, 1), m, k, h)
+            dbs.append(db)
+            if milstein:
+                iqs.append(alg1_iterated_batch(substream(seed, 71, m, path, 2),
+                                               db, h, d, eta))
+        trajs = integrate(cfg, problem, _stack(dbs), _stack(iqs) if milstein else None,
+                          store="trajectory")
+        for traj in trajs:
+            acc += (traj**2 * weights[None, :]).sum(axis=1)
     return float((acc / paths).max())

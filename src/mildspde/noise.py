@@ -142,9 +142,12 @@ def _tail_scale(d: int) -> float:
     return math.sqrt(_S_INF / _partial_basel(d))
 
 
+# the series samplers draw at most this many normals per block
+_SERIES_BLOCK_NORMALS = 1 << 22
+
+
 def alg1_iterated_batch(rng: np.random.Generator, delta_beta: np.ndarray,
-                        h: float, d: int, eta: np.ndarray, ledger=None,
-                        max_chunk_elems: int = 1 << 22) -> np.ndarray:
+                        h: float, d: int, eta: np.ndarray, ledger=None) -> np.ndarray:
     """Vectorized iterated-integral sampling for a batch of steps.
 
     delta_beta has shape (s, k); the result has shape (s, k, k). Consumes
@@ -166,7 +169,7 @@ def alg1_iterated_batch(rng: np.random.Generator, delta_beta: np.ndarray,
     scale = np.outer(sqrt_eta, sqrt_eta)
     eye = np.eye(k)
     out = np.empty((s, k, k))
-    chunk = max(1, max_chunk_elems // max(1, 2 * d * k))
+    chunk = max(1, _SERIES_BLOCK_NORMALS // max(1, 2 * d * k))
     for lo in range(0, s, chunk):
         hi = min(s, lo + chunk)
         z = rng.standard_normal((hi - lo, 2, d, k))
@@ -214,7 +217,7 @@ def alg1_iterated_nested(rng: np.random.Generator, delta_beta: np.ndarray,
     t1 = np.zeros((s, k, k))
     out = {}
     prev = 0
-    block = max(1, (1 << 22) // max(1, 2 * s * k))
+    block = max(1, _SERIES_BLOCK_NORMALS // max(1, 2 * s * k))
     for depth in depths:
         for lo in range(prev, depth, block):
             hi = min(depth, lo + block)

@@ -13,7 +13,7 @@ regularity exponents taken in the limit of vanishing slack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -82,6 +82,9 @@ class RegularityParams:
             raise ValueError("delta must lie in (0,1/2]")
         if not (max(beta, delta) <= gamma <= delta + Fraction(1, 2)):
             raise ValueError("gamma must lie in [max(beta,delta), delta+1/2]")
+        if gamma <= beta:
+            # q = min(2(gamma-beta), gamma) would vanish
+            raise ValueError("gamma must exceed beta and be positive")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
         if self.rho_q <= 1:
@@ -99,6 +102,23 @@ class RegularityParams:
 
 
 # --- drift variants -------------------------------------------------------
+# Drifts and diffusions take a state with an optional leading path axis,
+# (N,) or (P, N), and keep their per-dimension constants in a cache filled
+# on first use, so a step loop computes them once.
+
+def _constants():
+    """Dataclass field for a per-instance cache of step constants."""
+    return field(default_factory=dict, init=False, repr=False, compare=False)
+
+
+def _cached(cache: dict, make, *args):
+    """make(*args), computed on the first call for these arguments."""
+    key = (make.__name__,) + args
+    value = cache.get(key)
+    if value is None:
+        value = cache[key] = make(*args)
+    return value
+
 
 @dataclass(frozen=True)
 class AffineDrift:
@@ -109,11 +129,15 @@ class AffineDrift:
     and 0 for even i.
     """
 
+    _cache: dict = _constants()
+
     def __call__(self, y: np.ndarray) -> np.ndarray:
-        n = y.size
+        return _cached(self._cache, self._ones, y.shape[-1]) - y
+
+    @staticmethod
+    def _ones(n: int) -> np.ndarray:
         idx = np.arange(1, n + 1)
-        const = np.sqrt(2.0) * (1.0 - (-1.0) ** idx) / (idx * np.pi)
-        return const - y
+        return np.sqrt(2.0) * (1.0 - (-1.0) ** idx) / (idx * np.pi)
 
 
 @dataclass(frozen=True)
@@ -122,10 +146,15 @@ class SpectralSineDrift:
 
     s: float
     r: float
+    _cache: dict = _constants()
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
-        idx = np.arange(1.0, y.size + 1.0)
-        return idx**-self.s * np.sin(idx**self.r * y)
+        scale, freq = _cached(self._cache, self._powers, y.shape[-1])
+        return scale * np.sin(freq * y)
+
+    def _powers(self, n: int):
+        idx = np.arange(1.0, n + 1.0)
+        return idx**-self.s, idx**self.r
 
 
 @dataclass(frozen=True)
@@ -139,11 +168,12 @@ class ZeroDrift:
 class DiffusionBase:
     """Interface for the diffusion operator in matrix-column form.
 
-    column(y, j, n) is the n-vector of coefficients of the operator applied
-    to the j-th noise basis element. matrix(y, n, k) stacks columns 1..k.
-    stage_columns evaluates column j of the operator at a per-column state
-    (row j of `stages`); the generic implementation loops, subclasses may
-    vectorize.
+    States carry an optional leading path axis. column(y, j, n) is the
+    n-vector of coefficients of the operator applied to the j-th noise
+    basis element, (..., n). matrix(y, n, k) stacks columns 1..k,
+    (..., n, k). stage_columns evaluates column j of the operator at a
+    per-column state (row j of `stages`, which is (..., k, n)); the generic
+    implementation loops, subclasses may vectorize.
     """
 
     has_derivative = False
@@ -152,16 +182,16 @@ class DiffusionBase:
         raise NotImplementedError
 
     def matrix(self, y: np.ndarray, n: int, k: int) -> np.ndarray:
-        out = np.empty((n, k))
+        out = np.empty(y.shape[:-1] + (n, k))
         for j in range(1, k + 1):
-            out[:, j - 1] = self.column(y, j, n)
+            out[..., j - 1] = self.column(y, j, n)
         return out
 
     def stage_columns(self, stages: np.ndarray, n: int) -> np.ndarray:
-        k = stages.shape[0]
-        out = np.empty((n, k))
+        k = stages.shape[-2]
+        out = np.empty(stages.shape[:-2] + (n, k))
         for j in range(1, k + 1):
-            out[:, j - 1] = self.column(stages[j - 1], j, n)
+            out[..., j - 1] = self.column(stages[..., j - 1, :], j, n)
         return out
 
     def deriv_column(self, y: np.ndarray, v: np.ndarray, j: int, n: int) -> np.ndarray:
@@ -179,30 +209,35 @@ class RationalDecayDiffusion(DiffusionBase):
     """
 
     p: float
+    _cache: dict = _constants()
 
     has_derivative = True
 
+    def _column_denom(self, n: int, j: int) -> np.ndarray:
+        # (n,) denominators i^p + j^4 of column j
+        return np.arange(1.0, n + 1.0) ** self.p + float(j) ** 4
+
     def _inv_denom(self, n: int, k: int) -> np.ndarray:
+        # (n, k) reciprocals 1 / (i^p + j^4)
         i = np.arange(1.0, n + 1.0)[:, None]
         j = np.arange(1.0, k + 1.0)[None, :]
         return 1.0 / (i**self.p + j**4)
 
     def column(self, y: np.ndarray, j: int, n: int) -> np.ndarray:
-        if not 1 <= j <= y.size:
-            raise ValueError(f"noise column {j} outside 1..{y.size}")
-        i = np.arange(1.0, n + 1.0)
-        return y[j - 1] / (i**self.p + float(j) ** 4)
+        if not 1 <= j <= y.shape[-1]:
+            raise ValueError(f"noise column {j} outside 1..{y.shape[-1]}")
+        return y[..., j - 1, None] / _cached(self._cache, self._column_denom, n, j)
 
     def matrix(self, y: np.ndarray, n: int, k: int) -> np.ndarray:
-        if k > y.size:
+        if k > y.shape[-1]:
             raise ValueError("noise dimension exceeds state dimension")
-        return self._inv_denom(n, k) * y[:k][None, :]
+        return _cached(self._cache, self._inv_denom, n, k) * y[..., None, :k]
 
     def stage_columns(self, stages: np.ndarray, n: int) -> np.ndarray:
-        k = stages.shape[0]
+        k = stages.shape[-2]
         # column j only reads coefficient j of its own stage state
-        diag = stages[np.arange(k), np.arange(k)]
-        return self._inv_denom(n, k) * diag[None, :]
+        diag = stages[..., np.arange(k), np.arange(k)]
+        return _cached(self._cache, self._inv_denom, n, k) * diag[..., None, :]
 
     def deriv_column(self, y: np.ndarray, v: np.ndarray, j: int, n: int) -> np.ndarray:
         return self.column(v, j, n)
@@ -213,16 +248,16 @@ class ZeroDiffusion(DiffusionBase):
     has_derivative = True
 
     def column(self, y: np.ndarray, j: int, n: int) -> np.ndarray:
-        return np.zeros(n)
+        return np.zeros(y.shape[:-1] + (n,))
 
     def matrix(self, y: np.ndarray, n: int, k: int) -> np.ndarray:
-        return np.zeros((n, k))
+        return np.zeros(y.shape[:-1] + (n, k))
 
     def stage_columns(self, stages: np.ndarray, n: int) -> np.ndarray:
-        return np.zeros((n, stages.shape[0]))
+        return np.zeros(stages.shape[:-2] + (n, stages.shape[-2]))
 
     def deriv_column(self, y, v, j, n):
-        return np.zeros(n)
+        return np.zeros(y.shape[:-1] + (n,))
 
 
 # --- initial values -------------------------------------------------------

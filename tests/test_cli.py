@@ -119,3 +119,11 @@ def test_cost_config_missing_key_exits_2(tmp_path, capsys):
     assert main(["cost", "--config", _write_config(tmp_path, cfg), "--ladder", "2"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "gamma" in err
+
+
+def test_cost_config_gamma_equal_beta_exits_2(tmp_path, capsys):
+    cfg = {"p": 4, "rho_q": 3, "gamma": "1/2", "beta": "1/2", "delta": "1/2",
+           "alpha": "7/3"}
+    assert main(["cost", "--config", _write_config(tmp_path, cfg), "--ladder", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "gamma must exceed beta" in err

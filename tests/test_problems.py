@@ -215,3 +215,11 @@ def test_problem_from_config_names_missing_keys():
     with pytest.raises(ValueError, match="s, r"):
         make_problem_from_config({"p": 4, "rho_q": 3, "gamma": 1, "delta": "1/2",
                                   "alpha": "7/3", "beta": "7/8", "drift": "spectral_sine"})
+
+
+def test_problem_from_config_rejects_gamma_equal_beta():
+    # q = min(2(gamma-beta), gamma) would be 0; refused where PlanInput refuses it
+    cfg = {"p": 4, "rho_q": 3, "gamma": "1/2", "beta": "1/2", "delta": "1/2",
+           "alpha": "7/3"}
+    with pytest.raises(ValueError, match="gamma must exceed beta and be positive"):
+        make_problem_from_config(cfg)

@@ -1,13 +1,17 @@
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mildspde.cost import CostLedger
 from mildspde.noise import alg1_iterated_batch, sample_increments_batch, substream
 from mildspde.problems import (ProblemSpec, ZeroDiffusion, ZeroDrift,
                                PowerLawInitial, make_example)
-from mildspde.schemes import MILSTEIN_KINDS, SchemeConfig, integrate
+from mildspde.schemes import (KINDS, MILSTEIN_KINDS, NonFiniteState, SchemeConfig,
+                              integrate)
 
 
 @dataclass(frozen=True)
@@ -215,3 +219,65 @@ def test_step_output_stays_projected():
     y = np.arange(1.0, 6.0)
     assert _one_step("DFM", prob, y, np.zeros(3), np.zeros((3, 3)), 0.1).shape == (5,)
     assert _one_step("EES", prob, y, np.zeros(3), None, 0.1).shape == (5,)
+
+
+def _path_noise(kind, prob, paths, n, k, m, seed):
+    """(P, m, k) increments and, for the Milstein-type kinds, (P, m, k, k)
+    iterated integrals, each path from its own substreams."""
+    h = prob.horizon / m
+    eta = prob.q_law.values(k)
+    db = np.stack([sample_increments_batch(substream(seed, p, 1), m, k, h)
+                   for p in range(paths)])
+    if kind not in MILSTEIN_KINDS:
+        return db, None
+    iq = np.stack([alg1_iterated_batch(substream(seed, p, 2), db[p], h, 3, eta)
+                   for p in range(paths)])
+    return db, iq
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(kind=st.sampled_from(KINDS), example=st.sampled_from((1, 3)),
+       store=st.sampled_from(("final", "trajectory")), capture=st.booleans(),
+       paths=st.integers(1, 4), n=st.sampled_from((4, 16)), seed=st.integers(0, 999))
+def test_batched_integrate_equals_stacked_single_calls(kind, example, store, capture,
+                                                       paths, n, seed):
+    prob = make_example(example)
+    k, m = min(n, 5), 12
+    cfg = SchemeConfig(kind, n=n, k=k, m=m, d=3 if kind in MILSTEIN_KINDS else None)
+    db, iq = _path_noise(kind, prob, paths, n, k, m, seed)
+    steps = {0, 5, m} if capture else None
+    batched = integrate(cfg, prob, db, iq, store=store, capture=steps)
+    singles = [integrate(cfg, prob, db[p], None if iq is None else iq[p],
+                         store=store, capture=steps) for p in range(paths)]
+    if capture:
+        batched, caps = batched
+        singles, single_caps = zip(*singles)
+        for step in steps:
+            assert np.array_equal(caps[step], np.stack([c[step] for c in single_caps]))
+    assert np.array_equal(batched, np.stack(singles))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_batched_integrate_charges_one_path(kind):
+    prob = make_example(2)
+    n, k, m = 6, 3, 8
+    cfg = SchemeConfig(kind, n=n, k=k, m=m, d=3 if kind in MILSTEIN_KINDS else None)
+    db, iq = _path_noise(kind, prob, 4, n, k, m, seed=5)
+    one, four = CostLedger(), CostLedger()
+    integrate(cfg, prob, db[0], None if iq is None else iq[0], ledger=one)
+    integrate(cfg, prob, db, iq, ledger=four)
+    assert four == one and one.functional_evals_f == m * n
+
+
+def test_integrate_names_first_non_finite_path():
+    # paths 1 and 2 overflow within a few steps; path 0 stays finite
+    prob = make_example(1)
+    cfg = SchemeConfig("EES", n=4, k=2, m=600)
+    db = np.zeros((3, 600, 2))
+    db[1:] = 1e150
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteState) as exc:
+            integrate(cfg, prob, db, store="final")
+    assert exc.value.path == 1 and exc.value.kind == "EES"
+    assert exc.value.step < cfg.m        # stopped before the last step
