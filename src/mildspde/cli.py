@@ -118,6 +118,10 @@ def _cmd_cost(args) -> int:
 
 def _cmd_noise_test(args) -> int:
     k, d, h = args.k, args.d, args.h
+    if args.samples < 2:
+        raise ValueError("--samples must be >= 2 (moment checks need a sample variance)")
+    if k < 1:
+        raise ValueError("--k must be >= 1")
     eta = np.arange(1.0, k + 1.0) ** -args.rho_q
     ledger = CostLedger()
     rng_inc = substream(args.seed, 1)

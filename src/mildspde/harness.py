@@ -28,10 +28,12 @@ cost a standalone run would pay.
 
 Paths run in chunks. Each path draws from its own (purpose, group, path)
 substreams; the chunk stacks its paths' noise and integrates the reference
-and every row with one batched `integrate` call each. A chunk holds
-min(ceil(paths / workers), max(1, 2^19 // noise elements per path)) paths,
-so its stacked noise stays within 4 MB unless one path alone is larger.
-One process pool per study maps every (lattice group, chunk) task. Batched
+and every row with one batched `integrate` call each. One process pool per
+study maps every (lattice group, chunk) task, so the G lattice groups share
+the W workers: a chunk holds min(ceil(paths / ceil(W / G)),
+max(1, 2^19 // noise elements per path)) paths, which gives each group
+just enough chunks to keep the pool busy and keeps a chunk's stacked noise
+within 4 MB unless one path alone is larger. Batched
 and single-path integration agree bit for bit, so the chunking, like the
 worker count, cannot change a report.
 
@@ -488,6 +490,15 @@ def _run_chunk(args):
     return sq_errors, ledgers
 
 
+def _chunk_size(paths: int, workers: int, groups: int, noise_per_path: int) -> int:
+    """Paths per chunk. The tasks of all lattice groups share the pool, so
+    each group needs only ceil(workers / groups) chunks to keep every
+    worker busy; a chunk's stacked noise is capped at _CHUNK_NOISE_ELEMS
+    unless one path alone is larger."""
+    cap = -(-paths // -(-workers // groups))
+    return min(cap, max(1, _CHUNK_NOISE_ELEMS // noise_per_path))
+
+
 def _lattice_for(m_row: int, m_target: int) -> int:
     return m_row * max(1, -(-m_target // m_row))
 
@@ -513,12 +524,12 @@ def run_study(config: StudyConfig) -> StudyReport:
             f"or raise the guardrail to run it")
 
     tasks = []
-    chunk_cap = -(-config.paths // config.workers)
     for gid, lattice in enumerate(lattices):
         group_rows = tuple((i, row) for i, row in enumerate(config.rows)
                            if lattice_of_row[i] == lattice)
         ctx = _group_context(config, gid, lattice, group_rows)
-        size = min(chunk_cap, max(1, _CHUNK_NOISE_ELEMS // ctx.noise_per_path()))
+        size = _chunk_size(config.paths, config.workers, len(lattices),
+                           ctx.noise_per_path())
         tasks += [(ctx, lo, min(lo + size, config.paths))
                   for lo in range(0, config.paths, size)]
     if config.workers == 1:

@@ -28,6 +28,15 @@ All sampling is driven by counter-based generators derived from a seed and
 an explicit substream key, so results do not depend on execution order or
 worker count. Functions that consume normal draws accept an optional
 ledger and charge it one unit per draw.
+
+`alg1_iterated_batch` streams its rows through one buffer of at most 2^18
+normals (2 MB, cache-sized; one row if a row is larger), allocated once
+per call: each block is drawn into it, Y is shifted and X weighted in
+place, and the two halves are contracted as views. Its peak memory is the
+output plus about one block, and because rows are drawn in order the
+block size cannot change a result.
+`alg1_iterated_nested` keeps its own, larger block, since its block
+boundaries decide which normal feeds which (sample, depth) term.
 """
 
 from __future__ import annotations
@@ -142,8 +151,10 @@ def _tail_scale(d: int) -> float:
     return math.sqrt(_S_INF / _partial_basel(d))
 
 
-# the series samplers draw at most this many normals per block
-_SERIES_BLOCK_NORMALS = 1 << 22
+# normals per block of alg1_iterated_batch (2 MB, fits a core's L2 cache)
+_SERIES_BLOCK_NORMALS = 1 << 18
+# normals per block of alg1_iterated_nested; part of its output
+_NESTED_BLOCK_NORMALS = 1 << 22
 
 
 def alg1_iterated_batch(rng: np.random.Generator, delta_beta: np.ndarray,
@@ -153,6 +164,7 @@ def alg1_iterated_batch(rng: np.random.Generator, delta_beta: np.ndarray,
     delta_beta has shape (s, k); the result has shape (s, k, k). Consumes
     exactly 2*d*k normals per row, drawn in row order, so the first rows of
     a batch equal a shorter batch drawn from the same generator state.
+    Beyond the result, the call holds one block of draws (module docstring).
     """
     if d < 1:
         raise ValueError("truncation depth must be >= 1")
@@ -163,20 +175,23 @@ def alg1_iterated_batch(rng: np.random.Generator, delta_beta: np.ndarray,
     eta = np.asarray(eta, dtype=float)
     if eta.shape != (k,):
         raise ValueError("eta length does not match increment count")
-    weights = _tail_scale(d) / np.arange(1.0, d + 1.0)
+    weights = (_tail_scale(d) / np.arange(1.0, d + 1.0))[:, None]
     shift = math.sqrt(2.0 / h)
     sqrt_eta = np.sqrt(eta)
     scale = np.outer(sqrt_eta, sqrt_eta)
     eye = np.eye(k)
     out = np.empty((s, k, k))
     chunk = max(1, _SERIES_BLOCK_NORMALS // max(1, 2 * d * k))
+    buf = np.empty((min(s, chunk), 2, d, k))
     for lo in range(0, s, chunk):
         hi = min(s, lo + chunk)
-        z = rng.standard_normal((hi - lo, 2, d, k))
+        z = buf[: hi - lo]
+        rng.standard_normal(out=z)
         _charge(ledger, (hi - lo) * 2 * d * k)
         x, y = z[:, 0], z[:, 1]
-        ytil = y + shift * db[lo:hi, None, :]
-        t1 = _series_matrix(x, ytil, weights)
+        y += shift * db[lo:hi, None, :]
+        x *= weights
+        t1 = np.matmul(np.swapaxes(x, -1, -2), y)
         a = (h / _TWO_PI) * (t1 - np.swapaxes(t1, -1, -2))
         i_norm = 0.5 * (db[lo:hi, :, None] * db[lo:hi, None, :]) - 0.5 * h * eye + a
         out[lo:hi] = scale * i_norm
@@ -217,7 +232,7 @@ def alg1_iterated_nested(rng: np.random.Generator, delta_beta: np.ndarray,
     t1 = np.zeros((s, k, k))
     out = {}
     prev = 0
-    block = max(1, _SERIES_BLOCK_NORMALS // max(1, 2 * s * k))
+    block = max(1, _NESTED_BLOCK_NORMALS // max(1, 2 * s * k))
     for depth in depths:
         for lo in range(prev, depth, block):
             hi = min(depth, lo + block)

@@ -127,3 +127,13 @@ def test_cost_config_gamma_equal_beta_exits_2(tmp_path, capsys):
     assert main(["cost", "--config", _write_config(tmp_path, cfg), "--ladder", "2"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "gamma must exceed beta" in err
+
+
+@pytest.mark.parametrize("args,flag", [(["--samples", "0"], "--samples"),
+                                       (["--samples", "1"], "--samples"),
+                                       (["--k", "0"], "--k")])
+def test_noise_test_rejects_degenerate_sizes(args, flag, capsys):
+    assert main(["noise-test", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and flag in captured.err

@@ -115,17 +115,32 @@ def test_pure_heat_flow_error_is_spectral_tail():
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_study_determinism_and_worker_independence(workers):
-    # 5 paths split into chunks of 5, 3+2 and 2+2+1 paths
+    # two lattice groups (M = 12 does not divide 128) of 5 paths each, split
+    # into chunks of 5 + 5, 5 + 5 and 3+2 + 3+2 paths at 1, 2 and 3 workers
     prob = make_example(1)
     ref = ReferenceSpec("LIE", n=8, k=2, m=128)
     rows = (LadderRow("DFM", n=4, m=16, k=2, d=8),
             LadderRow("EES", n=4, m=32, k=2),
-            LadderRow("MIL", n=4, m=16, k=2, d=8))
+            LadderRow("MIL", n=4, m=16, k=2, d=8),
+            LadderRow("DFM", n=4, m=12, k=2, d=4))
     cfg = StudyConfig(problem=prob, rows=rows, reference=ref, paths=5, seed=11)
     serial = run_study(cfg)
     pooled = run_study(replace(cfg, workers=workers))
     assert serial.csv_text() == pooled.csv_text()
     assert serial.json_text() == pooled.json_text()
+
+
+def test_chunk_size_spreads_workers_over_lattice_groups():
+    from mildspde.harness import _CHUNK_NOISE_ELEMS, _chunk_size
+    # six groups already keep two workers busy: one chunk per group
+    assert _chunk_size(paths=6, workers=2, groups=6, noise_per_path=100) == 6
+    # one group needs two chunks
+    assert _chunk_size(paths=5, workers=2, groups=1, noise_per_path=100) == 3
+    assert _chunk_size(paths=5, workers=3, groups=2, noise_per_path=100) == 3
+    assert _chunk_size(paths=500, workers=1, groups=6, noise_per_path=100) == 500
+    # the stacked-noise cap still binds, down to one path per chunk
+    assert _chunk_size(6, 2, 6, _CHUNK_NOISE_ELEMS // 2) == 2
+    assert _chunk_size(6, 2, 6, 2 * _CHUNK_NOISE_ELEMS) == 1
 
 
 def test_coupling_aggregation_reproduces_endpoint():

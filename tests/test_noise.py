@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mildspde import noise
 from mildspde.cost import CostLedger
 from mildspde.noise import (NoisePacket, alg1_iterated_batch,
                             alg1_iterated_nested, chain_arrays, choose_D1,
@@ -110,6 +112,50 @@ def test_batch_prefix_matches_shorter_batch(s, extra, k, d):
     full = alg1_iterated_batch(substream(6, 2), db, 0.2, d, eta)
     head = alg1_iterated_batch(substream(6, 2), db[:s], 0.2, d, eta)
     np.testing.assert_array_equal(full[:s], head)
+
+
+def _alg1_all_rows_at_once(rng, db, h, d, eta):
+    # the series formula of the module docstring, every row in one draw
+    s, k = db.shape
+    z = rng.standard_normal((s, 2, d, k))
+    x, y = z[:, 0], z[:, 1]
+    ytil = y + math.sqrt(2.0 / h) * db[:, None, :]
+    basel = float(np.sum(1.0 / np.arange(1.0, d + 1.0) ** 2))
+    w = math.sqrt(np.pi**2 / 6.0 / basel) / np.arange(1.0, d + 1.0)
+    t1 = np.matmul(np.swapaxes(x * w[:, None], -1, -2), ytil)
+    a = (h / (2.0 * np.pi)) * (t1 - np.swapaxes(t1, -1, -2))
+    i_norm = 0.5 * (db[:, :, None] * db[:, None, :]) - 0.5 * h * np.eye(k) + a
+    return np.outer(np.sqrt(eta), np.sqrt(eta)) * i_norm
+
+
+@pytest.mark.parametrize("s,k,d,rows_per_block", [(10, 3, 7, 3), (9, 2, 5, 4),
+                                                  (5, 4, 30, 1), (4, 1, 1, 8)])
+def test_alg1_blocks_equal_one_draw(monkeypatch, s, k, d, rows_per_block):
+    # several blocks through the reused buffer, the last one partial (or a
+    # single block larger than the batch): bit-identical to one draw
+    monkeypatch.setattr(noise, "_SERIES_BLOCK_NORMALS", rows_per_block * 2 * d * k + 1)
+    eta = np.arange(1.0, k + 1.0) ** -3.0
+    db = sample_increments_batch(substream(12, 1), s, k, 0.05)
+    led = CostLedger()
+    got = alg1_iterated_batch(substream(12, 2), db, 0.05, d, eta, ledger=led)
+    expect = _alg1_all_rows_at_once(substream(12, 2), db, 0.05, d, eta)
+    assert np.array_equal(got, expect)
+    assert led.normal_draws == s * 2 * d * k
+
+
+def test_alg1_peak_memory_is_output_plus_one_block():
+    # criterion 7's reference depth: 200 rows hold 5.5 M normals (44 MB),
+    # but only one block of them may be live at a time
+    s, k, d = 200, 16, 862
+    eta = np.arange(1.0, k + 1.0) ** -3.0
+    db = sample_increments_batch(substream(13, 1), s, k, 1.0 / 8192)
+    tracemalloc.start()
+    try:
+        out = alg1_iterated_batch(substream(13, 2), db, 1.0 / 8192, d, eta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes < 8 * 2**20
 
 
 def test_exact_second_moment_values():
