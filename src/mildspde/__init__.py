@@ -12,12 +12,10 @@ from .noise import (NoisePacket, alg1_iterated_batch, alg1_iterated_nested,
                     chain_arrays, choose_D1, choose_D2, exact_second_moment,
                     sample_increments_batch, substream)
 from .problems import (ProblemSpec, RegularityParams, check_growth_bounds,
-                       commutativity_defect, eval_diffusion_column,
-                       eval_diffusion_derivative, eval_drift, make_example,
+                       commutativity_defect, make_example,
                        make_problem_from_config)
 from .schemes import SchemeConfig, integrate
-from .spectral import (EigenLaw, SpectralField, basis_field, project,
-                       semigroup_apply, sobolev_norm, zero_field)
+from .spectral import EigenLaw
 
 __all__ = [
     "CostLedger", "StepCounts", "cost_formula", "ledger_expected",
@@ -29,10 +27,7 @@ __all__ = [
     "chain_arrays", "choose_D1", "choose_D2", "exact_second_moment",
     "sample_increments_batch", "substream",
     "ProblemSpec", "RegularityParams", "check_growth_bounds",
-    "commutativity_defect", "eval_diffusion_column",
-    "eval_diffusion_derivative", "eval_drift", "make_example",
-    "make_problem_from_config",
+    "commutativity_defect", "make_example", "make_problem_from_config",
     "SchemeConfig", "integrate",
-    "EigenLaw", "SpectralField", "basis_field", "project", "semigroup_apply",
-    "sobolev_norm", "zero_field",
+    "EigenLaw",
 ]

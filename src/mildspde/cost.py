@@ -31,8 +31,7 @@ __all__ = ["CostLedger", "StepCounts", "cost_formula", "ledger_expected"]
 class CostLedger:
     """Mutable evaluation counters for one integration run.
 
-    Counters only ever increase; parallel paths each own a ledger and are
-    merged by summation. unit_ops tracks diagonal linear-operator
+    Counters only ever increase. unit_ops tracks diagonal linear-operator
     applications (semigroup / resolvent coefficients) for information only;
     it does not enter the per-step expectation contract.
     """
@@ -57,14 +56,6 @@ class CostLedger:
 
     def charge_unit(self, n: int) -> None:
         self.unit_ops += n
-
-    def merge(self, other: "CostLedger") -> "CostLedger":
-        return CostLedger(
-            self.functional_evals_f + other.functional_evals_f,
-            self.functional_evals_b + other.functional_evals_b,
-            self.functional_evals_bprime + other.functional_evals_bprime,
-            self.normal_draws + other.normal_draws,
-            self.unit_ops + other.unit_ops)
 
     def total(self, c: int = 1) -> int:
         """Model cost: functional evaluations at cost c each plus draws."""

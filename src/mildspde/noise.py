@@ -29,14 +29,16 @@ an explicit substream key, so results do not depend on execution order or
 worker count. Functions that consume normal draws accept an optional
 ledger and charge it one unit per draw.
 
-`alg1_iterated_batch` streams its rows through one buffer of at most 2^18
-normals (2 MB, cache-sized; one row if a row is larger), allocated once
-per call: each block is drawn into it, Y is shifted and X weighted in
-place, and the two halves are contracted as views. Its peak memory is the
-output plus about one block, and because rows are drawn in order the
-block size cannot change a result.
-`alg1_iterated_nested` keeps its own, larger block, since its block
-boundaries decide which normal feeds which (sample, depth) term.
+Algorithm 1 has one streamed core: rows are drawn in order into one
+reused buffer of at most 2^18 normals (2 MB, cache-sized; one row if a row
+is larger); Y is shifted and X weighted in place, and the two halves are
+contracted as views. `alg1_iterated_batch` finishes each block of rows
+into its output, so its peak memory is the output plus about one block,
+and the block size cannot change a result. `alg1_iterated_nested` streams
+every depth block of its series through the same core and adds it into
+the running sum. Its depth-block boundaries (2^22 normals over all
+samples) decide which normal feeds which (sample, depth) term, so they are
+part of its output; the buffer size is not.
 """
 
 from __future__ import annotations
@@ -109,15 +111,6 @@ class NoisePacket:
     def k(self) -> int:
         return self.delta_beta.size
 
-    def identity_residual(self) -> float:
-        """Largest normalized violation of the symmetric-part and diagonal
-        identities; zero up to roundoff for every valid packet."""
-        dw = np.sqrt(self.eta) * self.delta_beta
-        target = np.outer(dw, dw) - np.diag(self.eta) * self.h
-        resid = np.abs(self.iterated + self.iterated.T - target)
-        scale = self.h * float(self.eta.max()) + float(np.abs(dw).max()) ** 2 + 1e-300
-        return float(resid.max()) / scale
-
 
 def _charge(ledger, n: int) -> None:
     if ledger is not None:
@@ -133,12 +126,6 @@ def sample_increments_batch(rng: np.random.Generator, s: int, k: int, h: float,
     return math.sqrt(h) * rng.standard_normal((s, k))
 
 
-def _series_matrix(x: np.ndarray, ytil: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    # x, ytil: (..., D, K); returns sum_r w_r x_ri ytil_rj as (..., K, K)
-    xw = x * weights[..., :, None]
-    return np.matmul(np.swapaxes(xw, -1, -2), ytil)
-
-
 _S_INF = np.pi**2 / 6.0
 
 
@@ -151,10 +138,37 @@ def _tail_scale(d: int) -> float:
     return math.sqrt(_S_INF / _partial_basel(d))
 
 
-# normals per block of alg1_iterated_batch (2 MB, fits a core's L2 cache)
+# normals per block of the series draws (2 MB, fits a core's L2 cache)
 _SERIES_BLOCK_NORMALS = 1 << 18
-# normals per block of alg1_iterated_nested; part of its output
+# depths per depth block of alg1_iterated_nested, as normals over all
+# samples; part of its output
 _NESTED_BLOCK_NORMALS = 1 << 22
+
+
+def _series_blocks(rng: np.random.Generator, db: np.ndarray, h: float,
+                   weights: np.ndarray, ledger=None):
+    """Stream the series terms of the (s, k) increments db block by block.
+
+    Row i draws its X then its Y terms, 2 * d * k normals for the d
+    weights; rows are drawn in order into one reused buffer of at most
+    _SERIES_BLOCK_NORMALS normals (one row if a row is larger). Y is
+    shifted by sqrt(2/h) db and X weighted in place; yields
+    (lo, hi, sum_r w_r x_r ytil_r^T) with shape (hi - lo, k, k).
+    """
+    s, k = db.shape
+    d = weights.size
+    chunk = max(1, _SERIES_BLOCK_NORMALS // max(1, 2 * d * k))
+    buf = np.empty((min(s, chunk), 2, d, k))
+    shift = math.sqrt(2.0 / h)
+    for lo in range(0, s, chunk):
+        hi = min(s, lo + chunk)
+        z = buf[: hi - lo]
+        rng.standard_normal(out=z)
+        _charge(ledger, (hi - lo) * 2 * d * k)
+        x, y = z[:, 0], z[:, 1]
+        y += shift * db[lo:hi, None, :]
+        x *= weights[:, None]
+        yield lo, hi, np.matmul(np.swapaxes(x, -1, -2), y)
 
 
 def alg1_iterated_batch(rng: np.random.Generator, delta_beta: np.ndarray,
@@ -175,23 +189,12 @@ def alg1_iterated_batch(rng: np.random.Generator, delta_beta: np.ndarray,
     eta = np.asarray(eta, dtype=float)
     if eta.shape != (k,):
         raise ValueError("eta length does not match increment count")
-    weights = (_tail_scale(d) / np.arange(1.0, d + 1.0))[:, None]
-    shift = math.sqrt(2.0 / h)
+    weights = _tail_scale(d) / np.arange(1.0, d + 1.0)
     sqrt_eta = np.sqrt(eta)
     scale = np.outer(sqrt_eta, sqrt_eta)
     eye = np.eye(k)
     out = np.empty((s, k, k))
-    chunk = max(1, _SERIES_BLOCK_NORMALS // max(1, 2 * d * k))
-    buf = np.empty((min(s, chunk), 2, d, k))
-    for lo in range(0, s, chunk):
-        hi = min(s, lo + chunk)
-        z = buf[: hi - lo]
-        rng.standard_normal(out=z)
-        _charge(ledger, (hi - lo) * 2 * d * k)
-        x, y = z[:, 0], z[:, 1]
-        y += shift * db[lo:hi, None, :]
-        x *= weights
-        t1 = np.matmul(np.swapaxes(x, -1, -2), y)
+    for lo, hi, t1 in _series_blocks(rng, db, h, weights, ledger):
         a = (h / _TWO_PI) * (t1 - np.swapaxes(t1, -1, -2))
         i_norm = 0.5 * (db[lo:hi, :, None] * db[lo:hi, None, :]) - 0.5 * h * eye + a
         out[lo:hi] = scale * i_norm
@@ -222,25 +225,21 @@ def alg1_iterated_nested(rng: np.random.Generator, delta_beta: np.ndarray,
     depths = sorted(set(int(d) for d in d_values))
     if depths[0] < 1:
         raise ValueError("truncation depths must be >= 1")
-    d_max = depths[-1]
     eta = np.asarray(eta, dtype=float)
-    shift = math.sqrt(2.0 / h)
     sqrt_eta = np.sqrt(eta)
     scale = np.outer(sqrt_eta, sqrt_eta)
-    eye = np.eye(k)
-    base = 0.5 * (db[:, :, None] * db[:, None, :]) - 0.5 * h * eye
+    base = 0.5 * (db[:, :, None] * db[:, None, :]) - 0.5 * h * np.eye(k)
     t1 = np.zeros((s, k, k))
     out = {}
     prev = 0
     block = max(1, _NESTED_BLOCK_NORMALS // max(1, 2 * s * k))
     for depth in depths:
+        # each depth block draws every sample's terms r = lo+1..hi in turn
         for lo in range(prev, depth, block):
             hi = min(depth, lo + block)
-            z = rng.standard_normal((s, 2, hi - lo, k))
-            x, y = z[:, 0], z[:, 1]
-            ytil = y + shift * db[:, None, :]
-            w = 1.0 / np.arange(lo + 1.0, hi + 1.0)
-            t1 += _series_matrix(x, ytil, w)
+            weights = 1.0 / np.arange(lo + 1.0, hi + 1.0)
+            for s_lo, s_hi, part in _series_blocks(rng, db, h, weights):
+                t1[s_lo:s_hi] += part
         prev = depth
         a = (_tail_scale(depth) * h / _TWO_PI) * (t1 - np.swapaxes(t1, -1, -2))
         out[depth] = scale * (base + a)

@@ -6,6 +6,11 @@ state to the columns of its matrix representation), an optional diffusion
 derivative, an initial value, and the regularity exponents that drive the
 convergence-order and planning formulas.
 
+States are plain coefficient arrays in the eigenbasis of the linear drift
+operator, (n,) or with a leading path axis (P, n); drift and diffusion act
+on them directly, and the numerical checks (`commutativity_defect`,
+`check_growth_bounds`) take (n,) arrays too.
+
 The three shipped examples use the sine basis on (0,1) for both the state
 and the noise space, a rational-decay diffusion that does not commute, and
 regularity exponents taken in the limit of vanishing slack.
@@ -15,11 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
-from .spectral import EigenLaw, SpectralField
+from .spectral import EigenLaw
 
 __all__ = [
     "RegularityParams",
@@ -35,9 +40,6 @@ __all__ = [
     "PowerLawInitial",
     "make_example",
     "make_problem_from_config",
-    "eval_drift",
-    "eval_diffusion_column",
-    "eval_diffusion_derivative",
     "commutativity_defect",
     "check_growth_bounds",
 ]
@@ -171,28 +173,14 @@ class DiffusionBase:
     States carry an optional leading path axis. column(y, j, n) is the
     n-vector of coefficients of the operator applied to the j-th noise
     basis element, (..., n). matrix(y, n, k) stacks columns 1..k,
-    (..., n, k). stage_columns evaluates column j of the operator at a
-    per-column state (row j of `stages`, which is (..., k, n)); the generic
-    implementation loops, subclasses may vectorize.
+    (..., n, k). stage_columns(stages, n) evaluates column j of the
+    operator at a per-column state (row j of `stages`, which is
+    (..., k, n)). deriv_column(y, v, j, n) is the derivative at y in
+    direction v applied to the j-th noise basis element; subclasses that
+    provide it set has_derivative.
     """
 
     has_derivative = False
-
-    def column(self, y: np.ndarray, j: int, n: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def matrix(self, y: np.ndarray, n: int, k: int) -> np.ndarray:
-        out = np.empty(y.shape[:-1] + (n, k))
-        for j in range(1, k + 1):
-            out[..., j - 1] = self.column(y, j, n)
-        return out
-
-    def stage_columns(self, stages: np.ndarray, n: int) -> np.ndarray:
-        k = stages.shape[-2]
-        out = np.empty(stages.shape[:-2] + (n, k))
-        for j in range(1, k + 1):
-            out[..., j - 1] = self.column(stages[..., j - 1, :], j, n)
-        return out
 
     def deriv_column(self, y: np.ndarray, v: np.ndarray, j: int, n: int) -> np.ndarray:
         raise NotImplementedError("this diffusion does not provide a derivative")
@@ -391,29 +379,12 @@ def make_problem_from_config(cfg: dict) -> ProblemSpec:
         horizon=float(cfg.get("horizon", 1.0)))
 
 
-# --- public evaluation wrappers --------------------------------------------
+# --- numerical checks -----------------------------------------------------
 
-def eval_drift(problem: ProblemSpec, y: SpectralField) -> SpectralField:
-    """Projected drift at the state y."""
-    return SpectralField(problem.drift(y.coeffs))
-
-
-def eval_diffusion_column(problem: ProblemSpec, y: SpectralField, j: int) -> SpectralField:
-    """Column j of the projected diffusion matrix at state y."""
-    return SpectralField(problem.diffusion.column(y.coeffs, j, y.dim))
-
-
-def eval_diffusion_derivative(problem: ProblemSpec, y: SpectralField,
-                              v: SpectralField, j: int) -> SpectralField:
-    """Diffusion derivative at y in direction v, applied to noise element j."""
-    if not problem.diffusion.has_derivative:
-        raise NotImplementedError("problem ships no diffusion derivative")
-    return SpectralField(problem.diffusion.deriv_column(y.coeffs, v.coeffs, j, y.dim))
-
-
-def commutativity_defect(problem: ProblemSpec, y: SpectralField,
+def commutativity_defect(problem: ProblemSpec, y: np.ndarray,
                          n: int, k: int) -> float:
-    """Worst-case asymmetry of the second-order noise term.
+    """Worst-case asymmetry of the second-order noise term at the (n,)
+    coefficient vector y.
 
     Returns max over pairs (m, n_) <= k of the Euclidean norm of
     deriv(y)(column_m(y), n_) - deriv(y)(column_n_(y), m), columns projected
@@ -423,13 +394,13 @@ def commutativity_defect(problem: ProblemSpec, y: SpectralField,
     if k > n:
         raise ValueError("noise truncation must not exceed state truncation")
     diff = problem.diffusion
-    yc = y.coeffs
-    cols = [diff.column(yc, j, n) for j in range(1, k + 1)]
+    y = np.asarray(y, dtype=float)
+    cols = [diff.column(y, j, n) for j in range(1, k + 1)]
     worst = 0.0
     for m in range(1, k + 1):
         for n_ in range(m + 1, k + 1):
-            lhs = diff.deriv_column(yc, cols[m - 1], n_, n)
-            rhs = diff.deriv_column(yc, cols[n_ - 1], m, n)
+            lhs = diff.deriv_column(y, cols[m - 1], n_, n)
+            rhs = diff.deriv_column(y, cols[n_ - 1], m, n)
             worst = max(worst, float(np.linalg.norm(lhs - rhs)))
     return worst
 
@@ -444,26 +415,24 @@ class GrowthBoundReport:
     k: int
 
 
-def check_growth_bounds(problem: ProblemSpec, sample_fields: list,
+def check_growth_bounds(problem: ProblemSpec, samples: list,
                         n: int, k: int) -> GrowthBoundReport:
     """Numerically probe the linear growth bound of the diffusion.
 
-    For each sample y, computes the operator norm of the truncated diffusion
-    matrix measured into the delta-smoothed state norm and divides by
-    (1 + |y| in that norm). A finite-truncation sanity check, not a proof;
-    the dense-matrix 2-norm is the oracle.
+    For each (n,) coefficient vector y in samples, computes the operator
+    norm of the truncated diffusion matrix measured into the delta-smoothed
+    state norm and divides by (1 + |y| in that norm). A finite-truncation
+    sanity check, not a proof; the dense-matrix 2-norm is the oracle.
     """
-    lam = problem.a_law.values(n)
-    delta = float(problem.params.delta)
-    weights = lam**delta
+    weights = problem.a_law.values(n) ** float(problem.params.delta)
     ratios = []
-    for f in sample_fields:
-        y = f.coeffs if isinstance(f, SpectralField) else np.asarray(f, dtype=float)
-        if y.size < n:
-            y = np.concatenate([y, np.zeros(n - y.size)])
+    for y in samples:
+        y = np.asarray(y, dtype=float)
+        if y.shape != (n,):
+            raise ValueError(f"sample has shape {y.shape}, expected ({n},)")
         mat = problem.diffusion.matrix(y, n, k)
         op_norm = float(np.linalg.norm(weights[:, None] * mat, 2))
-        y_norm = float(np.sqrt(np.sum(weights**2 * y[:n] ** 2)))
+        y_norm = float(np.sqrt(np.sum(weights**2 * y**2)))
         ratios.append(op_norm / (1.0 + y_norm))
     arr = np.asarray(ratios)
     return GrowthBoundReport(ratios=arr, max_ratio=float(arr.max(initial=0.0)), n=n, k=k)

@@ -1,66 +1,19 @@
-"""Diagonal spectral representation of states and operators.
+"""Closed-form eigenvalue laws of the diagonal operators.
 
 Everything lives in the eigenbasis of the linear drift operator: a state is
-a finite coefficient vector, the semigroup and fractional powers act
-diagonally, and projections are truncations. Eigenfunctions are never
-materialized as functions; all operations are O(N) in coefficient space.
+a plain (n,) coefficient vector (or a (P, n) batch of them), the semigroup
+and fractional powers act diagonally on it, and projection is truncation.
+Eigenfunctions are never materialized; this module only supplies the
+eigenvalue sequences the schemes, the harness and the planner read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "SpectralField",
-    "EigenLaw",
-    "project",
-    "semigroup_apply",
-    "sobolev_norm",
-    "zero_field",
-    "basis_field",
-]
-
-
-@dataclass(frozen=True)
-class SpectralField:
-    """Coefficient vector of a state in the leading-N eigenbasis.
-
-    Entry i-1 holds the coefficient against the i-th eigenfunction
-    (indices run 1..N throughout).
-    """
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.coeffs, dtype=float))
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("a spectral field needs at least one coefficient")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("non-finite coefficient in spectral field")
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.coeffs.size
-
-    def __len__(self) -> int:
-        return self.coeffs.size
-
-
-def zero_field(n: int) -> SpectralField:
-    return SpectralField(np.zeros(n))
-
-
-def basis_field(i: int, n: int) -> SpectralField:
-    """Unit coefficient on eigenfunction i (1-based), zeros elsewhere."""
-    if not 1 <= i <= n:
-        raise ValueError(f"basis index {i} outside 1..{n}")
-    c = np.zeros(n)
-    c[i - 1] = 1.0
-    return SpectralField(c)
+__all__ = ["EigenLaw"]
 
 
 @dataclass(frozen=True)
@@ -77,7 +30,6 @@ class EigenLaw:
     kind: str
     scale: float = 1.0
     rho: float = 0.0
-    basis: str = field(default="sine-dirichlet-(0,1)")
 
     def __post_init__(self):
         if self.kind not in ("laplacian", "power"):
@@ -103,40 +55,3 @@ class EigenLaw:
         if self.kind == "laplacian":
             return self.scale * np.pi**2 * idx**2
         return self.scale * idx**-self.rho
-
-
-def project(coeffs, n: int) -> SpectralField:
-    """Truncate (or zero-extend) a coefficient sequence to dimension n.
-
-    Idempotent: projecting a field of dimension <= n keeps its stored
-    entries and pads with zeros.
-    """
-    if n < 1:
-        raise ValueError("projection dimension must be >= 1")
-    arr = np.asarray(coeffs, dtype=float).ravel()
-    if arr.size >= n:
-        return SpectralField(arr[:n].copy())
-    out = np.zeros(n)
-    out[: arr.size] = arr
-    return SpectralField(out)
-
-
-def semigroup_apply(field: SpectralField, law: EigenLaw, h: float) -> SpectralField:
-    """Apply the analytic semigroup over a step h: coefficient i picks up
-    exp(-lambda_i h). Contraction for h > 0."""
-    if h < 0:
-        raise ValueError("semigroup steps backwards in time are not defined")
-    lam = law.values(field.dim)
-    return SpectralField(field.coeffs * np.exp(-lam * h))
-
-
-def sobolev_norm(field: SpectralField, law: EigenLaw, r: float) -> float:
-    """Fractional-power norm (sum_i lambda_i^{2r} c_i^2)^{1/2}; r=0 gives the
-    plain Euclidean norm."""
-    if r < 0:
-        raise ValueError("only nonnegative fractional powers are supported")
-    c = field.coeffs
-    if r == 0:
-        return float(np.linalg.norm(c))
-    lam = law.values(field.dim)
-    return float(np.sqrt(np.sum(lam ** (2 * r) * c**2)))

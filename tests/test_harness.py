@@ -187,6 +187,27 @@ def test_all_grid_error_dominates_final():
     assert grid >= final - 1e-15
 
 
+def test_error_space_row_projects_the_reference():
+    # "row" truncates the reference to the row's N; "reference" zero-extends
+    # the row, so it adds the reference's tail mass above the row's N
+    prob = make_example(1)
+    ref = ReferenceSpec("LIE", n=8, k=2, m=64)
+    rows = (LadderRow("EES", n=8, m=16, k=2), LadderRow("DFM", n=4, m=16, k=2, d=8))
+    cfg = StudyConfig(problem=prob, rows=rows, reference=ref, paths=4, seed=6)
+    tail = run_study(cfg).rows
+    own = run_study(replace(cfg, error_space="row")).rows
+    assert (own[0].error, own[0].std) == (tail[0].error, tail[0].std)
+    assert 0 < own[1].error <= tail[1].error
+    # without noise or drift every scheme is the exact semigroup, so the
+    # row-space error is roundoff and the reference-space one is the tail
+    heat = ProblemSpec("heat", prob.a_law, prob.q_law, ZeroDrift(),
+                       ZeroDiffusion(), PowerLawInitial(2.0), prob.params)
+    rows = (LadderRow("EES", n=4, m=16, k=2),)
+    cfg = replace(cfg, problem=heat, rows=rows, reference=ReferenceSpec("EES", n=8, k=2, m=64))
+    assert run_study(replace(cfg, error_space="row")).rows[0].error < 1e-12
+    assert run_study(cfg).rows[0].error > 1e-3
+
+
 def test_incompatible_row_gets_own_lattice():
     prob = make_example(1)
     ref = ReferenceSpec("LIE", n=8, k=2, m=64)

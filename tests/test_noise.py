@@ -128,14 +128,46 @@ def _alg1_all_rows_at_once(rng, db, h, d, eta):
     return np.outer(np.sqrt(eta), np.sqrt(eta)) * i_norm
 
 
-@pytest.mark.parametrize("s,k,d,rows_per_block", [(10, 3, 7, 3), (9, 2, 5, 4),
-                                                  (5, 4, 30, 1), (4, 1, 1, 8)])
+def _nested_all_rows_at_once(rng, db, h, depths, eta, block):
+    # the nested series, every sample's terms of a depth block in one draw
+    s, k = db.shape
+    t1 = np.zeros((s, k, k))
+    base = 0.5 * (db[:, :, None] * db[:, None, :]) - 0.5 * h * np.eye(k)
+    out, prev = {}, 0
+    for depth in depths:
+        for lo in range(prev, depth, block):
+            hi = min(depth, lo + block)
+            z = rng.standard_normal((s, 2, hi - lo, k))
+            ytil = z[:, 1] + math.sqrt(2.0 / h) * db[:, None, :]
+            w = 1.0 / np.arange(lo + 1.0, hi + 1.0)
+            t1 += np.matmul(np.swapaxes(z[:, 0] * w[:, None], -1, -2), ytil)
+        prev = depth
+        basel = float(np.sum(1.0 / np.arange(1.0, depth + 1.0) ** 2))
+        tail = math.sqrt(np.pi**2 / 6.0 / basel)
+        a = (tail * h / (2.0 * np.pi)) * (t1 - np.swapaxes(t1, -1, -2))
+        out[depth] = np.outer(np.sqrt(eta), np.sqrt(eta)) * (base + a)
+    return out
+
+
+@pytest.mark.parametrize("s,k,d,rows_per_block", [
+    (10, 3, 7, 3), (9, 2, 5, 4), (5, 4, 30, 1), (4, 1, 1, 8),
+    # nested: depth blocks of 4 terms, so depths 1, 5, 12 take four of them
+    pytest.param(7, 2, (1, 5, 12), 2, id="nested-7-2-1,5,12-2")])
 def test_alg1_blocks_equal_one_draw(monkeypatch, s, k, d, rows_per_block):
     # several blocks through the reused buffer, the last one partial (or a
     # single block larger than the batch): bit-identical to one draw
-    monkeypatch.setattr(noise, "_SERIES_BLOCK_NORMALS", rows_per_block * 2 * d * k + 1)
+    widest = 4 if isinstance(d, tuple) else d
+    monkeypatch.setattr(noise, "_SERIES_BLOCK_NORMALS",
+                        rows_per_block * 2 * widest * k + 1)
     eta = np.arange(1.0, k + 1.0) ** -3.0
     db = sample_increments_batch(substream(12, 1), s, k, 0.05)
+    if isinstance(d, tuple):
+        monkeypatch.setattr(noise, "_NESTED_BLOCK_NORMALS", 2 * s * k * widest)
+        got = alg1_iterated_nested(substream(12, 2), db, 0.05, d, eta)
+        expect = _nested_all_rows_at_once(substream(12, 2), db, 0.05, d, eta, widest)
+        assert got.keys() == expect.keys()
+        assert all(np.array_equal(got[depth], expect[depth]) for depth in d)
+        return
     led = CostLedger()
     got = alg1_iterated_batch(substream(12, 2), db, 0.05, d, eta, ledger=led)
     expect = _alg1_all_rows_at_once(substream(12, 2), db, 0.05, d, eta)
@@ -156,6 +188,19 @@ def test_alg1_peak_memory_is_output_plus_one_block():
     finally:
         tracemalloc.stop()
     assert peak - out.nbytes < 8 * 2**20
+
+
+def test_alg1_nested_peak_memory_is_output_plus_one_block():
+    # criterion 6's sample count: a depth block of 52 terms holds 4.2 M
+    # normals (33 MB), but only one buffer block of them may be live
+    tracemalloc.start()
+    try:
+        out = alg1_iterated_nested(substream(14, 1), np.array([0.11, -0.07]), 0.1,
+                                   [1, 64], ETA2, samples=20_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - sum(v.nbytes for v in out.values()) < 8 * 2**20
 
 
 def test_exact_second_moment_values():

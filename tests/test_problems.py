@@ -6,10 +6,13 @@ import pytest
 from scipy.integrate import quad
 
 from mildspde.problems import (RegularityParams, check_growth_bounds,
-                               commutativity_defect, eval_diffusion_column,
-                               eval_diffusion_derivative, eval_drift,
-                               make_example, make_problem_from_config)
-from mildspde.spectral import SpectralField, basis_field, zero_field
+                               commutativity_defect, make_example,
+                               make_problem_from_config)
+
+
+def _unit(i, n):
+    """Coefficient vector of eigenfunction i (1-based) in dimension n."""
+    return np.eye(n)[i - 1]
 
 
 def test_example_parameters_exact():
@@ -44,7 +47,7 @@ def test_unknown_example_rejected():
 def test_drift_constant_coefficients_against_quadrature():
     # oracle: quadrature of the sine-basis integrals of the constant 1
     prob = make_example(1)
-    out = eval_drift(prob, zero_field(4)).coeffs
+    out = prob.drift(np.zeros(4))
     for i in range(1, 5):
         val, err = quad(lambda x, i=i: math.sqrt(2) * math.sin(i * math.pi * x), 0, 1)
         assert abs(out[i - 1] - val) < 1e-12 + 10 * err
@@ -56,26 +59,26 @@ def test_drift_affine_part():
     prob = make_example(2)
     rng = np.random.default_rng(0)
     y = rng.standard_normal(6)
-    out = eval_drift(prob, SpectralField(y)).coeffs
-    base = eval_drift(prob, zero_field(6)).coeffs
+    out = prob.drift(y)
+    base = prob.drift(np.zeros(6))
     np.testing.assert_allclose(out, base - y, rtol=1e-15)
 
 
 def test_example3_drift_zero_at_zero_and_bounded():
     prob = make_example(3)
-    assert np.all(eval_drift(prob, zero_field(5)).coeffs == 0.0)
+    assert np.all(prob.drift(np.zeros(5)) == 0.0)
     bound = math.sqrt(sum(float(i) ** -7 for i in range(1, 100000)))
     rng = np.random.default_rng(1)
     for _ in range(25):
-        v = SpectralField(rng.standard_normal(12) * 10)
-        assert np.linalg.norm(eval_drift(prob, v).coeffs) <= bound + 1e-12
+        v = rng.standard_normal(12) * 10
+        assert np.linalg.norm(prob.drift(v)) <= bound + 1e-12
 
 
 def test_diffusion_column_values():
     prob = make_example(1)
-    col = eval_diffusion_column(prob, basis_field(1, 3), 1)
-    assert col.coeffs[0] == pytest.approx(0.5)   # 1/(1^{4/3}+1)
-    assert np.all(eval_diffusion_column(prob, zero_field(3), 2).coeffs == 0.0)
+    col = prob.diffusion.column(_unit(1, 3), 1, 3)
+    assert col[0] == pytest.approx(0.5)   # 1/(1^{4/3}+1)
+    assert np.all(prob.diffusion.column(np.zeros(3), 2, 3) == 0.0)
 
 
 def test_diffusion_column_linearity_exact():
@@ -83,51 +86,49 @@ def test_diffusion_column_linearity_exact():
     rng = np.random.default_rng(2)
     y, z = rng.standard_normal((2, 6))
     for j in (1, 3, 6):
-        lhs = eval_diffusion_column(prob, SpectralField(y + z), j).coeffs
-        rhs = (eval_diffusion_column(prob, SpectralField(y), j).coeffs
-               + eval_diffusion_column(prob, SpectralField(z), j).coeffs)
+        lhs = prob.diffusion.column(y + z, j, 6)
+        rhs = prob.diffusion.column(y, j, 6) + prob.diffusion.column(z, j, 6)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
 def test_diffusion_column_out_of_range():
     prob = make_example(1)
     with pytest.raises(ValueError):
-        eval_diffusion_column(prob, zero_field(3), 4)
+        prob.diffusion.column(np.zeros(3), 4, 3)
 
 
 def test_diffusion_derivative_values():
     prob = make_example(1)
-    out = eval_diffusion_derivative(prob, zero_field(3), basis_field(1, 3), 1)
-    assert out.coeffs[1] == pytest.approx(1.0 / (2.0 ** (4.0 / 3.0) + 1.0))
-    assert np.all(eval_diffusion_derivative(prob, zero_field(3), zero_field(3), 2).coeffs == 0.0)
+    assert prob.diffusion.has_derivative
+    out = prob.diffusion.deriv_column(np.zeros(3), _unit(1, 3), 1, 3)
+    assert out[1] == pytest.approx(1.0 / (2.0 ** (4.0 / 3.0) + 1.0))
+    assert np.all(prob.diffusion.deriv_column(np.zeros(3), np.zeros(3), 2, 3) == 0.0)
 
 
 def test_diffusion_derivative_matches_column_and_ignores_base_point():
     rng = np.random.default_rng(3)
     for ex in (1, 2, 3):
         prob = make_example(ex)
-        v = SpectralField(rng.standard_normal(5))
-        y1 = SpectralField(rng.standard_normal(5))
-        y2 = SpectralField(rng.standard_normal(5))
+        v, y1, y2 = rng.standard_normal((3, 5))
         for j in (1, 4):
-            d1 = eval_diffusion_derivative(prob, y1, v, j).coeffs
-            d2 = eval_diffusion_derivative(prob, y2, v, j).coeffs
+            d1 = prob.diffusion.deriv_column(y1, v, j, 5)
+            d2 = prob.diffusion.deriv_column(y2, v, j, 5)
             np.testing.assert_array_equal(d1, d2)
-            np.testing.assert_array_equal(d1, eval_diffusion_column(prob, v, j).coeffs)
+            np.testing.assert_array_equal(d1, prob.diffusion.column(v, j, 5))
 
 
 def test_commutativity_defect_positive_for_examples():
     for ex in (1, 2, 3):
         prob = make_example(ex)
-        ones = SpectralField(np.ones(4))
+        ones = np.ones(4)
         assert commutativity_defect(prob, ones, n=4, k=2) > 0
         assert commutativity_defect(prob, ones, n=4, k=4) > 0
 
 
 def test_commutativity_defect_trivial_cases():
     prob = make_example(1)
-    assert commutativity_defect(prob, zero_field(4), n=4, k=3) == 0.0
-    ones = SpectralField(np.ones(4))
+    assert commutativity_defect(prob, np.zeros(4), n=4, k=3) == 0.0
+    ones = np.ones(4)
     assert commutativity_defect(prob, ones, n=4, k=1) == 0.0
     with pytest.raises(ValueError):
         commutativity_defect(prob, ones, n=2, k=3)
@@ -135,8 +136,10 @@ def test_commutativity_defect_trivial_cases():
 
 def test_growth_bounds_zero_field():
     prob = make_example(1)
-    rep = check_growth_bounds(prob, [zero_field(8)], n=8, k=8)
+    rep = check_growth_bounds(prob, [np.zeros(8)], n=8, k=8)
     assert rep.max_ratio == 0.0
+    with pytest.raises(ValueError, match=r"expected \(8,\)"):
+        check_growth_bounds(prob, [np.zeros(5)], n=8, k=8)
 
 
 def test_growth_bounds_ratios_bounded_under_rescaling():
@@ -145,8 +148,8 @@ def test_growth_bounds_ratios_bounded_under_rescaling():
     prob = make_example(1)
     rng = np.random.default_rng(4)
     y = rng.standard_normal(8)
-    fields = [SpectralField(c * y) for c in (0.01, 0.1, 1.0, 10.0, 1000.0)]
-    rep = check_growth_bounds(prob, fields, n=8, k=8)
+    samples = [c * y for c in (0.01, 0.1, 1.0, 10.0, 1000.0)]
+    rep = check_growth_bounds(prob, samples, n=8, k=8)
     assert np.all(np.isfinite(rep.ratios))
     assert rep.max_ratio <= rep.ratios[-1] * 1.000001  # saturates along the ray
 
@@ -179,11 +182,10 @@ def test_problem_from_config_roundtrip():
     ref = make_example(2)
     assert prob.params == ref.params
     rng = np.random.default_rng(6)
-    y = SpectralField(rng.standard_normal(5))
-    np.testing.assert_array_equal(eval_drift(prob, y).coeffs,
-                                  eval_drift(ref, y).coeffs)
-    np.testing.assert_array_equal(eval_diffusion_column(prob, y, 2).coeffs,
-                                  eval_diffusion_column(ref, y, 2).coeffs)
+    y = rng.standard_normal(5)
+    np.testing.assert_array_equal(prob.drift(y), ref.drift(y))
+    np.testing.assert_array_equal(prob.diffusion.column(y, 2, 5),
+                                  ref.diffusion.column(y, 2, 5))
 
 
 def test_problem_from_config_sine_drift_and_power_initial():
@@ -193,9 +195,8 @@ def test_problem_from_config_sine_drift_and_power_initial():
     prob = make_problem_from_config(cfg)
     ref = make_example(3)
     rng = np.random.default_rng(7)
-    y = SpectralField(rng.standard_normal(6))
-    np.testing.assert_array_equal(eval_drift(prob, y).coeffs,
-                                  eval_drift(ref, y).coeffs)
+    y = rng.standard_normal(6)
+    np.testing.assert_array_equal(prob.drift(y), ref.drift(y))
     np.testing.assert_array_equal(prob.initial_coeffs(6), ref.initial_coeffs(6))
 
 

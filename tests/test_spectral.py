@@ -3,101 +3,50 @@ import math
 import numpy as np
 import pytest
 
-from mildspde.spectral import (EigenLaw, SpectralField, basis_field, project,
-                               semigroup_apply, sobolev_norm, zero_field)
+from mildspde.problems import make_example
+from mildspde.schemes import REGISTRY
+from mildspde.spectral import EigenLaw
 
 LAP = EigenLaw.laplacian(scale=0.01)
+PROB = make_example(1)                 # its drift operator has the law LAP
+DECAY_KINDS = ("DFM", "MIL", "EES")     # the kinds stepping with the semigroup
 
 
-def test_project_truncates():
-    assert np.array_equal(project((1, 2, 3), 2).coeffs, [1, 2])
-
-
-def test_project_idempotent():
-    once = project((1, 2), 2)
-    twice = project(once.coeffs, 2)
-    assert np.array_equal(once.coeffs, twice.coeffs)
-
-
-def test_project_identity_case():
-    f = project((0.5, -0.5, 0.25), 3)
-    assert np.array_equal(f.coeffs, [0.5, -0.5, 0.25])
-
-
-def test_project_zero_extends_shorter_input():
-    assert np.array_equal(project((1.0,), 3).coeffs, [1.0, 0.0, 0.0])
-
-
-def test_project_rejects_zero_dimension():
-    with pytest.raises(ValueError):
-        project((1, 2), 0)
+def _semigroup(n, h):
+    props = [REGISTRY[kind].propagator(PROB, n, h) for kind in DECAY_KINDS]
+    for other in props[1:]:
+        assert np.array_equal(other, props[0])
+    return props[0]
 
 
 def test_semigroup_single_mode():
     # oracle: direct scalar evaluation of exp(-pi^2/100)
-    out = semigroup_apply(basis_field(1, 1), LAP, 1.0)
-    assert math.isclose(out.coeffs[0], math.exp(-math.pi**2 / 100), rel_tol=1e-15)
-    assert abs(out.coeffs[0] - 0.9060) < 5e-4
+    out = _semigroup(1, 1.0)
+    assert math.isclose(out[0], math.exp(-math.pi**2 / 100), rel_tol=1e-15)
+    assert abs(out[0] - 0.9060) < 5e-4
 
 
 def test_semigroup_zero_step_is_identity():
-    f = SpectralField([0.3, -1.2, 4.0])
-    assert np.array_equal(semigroup_apply(f, LAP, 0.0).coeffs, f.coeffs)
+    f = np.array([0.3, -1.2, 4.0])
+    assert np.array_equal(_semigroup(3, 0.0) * f, f)
 
 
 def test_semigroup_composition():
     rng = np.random.default_rng(1)
-    f = SpectralField(rng.standard_normal(6))
-    a = semigroup_apply(semigroup_apply(f, LAP, 0.3), LAP, 0.45)
-    b = semigroup_apply(f, LAP, 0.75)
-    np.testing.assert_allclose(a.coeffs, b.coeffs, rtol=1e-14)
-
-
-def test_semigroup_rejects_negative_step():
-    with pytest.raises(ValueError):
-        semigroup_apply(basis_field(1, 2), LAP, -0.1)
+    f = rng.standard_normal(6)
+    a = _semigroup(6, 0.45) * (_semigroup(6, 0.3) * f)
+    b = _semigroup(6, 0.75) * f
+    np.testing.assert_allclose(a, b, rtol=1e-14)
 
 
 def test_semigroup_contracts_and_commutes_with_project():
+    # projection is truncation: the semigroup of the leading 4 modes is the
+    # leading part of the semigroup of 8
     rng = np.random.default_rng(2)
-    f = SpectralField(rng.standard_normal(8))
-    out = semigroup_apply(f, LAP, 0.5)
-    assert np.linalg.norm(out.coeffs) < np.linalg.norm(f.coeffs)
-    a = project(semigroup_apply(f, LAP, 0.5).coeffs, 4)
-    b = semigroup_apply(project(f.coeffs, 4), LAP, 0.5)
-    np.testing.assert_array_equal(a.coeffs, b.coeffs)
-
-
-def test_sobolev_norm_order_zero_is_euclidean():
-    f = SpectralField([3.0, 4.0])
-    assert sobolev_norm(f, LAP, 0.0) == 5.0
-
-
-def test_sobolev_norm_single_mode_half_power():
-    # lambda_1^(1/2) = pi/10, oracle scalar arithmetic
-    val = sobolev_norm(basis_field(1, 3), LAP, 0.5)
-    assert abs(val - math.pi / 10) < 1e-15
-
-
-def test_sobolev_norm_zero_field():
-    assert sobolev_norm(zero_field(5), LAP, 1.3) == 0.0
-
-
-def test_sobolev_norm_ordering_on_random_fields():
-    rng = np.random.default_rng(3)
-    lam_min = LAP.values(1)[0]
-    for _ in range(50):
-        f = SpectralField(rng.standard_normal(10))
-        r1, r2 = sorted(rng.uniform(0, 2, size=2))
-        lhs = sobolev_norm(f, LAP, r1)
-        rhs = max(1.0, lam_min ** (r1 - r2)) * sobolev_norm(f, LAP, r2)
-        assert lhs <= rhs * (1 + 1e-12)
-
-
-def test_project_norm_non_increasing():
-    rng = np.random.default_rng(4)
-    f = rng.standard_normal(9)
-    assert np.linalg.norm(project(f, 4).coeffs) <= np.linalg.norm(f)
+    f = rng.standard_normal(8)
+    out = _semigroup(8, 0.5) * f
+    assert np.linalg.norm(out) < np.linalg.norm(f)
+    np.testing.assert_array_equal(out[:4], _semigroup(4, 0.5) * f[:4])
 
 
 def test_eigenlaw_laplacian_increasing_positive():
@@ -119,10 +68,3 @@ def test_eigenlaw_rejects_bad_parameters():
         EigenLaw.power_decay(rho=0.0)
     with pytest.raises(ValueError):
         EigenLaw(kind="fourier")
-
-
-def test_field_rejects_nonfinite_and_empty():
-    with pytest.raises(ValueError):
-        SpectralField([1.0, np.nan])
-    with pytest.raises(ValueError):
-        SpectralField([])
