@@ -412,7 +412,7 @@ def _run_chunk(args):
     Each path draws from its own (purpose, group, path) substreams; the
     draws are stacked, then the reference and every row are integrated by
     one batched call each. Returns per row the (hi-lo, grid points) squared
-    errors and the ledger counts of one path.
+    errors and the ledger total of one path.
     """
     ctx, lo, hi = args
     problem = ctx.problem
@@ -471,7 +471,7 @@ def _run_chunk(args):
     levels = {m: (_stack(dbs), _stack(iqs)) for m, (dbs, iqs) in per_level.items()}
 
     sq_errors: Dict[int, np.ndarray] = {}
-    ledgers: Dict[int, Tuple[int, int, int, int]] = {}
+    ledgers: Dict[int, int] = {}
     for row_id, row in ctx.rows:
         ledger = CostLedger()
         # bill the draws a standalone run of this row would make
@@ -485,8 +485,7 @@ def _run_chunk(args):
             iq_row = None
         sq_errors[row_id] = _row_sq_errors(ctx, lo, row, db_row, iq_row, ref_final,
                                            ref_captures, ledger)
-        ledgers[row_id] = (ledger.functional_evals_f, ledger.functional_evals_b,
-                           ledger.functional_evals_bprime, ledger.normal_draws)
+        ledgers[row_id] = ledger.total()
     return sq_errors, ledgers
 
 
@@ -540,7 +539,7 @@ def run_study(config: StudyConfig) -> StudyReport:
 
     # tasks run group by group, paths ascending within a group
     sq_parts: Dict[int, List[np.ndarray]] = {}
-    row_ledger: Dict[int, Tuple[int, int, int, int]] = {}
+    row_ledger: Dict[int, int] = {}
     for sq_errors, ledgers in results:
         for row_id, part in sq_errors.items():
             sq_parts.setdefault(row_id, []).append(part)
@@ -554,10 +553,9 @@ def run_study(config: StudyConfig) -> StudyReport:
         at = int(np.argmax(mean_per_point))
         error, std = estimate_ms_error(stacked[:, at])
         cf = cost_formula(row.scheme, row.n, row.k, row.m, q_milstein)
-        led = row_ledger[row_id]
         report_rows.append(ReportRow(
             scheme=row.scheme, n=row.n, m=row.m, k=row.k, d=row.d,
-            cost_formula=cf, cost_ledger=int(sum(led)),
+            cost_formula=cf, cost_ledger=row_ledger[row_id],
             error=error, std=std, paths=config.paths))
 
     echo = {

@@ -10,7 +10,7 @@ from mildspde import noise
 from mildspde.cost import CostLedger
 from mildspde.noise import (NoisePacket, alg1_iterated_batch,
                             alg1_iterated_nested, chain_arrays, choose_D1,
-                            choose_D2, exact_second_moment,
+                            exact_second_moment,
                             sample_increments_batch, substream)
 
 ETA2 = np.arange(1.0, 3.0) ** -3.0   # cubic covariance decay, two modes
@@ -306,14 +306,6 @@ def test_depth_rule_examples():
     assert choose_D1(8192, Fraction(7, 8)) == 862
 
 
-def test_depth_rule_two():
-    eta = np.array([1.0, 1 / 8])
-    assert choose_D2(1, 1, np.array([1.0]), Fraction(7, 8)) == 1
-    d = choose_D2(256, 2, eta, Fraction(7, 8))
-    # min(2*1, 8) * 256^(3/8) = 2 * 8 = 16
-    assert d == 16
-
-
 def test_packet_validation():
     with pytest.raises(ValueError):
         NoisePacket(np.zeros(2), 0.0, np.zeros((2, 2)), 1, ETA2)
@@ -331,3 +323,19 @@ def test_substreams_are_order_independent():
     np.testing.assert_array_equal(a1, a2)
     np.testing.assert_array_equal(b1, b2)
     assert not np.array_equal(a1, b1)
+    assert not np.array_equal(a1, substream(1, 5, 1).standard_normal(4))
+    assert isinstance(substream(0, 5, 1).bit_generator, np.random.SFC64)
+
+
+def test_substreams_are_uncorrelated():
+    n = 1 << 16
+    # the harness's (increments, series) purposes, two groups, four paths
+    keys = [(purpose, group, path) for purpose in (11, 12) for group in (0, 1)
+            for path in range(4)]
+    x = np.stack([substream(11, *key).standard_normal(n) for key in keys])
+    bound = 5.0 / math.sqrt(n)
+    assert np.abs(x.mean(axis=1)).max() < bound
+    assert np.abs(x.var(axis=1) - 1.0).max() < 5.0 * math.sqrt(2.0 / n)
+    rho = np.corrcoef(x)
+    off = rho[~np.eye(len(keys), dtype=bool)]
+    assert np.abs(off).max() < bound
