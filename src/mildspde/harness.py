@@ -1,24 +1,30 @@
 """Monte Carlo convergence studies against coupled reference solutions.
 
-Per path, one fine Brownian lattice is generated. The reference scheme is
-integrated on it; every ladder row is integrated on a coarse grid whose
-increments are block sums of the fine ones, so reference and approximation
+Per path, one Brownian lattice of the reference's M steps is generated and
+the reference scheme is integrated on it once. A ladder row whose M divides
+the reference M takes block sums of the lattice increments; any other row
+takes the increments of its grid values W(t_j), drawn by Brownian bridge
+between the neighbouring lattice points (grid times are exact rationals,
+so a time two rows share gets one value). Either way reference and rows
 share the driving path. Milstein-type rows additionally need iterated
-integrals: these are generated once at the finest Milstein level of
-the ladder (or taken from the reference lattice when the reference itself
-is a Milstein-type scheme) and folded to coarser levels with the exact
-chaining rule, preserving the pathwise coupling.
+integrals. The rows on the lattice take theirs from one generation level,
+the coarsest grid all of them refine (or the reference lattice when the
+reference itself is a Milstein-type scheme), folded to coarser levels with
+the exact chaining rule; each other Milstein-type M samples its own from
+its bridged increments, at its own depth.
 
 The mean-square error (E |X_ref(T) - Y_M|^2)^(1/2) is estimated across
 paths, with the standard error of the estimate obtained from the per-path
 squared errors by the delta method. The comparison space is configurable:
 "reference" zero-extends the approximation into the reference's spectral
 space, so the error includes the reference's tail mass above the row's
-dimension; "row" projects the reference onto the row's space, which is the
-convention the published error tables follow (at small N the two differ by
-the dominant spectral-tail term). Reports are deterministic bytes for a
-given (config, seed), independent of the worker count: every path derives
-its own substreams and aggregation runs in path order.
+dimension; "row" projects the reference onto the row's space (at small N
+the two differ by the dominant spectral-tail term). Against the published
+error tables at 500 paths, "reference" matches the N = 8 and 16 rows of
+example 2 and the N = 8 rows of example 1, "row" only a few N = 2 rows and
+falls 5-10x below the tables from N = 4 on. Reports are deterministic
+bytes for a given (config, seed), independent of the worker count: every
+path derives its own substreams and aggregation runs in path order.
 
 Ledger columns bill each row at its standalone per-step contract (the
 K increments plus, for Milstein-type rows, the 2 D K series draws of its
@@ -26,19 +32,19 @@ own depth), with functional evaluations instrumented from the actual run;
 noise generation being shared across coupled levels, billed draws are the
 cost a standalone run would pay.
 
-Paths run in chunks. Each path draws from its own (purpose, group, path)
-substreams; the chunk stacks its paths' noise and integrates the reference
-and every row with one batched `integrate` call each. One process pool per
-study maps every (lattice group, chunk) task, so the G lattice groups share
-the W workers: a chunk holds min(ceil(paths / ceil(W / G)),
-max(1, 2^19 // noise elements per path)) paths, which gives each group
-just enough chunks to keep the pool busy and keeps a chunk's stacked noise
-within 4 MB unless one path alone is larger. Batched
-and single-path integration agree bit for bit, so the chunking, like the
-worker count, cannot change a report.
+Paths run in chunks. Each path draws from its own (purpose, 0, path)
+substreams (series draws of a bridged Milstein grid of M steps from
+(purpose, 0, path, M)); the chunk stacks its paths' noise and integrates
+the reference and every row with one batched `integrate` call each. A
+process pool of W workers maps the chunks: a chunk holds
+min(ceil(paths / W), max(1, 2^19 // noise elements per path)) paths, so
+every worker gets a chunk and a chunk's stacked noise stays within 4 MB
+unless one path alone is larger. Batched and single-path integration agree
+bit for bit, so the chunking, like the worker count, cannot change a
+report.
 
 A reference or row state that turns non-finite stops its integration and
-raises ValueError naming the seed, lattice group, path and scheme.
+raises ValueError naming the seed, path and scheme.
 """
 
 from __future__ import annotations
@@ -69,9 +75,10 @@ __all__ = [
     "estimate_sup_second_moment",
 ]
 
-# substream purposes: the first key of each (purpose, group, path) substream
+# substream purposes: the first key of each (purpose, 0, path) substream
 _PURPOSE_INCREMENTS = 11
 _PURPOSE_SERIES = 12
+_PURPOSE_BRIDGE = 13
 _DEFAULT_GUARDRAIL = 2**33
 
 
@@ -164,11 +171,22 @@ class StudyConfig:
             raise ValueError("error_space must be 'reference' or 'row'")
         if self.workers < 1:
             raise ValueError("worker count must be >= 1")
+        ref = self.reference
         for row in self.rows:
-            if row.n > self.reference.n:
-                raise ValueError(f"row N={row.n} exceeds reference N={self.reference.n}")
-            if row.k > self.reference.k:
-                raise ValueError(f"row K={row.k} exceeds reference K={self.reference.k}")
+            if row.n > ref.n:
+                raise ValueError(f"row N={row.n} exceeds reference N={ref.n}")
+            if row.k > ref.k:
+                raise ValueError(f"row K={row.k} exceeds reference K={ref.k}")
+            if ref.m % row.m == 0:
+                continue
+            if self.error_at == "all-grid":
+                raise ValueError(f"row {row.scheme} M={row.m} does not divide the "
+                                 f"reference M={ref.m}, which error_at='all-grid' needs")
+            if REGISTRY[row.scheme].milstein and REGISTRY[ref.kind].milstein:
+                raise ValueError(
+                    f"Milstein-type row {row.scheme} M={row.m} does not divide the "
+                    f"{ref.kind} reference M={ref.m}: the Brownian bridge gives no "
+                    f"Levy areas between lattice points")
 
 
 @dataclass(frozen=True)
@@ -288,66 +306,157 @@ _CHUNK_NOISE_ELEMS = 2**19
 
 
 @dataclass(frozen=True)
-class _GroupContext:
-    """Everything one worker needs to run all rows of a lattice group on a
-    chunk of paths. Must stay picklable.
+class _BridgePlan:
+    """Where the rows whose M does not divide the lattice's L steps take
+    their grid values W(t_j) from.
 
-    The Milstein-type rows take their iterated integrals from one
-    generation level, gen_m steps in gen_k directions at depth gen_d: the
-    reference lattice when the reference is Milstein-type, otherwise the
-    coarsest grid every Milstein-type row refines. All three are None when
-    the group runs no Milstein-type scheme.
+    Grid point j of a grid of m steps lies at the exact lattice position
+    j L / m = i + r / m (integers i, 0 <= r < m). Below 2^26 steps, the
+    float r / m is a faithful key for that rational: equal fractions round
+    to one float and distinct ones stay distinct and ordered. So a time two
+    grids share is one point. The points with r > 0 are drawn in sorted
+    time order: point p lies in lattice interval cell[p], a fraction f of
+    the way along it, and is a Brownian-bridge draw conditioned on the
+    previous point of that interval (f_prev, or its left end with
+    f_prev = 0) and on the interval's right end. weight is
+    (f - f_prev) / (1 - f_prev) and spread the bridge standard deviation
+    sqrt((f - f_prev)(1 - f) / (1 - f_prev)) in units of sqrt(lattice step).
+    index[m] holds the m + 1 grid points of m as indices into the lattice
+    points 0..L followed by the bridge points.
+    """
+
+    cell: np.ndarray
+    rank: np.ndarray               # earlier points in the same interval
+    weight: np.ndarray
+    spread: np.ndarray
+    index: Dict[int, np.ndarray]
+
+
+def _bridge_plan(lattice: int, ms: Sequence[int]) -> _BridgePlan:
+    """Bridge points of the grids with step counts ms on an L-step lattice."""
+    if max(ms) >= 2**26:
+        raise ValueError(f"a bridged row needs M < 2^26, got M={max(ms)}")
+    den = np.concatenate([np.full(m + 1, m) for m in ms])
+    cell, r = np.divmod(np.concatenate([np.arange(m + 1) for m in ms]) * lattice, den)
+    frac = r / den
+    order = np.lexsort((frac, cell))
+    c, f = cell[order], frac[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (c[1:] != c[:-1]) | (f[1:] != f[:-1])
+    slot = np.empty(order.size, dtype=np.int64)
+    slot[order] = np.cumsum(new) - 1
+    first = order[new]                       # one entry per distinct time
+    inner = r[first] > 0
+    # bridge points are numbered after the L + 1 lattice points
+    point = np.where(r > 0, (np.cumsum(inner) + lattice)[slot], cell)
+    index = dict(zip(ms, np.split(point, np.cumsum([m + 1 for m in ms])[:-1])))
+
+    pts = first[inner]
+    p_cell, p_r, p_den = cell[pts], r[pts], den[pts]
+    starts = np.ones(p_cell.size, dtype=bool)
+    starts[1:] = p_cell[1:] != p_cell[:-1]
+    pos = np.arange(p_cell.size)
+    rank = pos - np.maximum.accumulate(np.where(starts, pos, 0))
+    # previous point of the interval as r' / m', or its left end 0 / 1
+    r_prev = np.where(starts, 0, np.roll(p_r, 1))
+    den_prev = np.where(starts, 1, np.roll(p_den, 1))
+    weight = (p_r * den_prev - r_prev * p_den) / (p_den * (den_prev - r_prev))
+    spread = np.sqrt(weight * (p_den - p_r) / p_den)
+    return _BridgePlan(cell=p_cell, rank=rank, weight=weight, spread=spread,
+                       index=index)
+
+
+def _bridge_values(plan: _BridgePlan, db_fine: np.ndarray, z: np.ndarray,
+                   h: float) -> np.ndarray:
+    """(P, L + 1 + n, K) values of W: the L + 1 lattice points (cumulative
+    sums of the (P, L, K) lattice increments db_fine), then the n bridge
+    points, built from the (P, n, K) standard normals z."""
+    paths, lattice, k = db_fine.shape
+    w = np.empty((paths, lattice + 1 + plan.cell.size, k))
+    w[:, 0] = 0.0
+    np.cumsum(db_fine, axis=1, out=w[:, 1: lattice + 1])
+    bridge = w[:, lattice + 1:]
+    for r in range(int(plan.rank.max(initial=-1)) + 1):
+        sel = np.flatnonzero(plan.rank == r)
+        cell = plan.cell[sel]
+        left = w[:, cell] if r == 0 else bridge[:, sel - 1]
+        bridge[:, sel] = (left + plan.weight[sel, None] * (w[:, cell + 1] - left)
+                          + (math.sqrt(h) * plan.spread[sel])[:, None] * z[:, sel])
+    return w
+
+
+@dataclass(frozen=True)
+class _StudyContext:
+    """Everything one worker needs to run all rows on a chunk of paths.
+    Must stay picklable.
+
+    The Milstein-type rows whose M divides the reference M take their
+    iterated integrals from one generation level, gen_m steps in gen_k
+    directions at depth gen_d: the reference lattice when the reference is
+    Milstein-type, otherwise the coarsest grid every such row refines. All
+    three are None when no such row runs. Every other Milstein-type M
+    samples its own, at the (m, k, d) listed in `series`, from its bridged
+    increments.
     """
 
     problem: ProblemSpec
     reference: ReferenceSpec
-    lattice_m: int
-    rows: Tuple[Tuple[int, LadderRow], ...]   # (row index, row)
+    rows: Tuple[LadderRow, ...]
     seed: int
-    gid: int
     error_at: str
     error_space: str
     gen_m: Optional[int]
     gen_k: Optional[int]
     gen_d: Optional[int]
+    bridge: Optional[_BridgePlan]
+    series: Tuple[Tuple[int, int, int], ...]
 
     def levels(self) -> List[int]:
         """Step counts of the generation level and of every Milstein-type
-        row, finest (the generation level) first."""
+        row folded from it, finest (the generation level) first."""
         if self.gen_m is None:
             return []
-        row_ms = {r.m for _, r in self.rows if REGISTRY[r.scheme].milstein}
+        row_ms = {r.m for r in self.rows
+                  if REGISTRY[r.scheme].milstein and self.gen_m % r.m == 0}
         return sorted(row_ms | {self.gen_m}, reverse=True)
 
     def noise_per_path(self) -> int:
-        """Noise elements one path stacks: its fine increments plus the
-        increments and iterated integrals of every level."""
-        elems = self.lattice_m * self.reference.k
+        """Noise elements one path stacks: its lattice increments plus the
+        increments and iterated integrals of every Milstein level."""
+        elems = self.reference.m * self.reference.k
         if self.gen_m is not None:
             elems += sum(self.levels()) * (self.gen_k + self.gen_k**2)
-        return elems
+        return elems + sum(m * (k + k**2) for m, k, _ in self.series)
 
 
-def _group_context(config: "StudyConfig", gid: int, lattice: int,
-                   rows: Tuple[Tuple[int, LadderRow], ...]) -> _GroupContext:
+def _study_context(config: "StudyConfig") -> _StudyContext:
     q_milstein = config.problem.params.q_dfm
     ref = config.reference
+    milstein = [r for r in config.rows if REGISTRY[r.scheme].milstein]
+    bridged = sorted({r.m for r in config.rows if ref.m % r.m})
     gen_m = gen_k = gen_d = None
     if REGISTRY[ref.kind].milstein:
-        gen_m, gen_k = lattice, ref.k
-        gen_d = ref.d if ref.d is not None else choose_D1(lattice, q_milstein)
-        reference = replace(ref, m=lattice, d=gen_d)
+        gen_m, gen_k = ref.m, ref.k
+        gen_d = ref.d if ref.d is not None else choose_D1(ref.m, q_milstein)
+        reference = replace(ref, d=gen_d)
     else:
-        reference = replace(ref, m=lattice, d=None)
-        mil_rows = [r for _, r in rows if REGISTRY[r.scheme].milstein]
-        if mil_rows:
-            gen_m = _lcm_all(r.m for r in mil_rows)
-            gen_k = max(r.k for r in mil_rows)
+        reference = replace(ref, d=None)
+        folded = [r for r in milstein if ref.m % r.m == 0]
+        if folded:
+            gen_m = _lcm_all(r.m for r in folded)
+            gen_k = max(r.k for r in folded)
             gen_d = choose_D1(gen_m, q_milstein)
-    return _GroupContext(problem=config.problem, reference=reference,
-                         lattice_m=lattice, rows=rows, seed=config.seed, gid=gid,
+    series = []
+    for m in bridged:
+        at_m = [r for r in milstein if r.m == m]
+        if at_m:
+            series.append((m, max(r.k for r in at_m), max(r.d for r in at_m)))
+    return _StudyContext(problem=config.problem, reference=reference,
+                         rows=config.rows, seed=config.seed,
                          error_at=config.error_at, error_space=config.error_space,
-                         gen_m=gen_m, gen_k=gen_k, gen_d=gen_d)
+                         gen_m=gen_m, gen_k=gen_k, gen_d=gen_d,
+                         bridge=_bridge_plan(ref.m, bridged) if bridged else None,
+                         series=tuple(series))
 
 
 def _aggregate(fine: np.ndarray, m_coarse: int) -> Tuple[np.ndarray, int]:
@@ -361,17 +470,17 @@ def _stack(per_path: List[np.ndarray]) -> np.ndarray:
     return per_path[0][None] if len(per_path) == 1 else np.stack(per_path)
 
 
-def _integrate_paths(ctx: _GroupContext, lo: int, cfg: SchemeConfig, db, iq, **kwargs):
+def _integrate_paths(ctx: _StudyContext, lo: int, cfg: SchemeConfig, db, iq, **kwargs):
     """Batched `integrate` of paths lo, lo+1, ...; a non-finite path is
-    reported by its seed, lattice group, path index and scheme."""
+    reported by its seed, path index and scheme."""
     try:
         return integrate(cfg, ctx.problem, db, iq, **kwargs)
     except NonFiniteState as exc:
-        raise ValueError(f"non-finite state: seed {ctx.seed}, group {ctx.gid}, "
-                         f"path {lo + exc.path}, scheme {exc.kind}") from None
+        raise ValueError(f"non-finite state: seed {ctx.seed}, path {lo + exc.path}, "
+                         f"scheme {exc.kind}") from None
 
 
-def _row_sq_errors(ctx: _GroupContext, lo: int, row: LadderRow, db_row, iq_row,
+def _row_sq_errors(ctx: _StudyContext, lo: int, row: LadderRow, db_row, iq_row,
                    ref_final, ref_captures, ledger) -> np.ndarray:
     """(P, grid points) squared errors of one row on the chunk's paths."""
     cfg = SchemeConfig(kind=row.scheme, n=row.n, k=row.k, m=row.m,
@@ -391,7 +500,7 @@ def _row_sq_errors(ctx: _GroupContext, lo: int, row: LadderRow, db_row, iq_row,
         return np.array([[sq_diff(r, y)] for r, y in zip(ref_final, y_final)])
     traj = _integrate_paths(ctx, lo, cfg, db_row, iq_row, ledger=ledger,
                             store="trajectory")
-    stride = ctx.lattice_m // row.m
+    stride = ctx.reference.m // row.m
     out = np.empty((traj.shape[0], row.m + 1))
     for i, path_traj in enumerate(traj):
         for step in range(row.m + 1):
@@ -407,36 +516,40 @@ def _lcm_all(values) -> int:
 
 
 def _run_chunk(args):
-    """All rows of one lattice group on paths lo..hi-1.
+    """All rows on paths lo..hi-1.
 
-    Each path draws from its own (purpose, group, path) substreams; the
-    draws are stacked, then the reference and every row are integrated by
-    one batched call each. Returns per row the (hi-lo, grid points) squared
+    Each path draws from its own (purpose, 0, path) substreams; the draws
+    are stacked, then the reference and every row are integrated by one
+    batched call each. Returns per row the (hi-lo, grid points) squared
     errors and the ledger total of one path.
     """
     ctx, lo, hi = args
     problem = ctx.problem
     ref = ctx.reference
-    lattice = ctx.lattice_m
+    lattice = ref.m
     h_f = problem.horizon / lattice
     eta_ref = problem.q_law.values(ref.k)
     ref_milstein = REGISTRY[ref.kind].milstein
 
-    db_fine, ref_iq, rngs_series = [], [], []
+    db_fine, ref_iq, rngs_series, z_bridge = [], [], [], []
     for path in range(lo, hi):
-        rng_inc = substream(ctx.seed, _PURPOSE_INCREMENTS, ctx.gid, path)
-        rngs_series.append(substream(ctx.seed, _PURPOSE_SERIES, ctx.gid, path))
+        rng_inc = substream(ctx.seed, _PURPOSE_INCREMENTS, 0, path)
+        rngs_series.append(substream(ctx.seed, _PURPOSE_SERIES, 0, path))
         db_fine.append(sample_increments_batch(rng_inc, lattice, ref.k, h_f))
         if ref_milstein:
             ref_iq.append(alg1_iterated_batch(rngs_series[-1], db_fine[-1], h_f,
                                               ref.d, eta_ref))
+        if ctx.bridge is not None:
+            z_bridge.append(sample_increments_batch(
+                substream(ctx.seed, _PURPOSE_BRIDGE, 0, path),
+                ctx.bridge.cell.size, ref.k, 1.0))
     db_fine = _stack(db_fine)
     ref_iq = _stack(ref_iq) if ref_milstein else None
 
     capture = None
     if ctx.error_at == "all-grid":
         capture = set()
-        for _, r in ctx.rows:
+        for r in ctx.rows:
             stride = lattice // r.m
             capture.update(step * stride for step in range(r.m + 1))
     ref_cfg = SchemeConfig(kind=ref.kind, n=ref.n, k=ref.k, m=lattice, d=ref.d,
@@ -470,9 +583,22 @@ def _run_chunk(args):
                 iqs.append(iq_lvl)
     levels = {m: (_stack(dbs), _stack(iqs)) for m, (dbs, iqs) in per_level.items()}
 
-    sq_errors: Dict[int, np.ndarray] = {}
-    ledgers: Dict[int, int] = {}
-    for row_id, row in ctx.rows:
+    # bridged grids: increments from the bridged W(t_j); each Milstein-type
+    # M samples its own iterated integrals from them
+    if ctx.bridge is not None:
+        w = _bridge_values(ctx.bridge, db_fine, _stack(z_bridge), h_f)
+        bridged = {m: np.diff(w[:, idx], axis=1) for m, idx in ctx.bridge.index.items()}
+        for m, k, d in ctx.series:
+            iqs = [alg1_iterated_batch(
+                       substream(ctx.seed, _PURPOSE_SERIES, 0, path, m),
+                       np.ascontiguousarray(bridged[m][i, :, :k]),
+                       problem.horizon / m, d, eta_ref[:k])
+                   for i, path in enumerate(range(lo, hi))]
+            levels[m] = (bridged[m], _stack(iqs))
+
+    sq_errors: List[np.ndarray] = []
+    ledgers: List[int] = []
+    for row in ctx.rows:
         ledger = CostLedger()
         # bill the draws a standalone run of this row would make
         ledger.charge_normals(row.m * ledger_expected(row.scheme, row.n, row.k, row.d).normals)
@@ -480,71 +606,57 @@ def _run_chunk(args):
             db_lvl, iq_lvl = levels[row.m]
             db_row = db_lvl[:, :, : row.k]
             iq_row = iq_lvl[:, :, : row.k, : row.k]
+        elif lattice % row.m:
+            db_row, iq_row = bridged[row.m][:, :, : row.k], None
         else:
             db_row = _stack([_aggregate(db[:, : row.k], row.m)[0] for db in db_fine])
             iq_row = None
-        sq_errors[row_id] = _row_sq_errors(ctx, lo, row, db_row, iq_row, ref_final,
-                                           ref_captures, ledger)
-        ledgers[row_id] = ledger.total()
+        sq_errors.append(_row_sq_errors(ctx, lo, row, db_row, iq_row, ref_final,
+                                        ref_captures, ledger))
+        ledgers.append(ledger.total())
     return sq_errors, ledgers
 
 
-def _chunk_size(paths: int, workers: int, groups: int, noise_per_path: int) -> int:
-    """Paths per chunk. The tasks of all lattice groups share the pool, so
-    each group needs only ceil(workers / groups) chunks to keep every
-    worker busy; a chunk's stacked noise is capped at _CHUNK_NOISE_ELEMS
+def _chunk_size(paths: int, workers: int, noise_per_path: int) -> int:
+    """Paths per chunk: ceil(paths / workers), so every worker gets one
+    chunk, with a chunk's stacked noise capped at _CHUNK_NOISE_ELEMS
     unless one path alone is larger."""
-    cap = -(-paths // -(-workers // groups))
+    cap = -(-paths // workers)
     return min(cap, max(1, _CHUNK_NOISE_ELEMS // noise_per_path))
-
-
-def _lattice_for(m_row: int, m_target: int) -> int:
-    return m_row * max(1, -(-m_target // m_row))
 
 
 def run_study(config: StudyConfig) -> StudyReport:
     """Run the Monte Carlo study and assemble the per-row report.
 
-    Rows whose step count divides the reference step count share one
-    lattice (and hence one coupled path family) per path; a row with an
-    incompatible M gets its own lattice of at least the reference size,
-    rounded to an exact multiple of the row's M.
+    The reference is integrated once per path, on its own M-step lattice.
+    A row whose M divides the reference M takes block sums of the lattice
+    increments; any other row takes the increments of its grid values
+    W(t_j), drawn by Brownian bridge between the neighbouring lattice
+    points, so every row and the reference share one driving path.
     """
     problem = config.problem
     ref = config.reference
     q_milstein = problem.params.q_dfm
 
-    lattice_of_row = {i: _lattice_for(row.m, ref.m) for i, row in enumerate(config.rows)}
-    lattices = sorted(set(lattice_of_row.values()))
-    total_steps = config.paths * sum(lattices)
+    total_steps = config.paths * ref.m
     if total_steps > config.guardrail and not config.allow_big:
         raise ValueError(
-            f"study would take ~{total_steps:.2e} fine steps; pass allow_big=True "
+            f"study would take ~{total_steps:.2e} reference steps; pass allow_big=True "
             f"or raise the guardrail to run it")
 
-    tasks = []
-    for gid, lattice in enumerate(lattices):
-        group_rows = tuple((i, row) for i, row in enumerate(config.rows)
-                           if lattice_of_row[i] == lattice)
-        ctx = _group_context(config, gid, lattice, group_rows)
-        size = _chunk_size(config.paths, config.workers, len(lattices),
-                           ctx.noise_per_path())
-        tasks += [(ctx, lo, min(lo + size, config.paths))
-                  for lo in range(0, config.paths, size)]
+    ctx = _study_context(config)
+    size = _chunk_size(config.paths, config.workers, ctx.noise_per_path())
+    tasks = [(ctx, lo, min(lo + size, config.paths))
+             for lo in range(0, config.paths, size)]
     if config.workers == 1:
         results = [_run_chunk(task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             results = list(pool.map(_run_chunk, tasks))
 
-    # tasks run group by group, paths ascending within a group
-    sq_parts: Dict[int, List[np.ndarray]] = {}
-    row_ledger: Dict[int, int] = {}
-    for sq_errors, ledgers in results:
-        for row_id, part in sq_errors.items():
-            sq_parts.setdefault(row_id, []).append(part)
-            row_ledger.setdefault(row_id, ledgers[row_id])
-    row_sq = {row_id: np.concatenate(parts) for row_id, parts in sq_parts.items()}
+    # chunks come back in path order
+    row_sq = [np.concatenate(parts) for parts in zip(*(sq for sq, _ in results))]
+    row_ledger = results[0][1]
 
     report_rows = []
     for row_id, row in enumerate(config.rows):
@@ -567,7 +679,6 @@ def run_study(config: StudyConfig) -> StudyReport:
                       "D": ref.d if ref.d is not None else "auto"},
         "rows": [{"scheme": r.scheme, "N": r.n, "M": r.m, "K": r.k, "D": r.d}
                  for r in config.rows],
-        "lattices": {str(i): lattice_of_row[i] for i in range(len(config.rows))},
         "paths": config.paths,
         "seed": config.seed,
         "error_at": config.error_at,

@@ -115,8 +115,8 @@ def test_pure_heat_flow_error_is_spectral_tail():
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_study_determinism_and_worker_independence(workers):
-    # two lattice groups (M = 12 does not divide 128) of 5 paths each, split
-    # into chunks of 5 + 5, 5 + 5 and 3+2 + 3+2 paths at 1, 2 and 3 workers
+    # M = 12 does not divide 128, so that row is bridged; 5 paths run in
+    # chunks of 5, 3 + 2 and 2 + 2 + 1 at 1, 2 and 3 workers
     prob = make_example(1)
     ref = ReferenceSpec("LIE", n=8, k=2, m=128)
     rows = (LadderRow("DFM", n=4, m=16, k=2, d=8),
@@ -130,17 +130,68 @@ def test_study_determinism_and_worker_independence(workers):
     assert serial.json_text() == pooled.json_text()
 
 
-def test_chunk_size_spreads_workers_over_lattice_groups():
+def test_chunk_size_spreads_paths_over_workers():
     from mildspde.harness import _CHUNK_NOISE_ELEMS, _chunk_size
-    # six groups already keep two workers busy: one chunk per group
-    assert _chunk_size(paths=6, workers=2, groups=6, noise_per_path=100) == 6
-    # one group needs two chunks
-    assert _chunk_size(paths=5, workers=2, groups=1, noise_per_path=100) == 3
-    assert _chunk_size(paths=5, workers=3, groups=2, noise_per_path=100) == 3
-    assert _chunk_size(paths=500, workers=1, groups=6, noise_per_path=100) == 500
+    # one chunk per worker
+    assert _chunk_size(paths=6, workers=2, noise_per_path=100) == 3
+    assert _chunk_size(paths=5, workers=2, noise_per_path=100) == 3
+    assert _chunk_size(paths=5, workers=3, noise_per_path=100) == 2
+    assert _chunk_size(paths=500, workers=1, noise_per_path=100) == 500
     # the stacked-noise cap still binds, down to one path per chunk
-    assert _chunk_size(6, 2, 6, _CHUNK_NOISE_ELEMS // 2) == 2
-    assert _chunk_size(6, 2, 6, 2 * _CHUNK_NOISE_ELEMS) == 1
+    assert _chunk_size(6, 1, _CHUNK_NOISE_ELEMS // 2) == 2
+    assert _chunk_size(6, 2, 2 * _CHUNK_NOISE_ELEMS) == 1
+
+
+def _bridged_grids(lattice, ms, paths, seed, k=2):
+    """Lattice increments and the bridged W of every grid in ms."""
+    from mildspde.harness import _bridge_plan, _bridge_values
+    rng = np.random.default_rng(seed)
+    h = 1.0 / lattice
+    plan = _bridge_plan(lattice, ms)
+    db = math.sqrt(h) * rng.standard_normal((paths, lattice, k))
+    w = _bridge_values(plan, db, rng.standard_normal((paths, plan.cell.size, k)), h)
+    return db, {m: w[:, plan.index[m]] for m in ms}
+
+
+def test_bridge_increments_sum_to_lattice_increments():
+    db, grids = _bridged_grids(64, [12, 24, 96], paths=3, seed=1)
+    lattice_w = np.cumsum(db, axis=1)
+    for m, w in grids.items():
+        inc = np.diff(w, axis=1)
+        # grid point j of m is lattice point 64 j / m when 3 divides j
+        for j in range(3, m + 1, 3):
+            np.testing.assert_allclose(inc[:, :j].sum(axis=1),
+                                       lattice_w[:, 64 * j // m - 1],
+                                       rtol=0, atol=1e-14)
+    # a time two grids share is one point: bit-equal values
+    assert np.array_equal(grids[12], grids[24][:, ::2])
+    assert np.array_equal(grids[24], grids[96][:, ::4])
+
+
+def test_bridge_values_have_brownian_covariance():
+    # W(s) at every grid time of M = 3, 5 and 7 on a 4-step lattice:
+    # Cov(W(s), W(t)) = min(s, t)
+    _, grids = _bridged_grids(4, [3, 5, 7], paths=40_000, seed=2, k=1)
+    times = np.concatenate([np.arange(1, m) / m for m in grids])
+    w = np.concatenate([g[:, 1:-1, 0] for g in grids.values()], axis=1)
+    cov = w.T @ w / w.shape[0]
+    np.testing.assert_allclose(cov, np.minimum.outer(times, times), atol=0.02)
+    assert np.abs(w.mean(axis=0)).max() < 0.02
+
+
+def test_rows_off_the_lattice_fail_where_no_bridge_serves():
+    prob = make_example(1)
+    lie = ReferenceSpec("LIE", n=8, k=2, m=64)
+    with pytest.raises(ValueError, match="EES M=12 does not divide the reference M=64"):
+        StudyConfig(problem=prob, rows=(LadderRow("EES", n=4, m=12, k=2),),
+                    reference=lie, paths=3, seed=0, error_at="all-grid")
+    mil = ReferenceSpec("MIL", n=8, k=2, m=64, d=4)
+    with pytest.raises(ValueError, match="DFM M=12 does not divide the MIL reference M=64"):
+        StudyConfig(problem=prob, rows=(LadderRow("DFM", n=4, m=12, k=2, d=4),),
+                    reference=mil, paths=3, seed=0)
+    # Euler-type rows are bridged under a Milstein-type reference too
+    StudyConfig(problem=prob, rows=(LadderRow("EES", n=4, m=12, k=2),),
+                reference=mil, paths=3, seed=0)
 
 
 def test_coupling_aggregation_reproduces_endpoint():
@@ -208,14 +259,19 @@ def test_error_space_row_projects_the_reference():
     assert run_study(cfg).rows[0].error > 1e-3
 
 
-def test_incompatible_row_gets_own_lattice():
+def test_incompatible_row_is_bridged():
+    # 12 does not divide 64: the row is bridged off the one reference
+    # lattice, and a row on the lattice keeps its bytes
     prob = make_example(1)
     ref = ReferenceSpec("LIE", n=8, k=2, m=64)
-    rows = (LadderRow("EES", n=4, m=12, k=2),)   # 12 does not divide 64
-    rep = run_study(StudyConfig(problem=prob, rows=rows, reference=ref,
-                                paths=3, seed=4))
-    assert rep.config_echo["lattices"]["0"] == 72
-    assert rep.rows[0].error > 0
+    on_lattice = LadderRow("EES", n=4, m=16, k=2)
+    cfg = StudyConfig(problem=prob, rows=(on_lattice,), reference=ref,
+                      paths=3, seed=4)
+    alone = run_study(cfg)
+    both = run_study(replace(cfg, rows=(on_lattice, LadderRow("EES", n=4, m=12, k=2))))
+    assert "lattices" not in both.config_echo
+    assert both.rows[0] == alone.rows[0]
+    assert 0 < both.rows[1].error < math.inf
 
 
 def test_guardrail_rejects_oversized_study():
@@ -260,5 +316,5 @@ def test_non_finite_path_is_reported(workers):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError,
-                           match="non-finite state: seed 3, group 0, path 0, scheme LIE"):
+                           match="non-finite state: seed 3, path 0, scheme LIE"):
             run_study(cfg)
