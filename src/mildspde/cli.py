@@ -55,8 +55,7 @@ def _cmd_study(args) -> int:
                                   m=args.ref_m, d=args.ref_d)
     config = StudyConfig(problem=problem, rows=tuple(rows), reference=reference,
                          paths=args.paths, seed=args.seed,
-                         error_at=args.error_at, error_space=args.error_space,
-                         workers=args.workers,
+                         error_at=args.error_at, workers=args.workers,
                          allow_big=args.allow_big)
     report = run_study(config)
     if args.out:
@@ -170,9 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_study.add_argument("--seed", type=int, default=0)
     p_study.add_argument("--workers", type=int, default=1)
     p_study.add_argument("--error-at", choices=("final", "all-grid"), default="final")
-    p_study.add_argument("--error-space", choices=("reference", "row"), default="reference",
-                         help="compare in the reference's space (tail included) "
-                              "or project the reference onto the row's")
     preset = p_study.add_mutually_exclusive_group()
     preset.add_argument("--scaled-reference", action="store_true",
                         help="desk-scale reference preset (LIE, N=64, M=2^14)")

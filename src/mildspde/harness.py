@@ -19,10 +19,8 @@ squared errors by the delta method. The comparison space is configurable:
 "reference" zero-extends the approximation into the reference's spectral
 space, so the error includes the reference's tail mass above the row's
 dimension; "row" projects the reference onto the row's space (at small N
-the two differ by the dominant spectral-tail term). Against the published
-error tables at 500 paths, "reference" matches the N = 8 and 16 rows of
-example 2 and the N = 8 rows of example 1, "row" only a few N = 2 rows and
-falls 5-10x below the tables from N = 4 on. Reports are deterministic
+the two differ by the dominant spectral-tail term; BENCH_7.json compares
+both against the published error tables). Reports are deterministic
 bytes for a given (config, seed), independent of the worker count: every
 path derives its own substreams and aggregation runs in path order.
 
@@ -421,11 +419,18 @@ class _StudyContext:
         return sorted(row_ms | {self.gen_m}, reverse=True)
 
     def noise_per_path(self) -> int:
-        """Noise elements one path stacks: its lattice increments plus the
-        increments and iterated integrals of every Milstein level."""
-        elems = self.reference.m * self.reference.k
+        """Noise elements one path stacks: its lattice increments, the
+        increments and iterated integrals of every Milstein level and, when
+        rows are bridged, the bridge normals, the W values and each bridged
+        grid's increments."""
+        lattice, k = self.reference.m, self.reference.k
+        elems = lattice * k
         if self.gen_m is not None:
             elems += sum(self.levels()) * (self.gen_k + self.gen_k**2)
+        if self.bridge is not None:
+            points = self.bridge.cell.size
+            # z draws, then W at the lattice and bridge points, then increments
+            elems += (points + lattice + 1 + points + sum(self.bridge.index)) * k
         return elems + sum(m * (k + k**2) for m, k, _ in self.series)
 
 
@@ -638,10 +643,11 @@ def run_study(config: StudyConfig) -> StudyReport:
     ref = config.reference
     q_milstein = problem.params.q_dfm
 
-    total_steps = config.paths * ref.m
+    # a bridged row may take more steps per path than the reference
+    total_steps = config.paths * max([ref.m] + [r.m for r in config.rows])
     if total_steps > config.guardrail and not config.allow_big:
         raise ValueError(
-            f"study would take ~{total_steps:.2e} reference steps; pass allow_big=True "
+            f"study would take ~{total_steps:.2e} steps; pass allow_big=True "
             f"or raise the guardrail to run it")
 
     ctx = _study_context(config)

@@ -48,19 +48,6 @@ def test_study_subcommand_writes_csv(tmp_path, capsys):
     assert echo["seed"] == 9 and echo["paths"] == 4
 
 
-def test_study_error_space_reaches_the_echo(tmp_path, capsys):
-    mirror = tmp_path / "report.json"
-    rc = main(["study", "--example", "1", "--ladder", "2", "--schemes", "EES",
-               "--paths", "3", "--seed", "9", "--ref-n", "4", "--ref-k", "2",
-               "--ref-m", "48", "--error-space", "row", "--json", str(mirror)])
-    assert rc == 0
-    assert json.loads(mirror.read_text())["config"]["error_space"] == "row"
-    with pytest.raises(SystemExit) as exc:
-        main(["study", "--ladder", "2", "--error-space", "tail"])
-    assert exc.value.code == 2
-    assert "--error-space: invalid choice: 'tail'" in capsys.readouterr().err
-
-
 def test_study_with_config_file(tmp_path):
     cfg = {"p": "4/3", "rho_q": 3, "gamma": "7/8", "delta": "3/8",
            "alpha": "9/4", "drift": "affine", "initial": "zero"}

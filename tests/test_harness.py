@@ -283,6 +283,26 @@ def test_guardrail_rejects_oversized_study():
                               paths=10_000_000, seed=0))
 
 
+def test_guardrail_counts_a_bridged_row_finer_than_the_reference():
+    prob = make_example(1)
+    ref = ReferenceSpec("LIE", n=8, k=2, m=64)
+    fine_row = LadderRow("EES", n=4, m=3_000_001, k=2)     # bridged, M > reference M
+    with pytest.raises(ValueError, match="steps"):
+        run_study(StudyConfig(problem=prob, rows=(fine_row,), reference=ref,
+                              paths=4, seed=0, guardrail=10**6))
+
+
+def test_chunk_noise_counts_the_bridge_arrays():
+    prob = make_example(1)
+    ref = ReferenceSpec("LIE", n=8, k=2, m=64)
+    cfg = StudyConfig(problem=prob, rows=(LadderRow("EES", n=4, m=12, k=2),),
+                      reference=ref, paths=3, seed=0)
+    # j * 64 / 12 is off the lattice for the 8 grid points j not divisible by 3:
+    # 64 increments, 8 bridge normals, 65 + 8 W values and 12 row increments
+    from mildspde.harness import _study_context
+    assert _study_context(cfg).noise_per_path() == (64 + 8 + 73 + 12) * 2
+
+
 def test_config_validation():
     prob = make_example(1)
     ref = ReferenceSpec("LIE", n=8, k=2, m=64)
