@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 
 from .exactmath import ceil_power
 from .noise import choose_D1
-from .problems import ProblemSpec, RegularityParams, temporal_order
+from .problems import ProblemSpec, temporal_order
 from .schemes import REGISTRY, canonical_kind
 
 __all__ = ["PlanInput", "Classification", "Resolution", "classify",
@@ -54,24 +54,16 @@ class PlanInput:
             raise ValueError("rho_q must exceed 1")
 
     @classmethod
-    def from_params(cls, params: RegularityParams, scheme: str = "DFM",
-                    finite_dim_noise: bool = False) -> "PlanInput":
+    def from_problem(cls, problem: ProblemSpec, scheme: str = "DFM",
+                     finite_dim_noise: bool = False) -> "PlanInput":
+        params = problem.params
         return cls(gamma=params.gamma, beta=params.beta, alpha=params.alpha,
                    rho_a=params.rho_a, rho_q=params.rho_q, scheme=scheme,
                    finite_dim_noise=finite_dim_noise)
 
-    @classmethod
-    def from_problem(cls, problem: ProblemSpec, scheme: str = "DFM",
-                     finite_dim_noise: bool = False) -> "PlanInput":
-        return cls.from_params(problem.params, scheme, finite_dim_noise)
-
     @property
     def q_milstein(self) -> Fraction:
         return temporal_order(self.gamma, self.beta, milstein=True)
-
-    @property
-    def q_euler(self) -> Fraction:
-        return temporal_order(self.gamma, self.beta, milstein=False)
 
     @property
     def q(self) -> Fraction:

@@ -7,11 +7,10 @@ takes the increments of its grid values W(t_j), drawn by Brownian bridge
 between the neighbouring lattice points (grid times are exact rationals,
 so a time two rows share gets one value). Either way reference and rows
 share the driving path. Milstein-type rows additionally need iterated
-integrals. The rows on the lattice take theirs from one generation level,
-the coarsest grid all of them refine (or the reference lattice when the
-reference itself is a Milstein-type scheme), folded to coarser levels with
-the exact chaining rule; each other Milstein-type M samples its own from
-its bridged increments, at its own depth.
+integrals. Under a Milstein-type reference every Milstein-type M folds
+them from the reference's with the exact chaining rule; under an
+Euler-type reference every Milstein-type M samples its own from its
+increments with Algorithm 1, at the largest depth D of its rows.
 
 The mean-square error (E |X_ref(T) - Y_M|^2)^(1/2) is estimated across
 paths, with the standard error of the estimate obtained from the per-path
@@ -26,15 +25,15 @@ path derives its own substreams and aggregation runs in path order.
 
 Ledger columns bill each row at its standalone per-step contract (the
 K increments plus, for Milstein-type rows, the 2 D K series draws of its
-own depth), with functional evaluations instrumented from the actual run;
-noise generation being shared across coupled levels, billed draws are the
-cost a standalone run would pay.
+own depth), with functional evaluations instrumented from the actual run.
+Rows share the lattice, and rows at one M share its series, so billed
+draws are the cost a standalone run would pay, not the draws made.
 
 Paths run in chunks. Each path draws from its own (purpose, 0, path)
-substreams (series draws of a bridged Milstein grid of M steps from
-(purpose, 0, path, M)); the chunk stacks its paths' noise and integrates
-the reference and every row with one batched `integrate` call each. A
-process pool of W workers maps the chunks: a chunk holds
+substreams (the series of a Milstein grid of M steps under an Euler-type
+reference from (purpose, 0, path, M)); the chunk stacks its paths' noise
+and integrates the reference and every row with one batched `integrate`
+call each. A process pool of W workers maps the chunks: a chunk holds
 min(ceil(paths / W), max(1, 2^19 // noise elements per path)) paths, so
 every worker gets a chunk and a chunk's stacked noise stays within 4 MB
 unless one path alone is larger. Batched and single-path integration agree
@@ -77,12 +76,15 @@ __all__ = [
 _PURPOSE_INCREMENTS = 11
 _PURPOSE_SERIES = 12
 _PURPOSE_BRIDGE = 13
-_DEFAULT_GUARDRAIL = 2**33
+# largest steps-per-path x paths a study runs without allow_big
+_GUARDRAIL_STEPS = 2**33
 
 
 @dataclass(frozen=True)
 class ReferenceSpec:
-    """Scheme and resolutions of the reference solution."""
+    """Scheme and resolutions of the reference solution. A Milstein-type
+    reference takes an optional series depth (default: the D1 rule at its
+    M); an Euler-type one takes none."""
 
     kind: str
     n: int
@@ -94,6 +96,11 @@ class ReferenceSpec:
         object.__setattr__(self, "kind", canonical_kind(self.kind))
         if min(self.n, self.k, self.m) < 1 or self.k > self.n:
             raise ValueError("reference needs 1 <= K <= N and M >= 1")
+        if REGISTRY[self.kind].milstein:
+            if self.d is not None and self.d < 1:
+                raise ValueError("reference series depth must be >= 1")
+        elif self.d is not None:
+            raise ValueError(f"Euler-type reference {self.kind} takes no series depth")
 
 
 @dataclass(frozen=True)
@@ -157,7 +164,6 @@ class StudyConfig:
     error_space: str = "reference"   # "reference" (tail included) or "row"
     workers: int = 1
     allow_big: bool = False
-    guardrail: int = _DEFAULT_GUARDRAIL
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(self.rows))
@@ -388,13 +394,11 @@ class _StudyContext:
     """Everything one worker needs to run all rows on a chunk of paths.
     Must stay picklable.
 
-    The Milstein-type rows whose M divides the reference M take their
-    iterated integrals from one generation level, gen_m steps in gen_k
-    directions at depth gen_d: the reference lattice when the reference is
-    Milstein-type, otherwise the coarsest grid every such row refines. All
-    three are None when no such row runs. Every other Milstein-type M
-    samples its own, at the (m, k, d) listed in `series`, from its bridged
-    increments.
+    `series` lists (m, k, d) for every Milstein-type row M, finest first:
+    the largest K and D of the rows at that M. Under a Milstein-type reference the grid
+    folds its k-direction iterated integrals from the reference's (d is
+    unused); under an Euler-type one it samples them from its own
+    increments at depth d.
     """
 
     problem: ProblemSpec
@@ -403,30 +407,19 @@ class _StudyContext:
     seed: int
     error_at: str
     error_space: str
-    gen_m: Optional[int]
-    gen_k: Optional[int]
-    gen_d: Optional[int]
     bridge: Optional[_BridgePlan]
     series: Tuple[Tuple[int, int, int], ...]
 
-    def levels(self) -> List[int]:
-        """Step counts of the generation level and of every Milstein-type
-        row folded from it, finest (the generation level) first."""
-        if self.gen_m is None:
-            return []
-        row_ms = {r.m for r in self.rows
-                  if REGISTRY[r.scheme].milstein and self.gen_m % r.m == 0}
-        return sorted(row_ms | {self.gen_m}, reverse=True)
-
     def noise_per_path(self) -> int:
         """Noise elements one path stacks: its lattice increments, the
-        increments and iterated integrals of every Milstein level and, when
-        rows are bridged, the bridge normals, the W values and each bridged
-        grid's increments."""
+        reference's iterated integrals when it is Milstein-type, the
+        increments and iterated integrals of every Milstein-type grid and,
+        when rows are bridged, the bridge normals, the W values and each
+        bridged grid's increments."""
         lattice, k = self.reference.m, self.reference.k
         elems = lattice * k
-        if self.gen_m is not None:
-            elems += sum(self.levels()) * (self.gen_k + self.gen_k**2)
+        if REGISTRY[self.reference.kind].milstein:
+            elems += lattice * k**2
         if self.bridge is not None:
             points = self.bridge.cell.size
             # z draws, then W at the lattice and bridge points, then increments
@@ -435,38 +428,27 @@ class _StudyContext:
 
 
 def _study_context(config: "StudyConfig") -> _StudyContext:
-    q_milstein = config.problem.params.q_dfm
     ref = config.reference
+    if REGISTRY[ref.kind].milstein and ref.d is None:
+        ref = replace(ref, d=choose_D1(ref.m, config.problem.params.q_dfm))
     milstein = [r for r in config.rows if REGISTRY[r.scheme].milstein]
-    bridged = sorted({r.m for r in config.rows if ref.m % r.m})
-    gen_m = gen_k = gen_d = None
-    if REGISTRY[ref.kind].milstein:
-        gen_m, gen_k = ref.m, ref.k
-        gen_d = ref.d if ref.d is not None else choose_D1(ref.m, q_milstein)
-        reference = replace(ref, d=gen_d)
-    else:
-        reference = replace(ref, d=None)
-        folded = [r for r in milstein if ref.m % r.m == 0]
-        if folded:
-            gen_m = _lcm_all(r.m for r in folded)
-            gen_k = max(r.k for r in folded)
-            gen_d = choose_D1(gen_m, q_milstein)
     series = []
-    for m in bridged:
+    # finest first: the largest fold or draw runs before the others' outputs pile up
+    for m in sorted({r.m for r in milstein}, reverse=True):
         at_m = [r for r in milstein if r.m == m]
-        if at_m:
-            series.append((m, max(r.k for r in at_m), max(r.d for r in at_m)))
-    return _StudyContext(problem=config.problem, reference=reference,
+        series.append((m, max(r.k for r in at_m), max(r.d for r in at_m)))
+    bridged = sorted({r.m for r in config.rows if ref.m % r.m})
+    return _StudyContext(problem=config.problem, reference=ref,
                          rows=config.rows, seed=config.seed,
                          error_at=config.error_at, error_space=config.error_space,
-                         gen_m=gen_m, gen_k=gen_k, gen_d=gen_d,
                          bridge=_bridge_plan(ref.m, bridged) if bridged else None,
                          series=tuple(series))
 
 
-def _aggregate(fine: np.ndarray, m_coarse: int) -> Tuple[np.ndarray, int]:
-    ratio = fine.shape[0] // m_coarse
-    return fine.reshape(m_coarse, ratio, fine.shape[1]).sum(axis=1), ratio
+def _aggregate(fine: np.ndarray, m_coarse: int) -> np.ndarray:
+    """(P, m_coarse, K) block sums of the (P, L, K) lattice increments."""
+    paths, lattice, k = fine.shape
+    return fine.reshape(paths, m_coarse, lattice // m_coarse, k).sum(axis=2)
 
 
 def _stack(per_path: List[np.ndarray]) -> np.ndarray:
@@ -513,18 +495,17 @@ def _row_sq_errors(ctx: _StudyContext, lo: int, row: LadderRow, db_row, iq_row,
     return out
 
 
-def _lcm_all(values) -> int:
-    out = 1
-    for v in values:
-        out = math.lcm(out, v)
-    return out
-
-
 def _run_chunk(args):
     """All rows on paths lo..hi-1.
 
-    Each path draws from its own (purpose, 0, path) substreams; the draws
-    are stacked, then the reference and every row are integrated by one
+    Each path draws its lattice increments (and bridge normals) from its
+    own (purpose, 0, path) substreams. Every row grid of M steps gets one
+    table of increments: block sums of the lattice increments when M
+    divides the L lattice steps, bridged increments otherwise. A
+    Milstein-type grid folds its iterated integrals from the reference's
+    when the reference is Milstein-type, and otherwise samples them from
+    its increments with Algorithm 1, from the (purpose, 0, path, M)
+    substream. The reference and every row are then integrated by one
     batched call each. Returns per row the (hi-lo, grid points) squared
     errors and the ledger total of one path.
     """
@@ -536,14 +517,14 @@ def _run_chunk(args):
     eta_ref = problem.q_law.values(ref.k)
     ref_milstein = REGISTRY[ref.kind].milstein
 
-    db_fine, ref_iq, rngs_series, z_bridge = [], [], [], []
+    db_fine, ref_iq, z_bridge = [], [], []
     for path in range(lo, hi):
         rng_inc = substream(ctx.seed, _PURPOSE_INCREMENTS, 0, path)
-        rngs_series.append(substream(ctx.seed, _PURPOSE_SERIES, 0, path))
         db_fine.append(sample_increments_batch(rng_inc, lattice, ref.k, h_f))
         if ref_milstein:
-            ref_iq.append(alg1_iterated_batch(rngs_series[-1], db_fine[-1], h_f,
-                                              ref.d, eta_ref))
+            ref_iq.append(alg1_iterated_batch(
+                substream(ctx.seed, _PURPOSE_SERIES, 0, path),
+                db_fine[-1], h_f, ref.d, eta_ref))
         if ctx.bridge is not None:
             z_bridge.append(sample_increments_batch(
                 substream(ctx.seed, _PURPOSE_BRIDGE, 0, path),
@@ -563,43 +544,33 @@ def _run_chunk(args):
                                capture=capture)
     ref_final, ref_captures = ref_out if capture is not None else (ref_out, None)
 
-    # iterated integrals at the generation level (the reference's own when
-    # it is Milstein-type), folded onto each coarser Milstein grid
-    per_level = {m: ([], []) for m in ctx.levels()}
-    if per_level:
-        gen_m, gen_k = ctx.gen_m, ctx.gen_k
-        eta_gen = eta_ref[:gen_k]
-        for i in range(hi - lo):
-            if ref_milstein:
-                gen_db, gen_iq = db_fine[i], ref_iq[i]
-            else:
-                gen_db, _ = _aggregate(db_fine[i][:, :gen_k], gen_m)
-                gen_iq = alg1_iterated_batch(rngs_series[i], gen_db,
-                                             problem.horizon / gen_m, ctx.gen_d, eta_gen)
-            for target_m, (dbs, iqs) in per_level.items():
-                if target_m == gen_m:
-                    db_lvl, iq_lvl = gen_db, gen_iq
-                else:
-                    ratio = gen_m // target_m
-                    db_lvl, iq_lvl = noise_mod.chain_arrays(
-                        gen_db.reshape(target_m, ratio, gen_k),
-                        gen_iq.reshape(target_m, ratio, gen_k, gen_k), eta_gen)
-                dbs.append(db_lvl)
-                iqs.append(iq_lvl)
-    levels = {m: (_stack(dbs), _stack(iqs)) for m, (dbs, iqs) in per_level.items()}
-
-    # bridged grids: increments from the bridged W(t_j); each Milstein-type
-    # M samples its own iterated integrals from them
+    # one table of increments per row grid
+    grids = {m: _aggregate(db_fine, m) for m in {r.m for r in ctx.rows}
+             if lattice % m == 0}
     if ctx.bridge is not None:
         w = _bridge_values(ctx.bridge, db_fine, _stack(z_bridge), h_f)
-        bridged = {m: np.diff(w[:, idx], axis=1) for m, idx in ctx.bridge.index.items()}
-        for m, k, d in ctx.series:
+        grids.update((m, np.diff(w[:, idx], axis=1)) for m, idx in ctx.bridge.index.items())
+
+    # increments and iterated integrals of every Milstein-type grid
+    milstein_noise = {}
+    for m, k, d in ctx.series:
+        if ref_milstein:
+            # chaining acts entrywise, so folding k directions gives the
+            # k-slice of a fold over all of the reference's
+            ratio = lattice // m
+            folded = [noise_mod.chain_arrays(
+                          db_fine[i, :, :k].reshape(m, ratio, k),
+                          ref_iq[i, :, :k, :k].reshape(m, ratio, k, k), eta_ref[:k])
+                      for i in range(hi - lo)]
+            milstein_noise[m] = (_stack([db for db, _ in folded]),
+                                 _stack([iq for _, iq in folded]))
+        else:
             iqs = [alg1_iterated_batch(
                        substream(ctx.seed, _PURPOSE_SERIES, 0, path, m),
-                       np.ascontiguousarray(bridged[m][i, :, :k]),
+                       np.ascontiguousarray(grids[m][i, :, :k]),
                        problem.horizon / m, d, eta_ref[:k])
                    for i, path in enumerate(range(lo, hi))]
-            levels[m] = (bridged[m], _stack(iqs))
+            milstein_noise[m] = (grids[m], _stack(iqs))
 
     sq_errors: List[np.ndarray] = []
     ledgers: List[int] = []
@@ -608,14 +579,11 @@ def _run_chunk(args):
         # bill the draws a standalone run of this row would make
         ledger.charge_normals(row.m * ledger_expected(row.scheme, row.n, row.k, row.d).normals)
         if REGISTRY[row.scheme].milstein:
-            db_lvl, iq_lvl = levels[row.m]
-            db_row = db_lvl[:, :, : row.k]
-            iq_row = iq_lvl[:, :, : row.k, : row.k]
-        elif lattice % row.m:
-            db_row, iq_row = bridged[row.m][:, :, : row.k], None
+            db_m, iq_m = milstein_noise[row.m]
+            db_row = db_m[:, :, : row.k]
+            iq_row = iq_m[:, :, : row.k, : row.k]
         else:
-            db_row = _stack([_aggregate(db[:, : row.k], row.m)[0] for db in db_fine])
-            iq_row = None
+            db_row, iq_row = grids[row.m][:, :, : row.k], None
         sq_errors.append(_row_sq_errors(ctx, lo, row, db_row, iq_row, ref_final,
                                         ref_captures, ledger))
         ledgers.append(ledger.total())
@@ -645,10 +613,10 @@ def run_study(config: StudyConfig) -> StudyReport:
 
     # a bridged row may take more steps per path than the reference
     total_steps = config.paths * max([ref.m] + [r.m for r in config.rows])
-    if total_steps > config.guardrail and not config.allow_big:
+    if total_steps > _GUARDRAIL_STEPS and not config.allow_big:
         raise ValueError(
             f"study would take ~{total_steps:.2e} steps; pass allow_big=True "
-            f"or raise the guardrail to run it")
+            f"(--allow-big) to run it")
 
     ctx = _study_context(config)
     size = _chunk_size(config.paths, config.workers, ctx.noise_per_path())

@@ -98,10 +98,6 @@ class RegularityParams:
     def q_dfm(self) -> Fraction:
         return temporal_order(self.gamma, self.beta, milstein=True)
 
-    @property
-    def q_ees(self) -> Fraction:
-        return temporal_order(self.gamma, self.beta, milstein=False)
-
 
 # --- drift variants -------------------------------------------------------
 # Drifts and diffusions take a state with an optional leading path axis,

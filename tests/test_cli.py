@@ -97,6 +97,16 @@ def test_eoc_gamma_without_alpha_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_euler_type_reference_depth_exits_2(capsys):
+    rc = main(["study", "--example", "1", "--ladder", "2", "--schemes", "EES",
+               "--paths", "2", "--ref-scheme", "LIE", "--ref-n", "8", "--ref-k", "2",
+               "--ref-m", "64", "--ref-d", "5"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "series depth" in captured.err
+
+
 def test_full_reference_with_config_exits_2(tmp_path, capsys):
     path = _write_config(tmp_path, _EXAMPLE1_CONFIG)
     rc = main(["study", "--config", path, "--full-reference", "--ladder", "2",

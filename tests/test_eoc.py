@@ -55,7 +55,7 @@ def test_finite_dim_exponents():
     g2, q2 = plan2.gamma * plan2.rho_a, plan2.q_milstein
     assert eoc_exponent(plan2) == g2 * q2 / (g2 + q2)
     plan2e = _plan(2, "EES", finite_dim_noise=True)
-    qe = plan2e.q_euler
+    qe = plan2e.q
     assert eoc_exponent(plan2e) == g2 * qe / (g2 + qe)
 
 

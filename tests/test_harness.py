@@ -274,6 +274,37 @@ def test_incompatible_row_is_bridged():
     assert 0 < both.rows[1].error < math.inf
 
 
+def test_milstein_row_on_the_lattice_is_independent_of_other_rows():
+    # under an Euler-type reference each Milstein-type M samples its own
+    # series, so a MIL row at M = 32 leaves the DFM row at M = 16 as it was
+    prob = make_example(1)
+    ref = ReferenceSpec("LIE", n=8, k=2, m=64)
+    dfm = LadderRow("DFM", n=4, m=16, k=2, d=8)
+    cfg = StudyConfig(problem=prob, rows=(dfm,), reference=ref, paths=3, seed=5)
+    alone = run_study(cfg)
+    both = run_study(replace(cfg, rows=(dfm, LadderRow("MIL", n=4, m=32, k=2, d=14))))
+    assert both.rows[0] == alone.rows[0]
+
+
+def test_milstein_row_on_the_lattice_samples_at_its_own_depth():
+    prob = make_example(1)
+    ref = ReferenceSpec("LIE", n=8, k=2, m=64)
+    cfg = StudyConfig(problem=prob, rows=(LadderRow("DFM", n=4, m=16, k=2, d=1),),
+                      reference=ref, paths=3, seed=5)
+    shallow = run_study(cfg).rows[0]
+    deep = run_study(replace(cfg, rows=(LadderRow("DFM", n=4, m=16, k=2, d=8),))).rows[0]
+    assert (shallow.d, deep.d) == (1, 8)
+    assert shallow.error != deep.error
+
+
+def test_euler_type_reference_takes_no_series_depth():
+    with pytest.raises(ValueError, match="takes no series depth"):
+        ReferenceSpec("LIE", n=8, k=2, m=64, d=5)
+    with pytest.raises(ValueError, match="depth"):
+        ReferenceSpec("DFM", n=8, k=2, m=64, d=0)
+    assert ReferenceSpec("DFM", n=8, k=2, m=64, d=5).d == 5
+
+
 def test_guardrail_rejects_oversized_study():
     prob = make_example(1)
     ref = ReferenceSpec("LIE", n=8, k=2, m=2**20)
@@ -287,9 +318,10 @@ def test_guardrail_counts_a_bridged_row_finer_than_the_reference():
     prob = make_example(1)
     ref = ReferenceSpec("LIE", n=8, k=2, m=64)
     fine_row = LadderRow("EES", n=4, m=3_000_001, k=2)     # bridged, M > reference M
+    # 3000 paths x 3 000 001 steps exceeds 2^33: rejected before any draw
     with pytest.raises(ValueError, match="steps"):
         run_study(StudyConfig(problem=prob, rows=(fine_row,), reference=ref,
-                              paths=4, seed=0, guardrail=10**6))
+                              paths=3000, seed=0))
 
 
 def test_chunk_noise_counts_the_bridge_arrays():
@@ -301,6 +333,12 @@ def test_chunk_noise_counts_the_bridge_arrays():
     # 64 increments, 8 bridge normals, 65 + 8 W values and 12 row increments
     from mildspde.harness import _study_context
     assert _study_context(cfg).noise_per_path() == (64 + 8 + 73 + 12) * 2
+    # a Milstein grid adds its increments and iterated integrals, m (k + k^2)
+    cfg = replace(cfg, rows=(LadderRow("DFM", n=4, m=16, k=2, d=8),))
+    assert _study_context(cfg).noise_per_path() == 64 * 2 + 16 * (2 + 4)
+    # a Milstein-type reference adds its own iterated integrals
+    cfg = replace(cfg, reference=ReferenceSpec("MIL", n=8, k=2, m=64))
+    assert _study_context(cfg).noise_per_path() == 64 * (2 + 4) + 16 * (2 + 4)
 
 
 def test_config_validation():

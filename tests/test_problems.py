@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 from mildspde.problems import (RegularityParams, check_growth_bounds,
                                commutativity_defect, make_example,
-                               make_problem_from_config)
+                               make_problem_from_config, temporal_order)
 
 
 def _unit(i, n):
@@ -27,7 +27,7 @@ def test_example_parameters_exact():
     assert (p3.beta, p3.gamma, p3.delta) == (Fraction(7, 8), 1, Fraction(1, 2))
     assert p3.alpha == Fraction(7, 3)
     assert p3.q_dfm == Fraction(1, 4)
-    assert p3.q_ees == Fraction(1, 4)
+    assert temporal_order(p3.gamma, p3.beta, milstein=False) == Fraction(1, 4)
     for p in (p1, p2, p3):
         assert (p.rho_a, p.rho_q) == (2, 3)
 
