@@ -7,7 +7,7 @@ from .cost import CostLedger, StepCounts, cost_formula, ledger_expected
 from .eoc import PlanInput, classify, eoc_exponent, optimal_resolution
 from .harness import (LadderRow, OrderFit, ReferenceSpec, StudyConfig,
                       StudyReport, estimate_ms_error, measure_order,
-                      paper_reference, plan_rows, run_study, scaled_reference)
+                      paper_reference, plan_rows, run_study)
 from .noise import (NoisePacket, alg1_iterated_batch, alg1_iterated_nested,
                     chain_arrays, choose_D1, exact_second_moment,
                     sample_increments_batch, substream)
@@ -22,7 +22,7 @@ __all__ = [
     "PlanInput", "classify", "eoc_exponent", "optimal_resolution",
     "LadderRow", "OrderFit", "ReferenceSpec", "StudyConfig", "StudyReport",
     "estimate_ms_error", "measure_order", "paper_reference", "plan_rows",
-    "run_study", "scaled_reference",
+    "run_study",
     "NoisePacket", "alg1_iterated_batch", "alg1_iterated_nested",
     "chain_arrays", "choose_D1", "exact_second_moment",
     "sample_increments_batch", "substream",

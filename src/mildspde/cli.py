@@ -19,8 +19,7 @@ import numpy as np
 from . import __version__
 from .cost import CostLedger, cost_formula
 from .eoc import PlanInput, classify, eoc_exponent, optimal_resolution
-from .harness import (ReferenceSpec, StudyConfig, paper_reference, plan_rows,
-                      run_study, scaled_reference)
+from .harness import ReferenceSpec, StudyConfig, paper_reference, plan_rows, run_study
 from .noise import (alg1_iterated_batch, exact_second_moment,
                     sample_increments_batch, substream)
 from .problems import make_example, make_problem_from_config
@@ -48,8 +47,6 @@ def _cmd_study(args) -> int:
             raise ValueError("--full-reference needs --example: published reference "
                              "resolutions exist only for the shipped examples")
         reference = paper_reference(args.example)
-    elif args.scaled_reference:
-        reference = scaled_reference()
     else:
         reference = ReferenceSpec(args.ref_scheme, n=args.ref_n, k=args.ref_k,
                                   m=args.ref_m, d=args.ref_d)
@@ -169,11 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_study.add_argument("--seed", type=int, default=0)
     p_study.add_argument("--workers", type=int, default=1)
     p_study.add_argument("--error-at", choices=("final", "all-grid"), default="final")
-    preset = p_study.add_mutually_exclusive_group()
-    preset.add_argument("--scaled-reference", action="store_true",
-                        help="desk-scale reference preset (LIE, N=64, M=2^14)")
-    preset.add_argument("--full-reference", action="store_true",
-                        help="published reference resolutions of --example (long)")
+    p_study.add_argument("--full-reference", action="store_true",
+                         help="published reference resolutions of --example (long)")
     p_study.add_argument("--ref-scheme", default="LIE")
     p_study.add_argument("--ref-n", type=int, default=64)
     p_study.add_argument("--ref-k", type=int, default=3)

@@ -10,9 +10,10 @@ are
     EES / LIE:               M N + M N K + M K
 
 evaluated with the real-valued power and a single final ceiling. The
-instrumented ledger of an actual run uses the integer series depth
-D = ceil(M^(2q-1)) instead, so the two totals are reported separately.
-The per-step counts of every kind are read from `schemes.REGISTRY`.
+ledger of an actual run uses the integer series depth D = ceil(M^(2q-1))
+instead, so the two totals are reported separately. The per-step
+functional evaluations of every kind come from `schemes.Scheme.evals`,
+which also bills the ledger of every `integrate` call.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ def cost_formula(kind: str, n: int, k: int, m: int,
     scheme = REGISTRY[canonical_kind(kind)]
     if min(n, k, m) < 1:
         raise ValueError("resolutions must be positive")
-    base = m * (n + scheme.b_per_nk * n * k + scheme.bprime_per_n2k * n * n * k)
+    base = m * sum(scheme.evals(n, k))
     if not scheme.milstein:
         return base + m * k
     if q is None:
@@ -133,5 +134,5 @@ def ledger_expected(kind: str, n: int, k: int, d: Optional[int] = None) -> StepC
         if d is None or d < 1:
             raise ValueError("Milstein-type schemes need a series depth d >= 1")
         normals = k * (1 + 2 * d)
-    return StepCounts(f=n, b=scheme.b_per_nk * k * n,
-                      bprime=scheme.bprime_per_n2k * k * n * n, normals=normals)
+    f, b, bprime = scheme.evals(n, k)
+    return StepCounts(f=f, b=b, bprime=bprime, normals=normals)

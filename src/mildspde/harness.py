@@ -14,20 +14,25 @@ increments with Algorithm 1, at the largest depth D of its rows.
 
 The mean-square error (E |X_ref(T) - Y_M|^2)^(1/2) is estimated across
 paths, with the standard error of the estimate obtained from the per-path
-squared errors by the delta method. The comparison space is configurable:
-"reference" zero-extends the approximation into the reference's spectral
-space, so the error includes the reference's tail mass above the row's
-dimension; "row" projects the reference onto the row's space (at small N
-the two differ by the dominant spectral-tail term; BENCH_7.json compares
-both against the published error tables). Reports are deterministic
+squared errors by the delta method. With error_at="all-grid" it is taken
+at every grid point and the point of largest mean square is reported.
+Each row's `integrate` call returns its states at the steps it observes,
+the reference's call its states at the union of those steps on its
+lattice. The comparison space is configurable: "reference" zero-extends
+the approximation into the reference's spectral space, so the error
+includes the reference's tail mass above the row's dimension; "row"
+projects the reference onto the row's space (at small N the two differ
+by the dominant spectral-tail term; BENCH_7.json compares both against
+the published error tables). Reports are deterministic
 bytes for a given (config, seed), independent of the worker count: every
 path derives its own substreams and aggregation runs in path order.
 
-Ledger columns bill each row at its standalone per-step contract (the
+Ledger columns bill each row at its standalone per-step contract: the
 K increments plus, for Milstein-type rows, the 2 D K series draws of its
-own depth), with functional evaluations instrumented from the actual run.
-Rows share the lattice, and rows at one M share its series, so billed
-draws are the cost a standalone run would pay, not the draws made.
+own depth, and the functional evaluations that `integrate` bills from the
+registry's per-step counts (`Scheme.evals`). Rows share the lattice, and
+rows at one M share its series, so billed draws are the cost a standalone
+run would pay, not the draws made.
 
 Paths run in chunks. Each path draws from its own (purpose, 0, path)
 substreams (the series of a Milstein grid of M steps under an Euler-type
@@ -68,8 +73,7 @@ from .schemes import REGISTRY, NonFiniteState, SchemeConfig, canonical_kind, int
 __all__ = [
     "ReferenceSpec", "LadderRow", "StudyConfig", "ReportRow", "StudyReport",
     "OrderFit", "run_study", "estimate_ms_error", "measure_order",
-    "plan_rows", "paper_reference", "scaled_reference",
-    "estimate_sup_second_moment",
+    "plan_rows", "paper_reference", "estimate_sup_second_moment",
 ]
 
 # substream purposes: the first key of each (purpose, 0, path) substream
@@ -146,11 +150,6 @@ def paper_reference(example_id: int) -> ReferenceSpec:
         return ReferenceSpec("LIE", n=64, k=ceil_power(2, Fraction(102, 77)),
                              m=ceil_power(2, Fraction(85, 6)))
     raise ValueError("published reference resolutions exist for examples 1 and 2")
-
-
-def scaled_reference(n: int = 64, k: int = 3, m: int = 2**14) -> ReferenceSpec:
-    """Desk-scale reference preset."""
-    return ReferenceSpec("LIE", n=n, k=k, m=m)
 
 
 @dataclass(frozen=True)
@@ -446,9 +445,13 @@ def _study_context(config: "StudyConfig") -> _StudyContext:
 
 
 def _aggregate(fine: np.ndarray, m_coarse: int) -> np.ndarray:
-    """(P, m_coarse, K) block sums of the (P, L, K) lattice increments."""
+    """(P, m_coarse, K) block sums of the (P, L, K) lattice increments,
+    added left to right as `noise.chain_arrays` folds them (a plain sum
+    adds pairwise when K = 1), so Milstein-type rows folded from a
+    Milstein-type reference step on the same increments bit for bit."""
     paths, lattice, k = fine.shape
-    return fine.reshape(paths, m_coarse, lattice // m_coarse, k).sum(axis=2)
+    blocks = fine.reshape(paths, m_coarse, lattice // m_coarse, k)
+    return np.ascontiguousarray(blocks.cumsum(axis=2)[:, :, -1])
 
 
 def _stack(per_path: List[np.ndarray]) -> np.ndarray:
@@ -467,32 +470,28 @@ def _integrate_paths(ctx: _StudyContext, lo: int, cfg: SchemeConfig, db, iq, **k
                          f"scheme {exc.kind}") from None
 
 
+def _observed_steps(ctx: _StudyContext, row: LadderRow) -> np.ndarray:
+    """The steps of a row's grid that enter its error: M, or 0..M."""
+    return np.arange(row.m + 1) if ctx.error_at == "all-grid" else np.array([row.m])
+
+
 def _row_sq_errors(ctx: _StudyContext, lo: int, row: LadderRow, db_row, iq_row,
-                   ref_final, ref_captures, ledger) -> np.ndarray:
-    """(P, grid points) squared errors of one row on the chunk's paths."""
+                   ref_at: np.ndarray, ref_states: np.ndarray, ledger) -> np.ndarray:
+    """(P, observed steps) squared errors of one row on the chunk's paths,
+    against the (P, len(ref_at), N_ref) reference states at the lattice
+    steps ref_at."""
     cfg = SchemeConfig(kind=row.scheme, n=row.n, k=row.k, m=row.m,
                        d=row.d, horizon=ctx.problem.horizon)
-
-    def sq_diff(ref_state, y):
-        if ctx.error_space == "row":
-            diff = ref_state[: row.n] - y
-        else:
-            diff = ref_state.copy()
-            diff[: row.n] -= y
-        return float(np.dot(diff, diff))
-
-    if ctx.error_at == "final":
-        y_final = _integrate_paths(ctx, lo, cfg, db_row, iq_row, ledger=ledger,
-                                   store="final")
-        return np.array([[sq_diff(r, y)] for r, y in zip(ref_final, y_final)])
-    traj = _integrate_paths(ctx, lo, cfg, db_row, iq_row, ledger=ledger,
-                            store="trajectory")
-    stride = ctx.reference.m // row.m
-    out = np.empty((traj.shape[0], row.m + 1))
-    for i, path_traj in enumerate(traj):
-        for step in range(row.m + 1):
-            out[i, step] = sq_diff(ref_captures[step * stride][i], path_traj[step])
-    return out
+    steps = _observed_steps(ctx, row)
+    y = _integrate_paths(ctx, lo, cfg, db_row, iq_row, ledger=ledger, at=steps)
+    # fancy indexing copies, so the reference states stay as they are
+    diff = ref_states[:, np.searchsorted(ref_at, steps * ctx.reference.m // row.m)]
+    if ctx.error_space == "row":
+        diff = diff[..., : row.n] - y
+    else:
+        diff[..., : row.n] -= y
+    # one dot product per (path, step): bit-equal to np.dot of each difference
+    return (diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
 
 
 def _run_chunk(args):
@@ -506,8 +505,9 @@ def _run_chunk(args):
     when the reference is Milstein-type, and otherwise samples them from
     its increments with Algorithm 1, from the (purpose, 0, path, M)
     substream. The reference and every row are then integrated by one
-    batched call each. Returns per row the (hi-lo, grid points) squared
-    errors and the ledger total of one path.
+    batched call each, the reference at every lattice step a row observes.
+    Returns per row the (hi-lo, observed steps) squared errors and the
+    ledger total of one path.
     """
     ctx, lo, hi = args
     problem = ctx.problem
@@ -532,17 +532,15 @@ def _run_chunk(args):
     db_fine = _stack(db_fine)
     ref_iq = _stack(ref_iq) if ref_milstein else None
 
-    capture = None
-    if ctx.error_at == "all-grid":
-        capture = set()
-        for r in ctx.rows:
-            stride = lattice // r.m
-            capture.update(step * stride for step in range(r.m + 1))
+    # the reference is observed at every lattice step some row observes (a
+    # mask, not np.unique, which imports numpy.ma: ~2 MB RSS per process)
+    observed = np.zeros(lattice + 1, dtype=bool)
+    for r in ctx.rows:
+        observed[_observed_steps(ctx, r) * lattice // r.m] = True
+    ref_at = np.flatnonzero(observed)
     ref_cfg = SchemeConfig(kind=ref.kind, n=ref.n, k=ref.k, m=lattice, d=ref.d,
                            horizon=problem.horizon)
-    ref_out = _integrate_paths(ctx, lo, ref_cfg, db_fine, ref_iq, store="final",
-                               capture=capture)
-    ref_final, ref_captures = ref_out if capture is not None else (ref_out, None)
+    ref_states = _integrate_paths(ctx, lo, ref_cfg, db_fine, ref_iq, at=ref_at)
 
     # one table of increments per row grid
     grids = {m: _aggregate(db_fine, m) for m in {r.m for r in ctx.rows}
@@ -584,8 +582,8 @@ def _run_chunk(args):
             iq_row = iq_m[:, :, : row.k, : row.k]
         else:
             db_row, iq_row = grids[row.m][:, :, : row.k], None
-        sq_errors.append(_row_sq_errors(ctx, lo, row, db_row, iq_row, ref_final,
-                                        ref_captures, ledger))
+        sq_errors.append(_row_sq_errors(ctx, lo, row, db_row, iq_row, ref_at,
+                                        ref_states, ledger))
         ledgers.append(ledger.total())
     return sq_errors, ledgers
 
@@ -649,8 +647,9 @@ def run_study(config: StudyConfig) -> StudyReport:
         "horizon": problem.horizon,
         "params": {name: str(getattr(problem.params, name))
                    for name in ("beta", "gamma", "delta", "alpha", "rho_a", "rho_q")},
+        # the depth that ran: None for Euler-type kinds, else the D1 rule when unset
         "reference": {"kind": ref.kind, "N": ref.n, "K": ref.k, "M": ref.m,
-                      "D": ref.d if ref.d is not None else "auto"},
+                      "D": ctx.reference.d},
         "rows": [{"scheme": r.scheme, "N": r.n, "M": r.m, "K": r.k, "D": r.d}
                  for r in config.rows],
         "paths": config.paths,
@@ -688,8 +687,7 @@ def estimate_sup_second_moment(problem: ProblemSpec, kind: str, n: int, k: int,
             if milstein:
                 iqs.append(alg1_iterated_batch(substream(seed, 71, m, path, 2),
                                                db, h, d, eta))
-        trajs = integrate(cfg, problem, _stack(dbs), _stack(iqs) if milstein else None,
-                          store="trajectory")
+        trajs = integrate(cfg, problem, _stack(dbs), _stack(iqs) if milstein else None)
         for traj in trajs:
             acc += (traj**2 * weights[None, :]).sum(axis=1)
     return float((acc / paths).max())

@@ -96,8 +96,8 @@ class NoisePacket:
         iq = np.ascontiguousarray(np.asarray(self.iterated, dtype=float))
         eta = np.ascontiguousarray(np.asarray(self.eta, dtype=float))
         k = db.size
-        if self.h <= 0:
-            raise ValueError("packet step length must be positive")
+        if not 0 < self.h < math.inf:
+            raise ValueError(f"packet step length must be positive and finite, got {self.h}")
         if iq.shape != (k, k):
             raise ValueError("iterated matrix shape does not match increment count")
         if eta.shape != (k,):
@@ -121,8 +121,8 @@ def _charge(ledger, n: int) -> None:
 def sample_increments_batch(rng: np.random.Generator, s: int, k: int, h: float,
                             ledger=None) -> np.ndarray:
     """(s, k) array of Normal(0, h) increments; s*k draws."""
-    if h <= 0:
-        raise ValueError("step length must be positive")
+    if not 0 < h < math.inf:
+        raise ValueError(f"step length must be positive and finite, got {h}")
     _charge(ledger, s * k)
     return math.sqrt(h) * rng.standard_normal((s, k))
 
@@ -183,8 +183,8 @@ def alg1_iterated_batch(rng: np.random.Generator, delta_beta: np.ndarray,
     """
     if d < 1:
         raise ValueError("truncation depth must be >= 1")
-    if h <= 0:
-        raise ValueError("step length must be positive")
+    if not 0 < h < math.inf:
+        raise ValueError(f"step length must be positive and finite, got {h}")
     db = np.asarray(delta_beta, dtype=float)
     s, k = db.shape
     eta = np.asarray(eta, dtype=float)

@@ -278,8 +278,8 @@ class ProblemSpec:
     horizon: float = 1.0
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValueError("time horizon must be positive")
+        if not 0 < self.horizon < np.inf:
+            raise ValueError(f"time horizon must be positive and finite, got {self.horizon}")
 
     def initial_coeffs(self, n: int) -> np.ndarray:
         return np.asarray(self.initial.coeffs(n), dtype=float)

@@ -14,9 +14,10 @@ integrals; the Euler-type pair consumes plain increments:
 
 REGISTRY holds, per kind, the array kernel (one signature for all four),
 the diagonal propagator, the Milstein-type flag and the per-step
-functional-evaluation counts; config validation, the cost model, the
-planner, the harness and the CLI all read it. `integrate` is the single
-step entry point: a single step is m = 1.
+functional-evaluation counts (`Scheme.evals`); config validation, the cost
+model, the planner, the harness and the CLI all read it. `integrate` is
+the single step entry point: a single step is m = 1, and it returns the
+states at the steps its caller asks for (`at`).
 
 The noise may carry a leading path axis, (P, m, k) increments and
 (P, m, k, k) iterated integrals; the kernels then step all P paths as one
@@ -25,17 +26,19 @@ noise bit for bit. The problem's drift and diffusion compute their
 per-dimension constants once and reuse them across steps.
 
 All steps end inside the projected space, so trailing projection is a
-no-op. Kernels are pure; an optional ledger records the functional
-evaluations of one path per the cost model, whatever the batch size (the
-Milstein derivative tensor is charged at K N^2 once per step, applications
-being free). States are checked for finiteness every few hundred steps; a
-non-finite path stops the integration with `NonFiniteState`.
+no-op. Kernels are pure. `integrate` bills an optional ledger once per
+call with the steps taken times `Scheme.evals`, the cost of one path
+whatever the batch size (the Milstein derivative tensor is billed at
+K N^2 once per step, applications being free). The current state is
+checked for finiteness every few hundred steps; a non-finite path stops
+the integration with `NonFiniteState`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -46,64 +49,38 @@ __all__ = ["Scheme", "REGISTRY", "KINDS", "MILSTEIN_KINDS", "canonical_kind",
 
 
 # --- array kernels ----------------------------------------------------------
-# kernel(problem, y, db, iq, h, propagator, sqrt_eta, ledger) -> next state.
+# kernel(problem, y, db, iq, h, propagator, sqrt_eta) -> next state.
 # y is the (P, n) state of P paths, db their (P, k) increments and iq their
-# (P, k, k) iterated-integral matrices (None for the Euler-type kinds). The
-# ledger is charged what one path's step costs, whatever P is.
+# (P, k, k) iterated-integral matrices (None for the Euler-type kinds).
 
-def _drift_term(problem, y, h, ledger):
-    if ledger is not None:
-        ledger.charge_f(y.shape[-1])
-    return y + h * problem.drift(y)
-
-
-def _noise_term(bmat, sqrt_eta, db):
-    # one matrix-vector product per path: (P, n, k) @ (P, k, 1)
-    return (bmat @ (sqrt_eta * db)[..., None])[..., 0]
+def _euler_part(problem, y, db, h, sqrt_eta):
+    # y + h F(y) + B(y) sqrt(eta) db, and B(y) itself; the matrix-vector
+    # product runs once per path: (P, n, k) @ (P, k, 1)
+    bmat = problem.diffusion.matrix(y, y.shape[-1], db.shape[-1])
+    u = y + h * problem.drift(y) + (bmat @ (sqrt_eta * db)[..., None])[..., 0]
+    return u, bmat
 
 
-def _dfm_kernel(problem, y, db, iq, h, propagator, sqrt_eta, ledger):
-    n, k = y.shape[-1], db.shape[-1]
-    u = _drift_term(problem, y, h, ledger)
-    bmat = problem.diffusion.matrix(y, n, k)
-    u = u + _noise_term(bmat, sqrt_eta, db)
+def _dfm_kernel(problem, y, db, iq, h, propagator, sqrt_eta):
+    u, bmat = _euler_part(problem, y, db, h, sqrt_eta)
     stages = y[:, None, :] + np.swapaxes(bmat @ iq, -1, -2)
-    stage_cols = problem.diffusion.stage_columns(stages, n)
-    u = u + (stage_cols - bmat).sum(axis=-1)
-    if ledger is not None:
-        ledger.charge_b(2 * k * n)
-        ledger.charge_unit(n)
-    return propagator * u
+    stage_cols = problem.diffusion.stage_columns(stages, y.shape[-1])
+    return propagator * (u + (stage_cols - bmat).sum(axis=-1))
 
 
-def _mil_kernel(problem, y, db, iq, h, propagator, sqrt_eta, ledger):
-    n, k = y.shape[-1], db.shape[-1]
-    u = _drift_term(problem, y, h, ledger)
-    bmat = problem.diffusion.matrix(y, n, k)
-    u = u + _noise_term(bmat, sqrt_eta, db)
+def _mil_kernel(problem, y, db, iq, h, propagator, sqrt_eta):
+    u, bmat = _euler_part(problem, y, db, h, sqrt_eta)
     # sum_ij iq[i,j] B'(y)(b_i, e_j) = sum_j B'(y)(dirs_j, e_j): the
     # derivative is linear in its direction
     dirs = bmat @ iq
     second = np.zeros_like(y)
-    for j in range(1, k + 1):
-        second += problem.diffusion.deriv_column(y, dirs[..., j - 1], j, n)
-    u = u + second
-    if ledger is not None:
-        ledger.charge_b(k * n)
-        ledger.charge_bprime(k * n * n)
-        ledger.charge_unit(n)
-    return propagator * u
+    for j in range(1, db.shape[-1] + 1):
+        second += problem.diffusion.deriv_column(y, dirs[..., j - 1], j, y.shape[-1])
+    return propagator * (u + second)
 
 
-def _euler_kernel(problem, y, db, iq, h, propagator, sqrt_eta, ledger):
-    n, k = y.shape[-1], db.shape[-1]
-    u = _drift_term(problem, y, h, ledger)
-    bmat = problem.diffusion.matrix(y, n, k)
-    u = u + _noise_term(bmat, sqrt_eta, db)
-    if ledger is not None:
-        ledger.charge_b(k * n)
-        ledger.charge_unit(n)
-    return propagator * u
+def _euler_kernel(problem, y, db, iq, h, propagator, sqrt_eta):
+    return propagator * _euler_part(problem, y, db, h, sqrt_eta)[0]
 
 
 def _decay(problem, n, h):
@@ -119,15 +96,18 @@ def _resolvent(problem, n, h):
 @dataclass(frozen=True)
 class Scheme:
     """One scheme kind: its step kernel, its diagonal propagator
-    (problem, n, h) -> (n,), whether it consumes iterated integrals, and its
-    per-step functional evaluations f = N, b = b_per_nk * N K and
-    b' = bprime_per_n2k * N^2 K."""
+    (problem, n, h) -> (n,), whether it consumes iterated integrals, and the
+    multiples of N K and N^2 K in its per-step evaluations of b and b'."""
 
     kernel: Callable
     propagator: Callable
     milstein: bool
     b_per_nk: int
     bprime_per_n2k: int
+
+    def evals(self, n: int, k: int) -> Tuple[int, int, int]:
+        """Functional evaluations (f, b, b') of one step of one path."""
+        return n, self.b_per_nk * n * k, self.bprime_per_n2k * n * n * k
 
 
 REGISTRY: Dict[str, Scheme] = {
@@ -166,8 +146,8 @@ class SchemeConfig:
             raise ValueError("need at least one time step")
         if not 1 <= self.k <= self.n:
             raise ValueError("need 1 <= K <= N")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if REGISTRY[kind].milstein:
             if self.d is None or self.d < 1:
                 raise ValueError(f"{kind} needs a series depth d >= 1")
@@ -181,7 +161,7 @@ class SchemeConfig:
 
 # --- trajectory integration -------------------------------------------------
 
-# integrate checks the states for finiteness once per this many steps
+# integrate checks the state for finiteness once per this many steps
 _FINITE_CHECK_STEPS = 256
 
 
@@ -198,50 +178,40 @@ class NonFiniteState(ValueError):
         return type(self), (self.kind, self.path, self.step)
 
 
-def _check_finite(states: np.ndarray, kind: str, step: int) -> None:
-    finite = np.isfinite(states).reshape(states.shape[0], -1).all(axis=1)
-    if not finite.all():
-        raise NonFiniteState(kind, int(np.argmin(finite)), step)
+def _observation_steps(at, m: int) -> np.ndarray:
+    if at is None:
+        return np.arange(m + 1)
+    steps = np.asarray(at)
+    if (steps.ndim != 1 or steps.size == 0 or steps.dtype.kind not in "iu"
+            or steps[0] < 0 or steps[-1] > m or np.any(np.diff(steps) <= 0)):
+        raise ValueError(f"at must be a non-empty increasing sequence of step "
+                         f"indices in 0..{m}")
+    return steps
 
 
 def integrate(config: SchemeConfig, problem: ProblemSpec, db: np.ndarray,
-              iq: Optional[np.ndarray] = None, *, ledger=None,
-              store: str = "trajectory", capture=None):
-    """Iterate the configured scheme from the projected initial value.
+              iq: Optional[np.ndarray] = None, *, ledger=None, at=None) -> np.ndarray:
+    """States of the configured scheme, stepped from the projected initial
+    value, at the increasing step indices `at` (default: every step 0..m).
 
-    The noise may carry a leading path axis: P paths are then stepped
-    together as one (P, n) state, and every result gains that axis. Each
+    db holds (m, k) standard Brownian increments on the uniform grid, iq the
+    (m, k, k) covariance-scaled iterated integrals that the Milstein-type
+    kinds require and the Euler-type ones refuse. With a leading path axis
+    on both, P paths are stepped together as one (P, n) state, and each
     path's result equals, bit for bit, an unbatched call on its own noise.
 
-    Args:
-        db: (m, k) or (P, m, k) standard Brownian increments on the uniform
-            grid.
-        iq: (m, k, k) or (P, m, k, k) covariance-scaled iterated integrals,
-            required by the Milstein-type kinds and refused by the
-            Euler-type ones.
-        ledger: optional cost ledger charged with the functional
-            evaluations of every step of one path (noise draws are charged
-            where the noise is drawn).
-        store: "trajectory" returns an (m+1, n) or (P, m+1, n) coefficient
-            array, "final" just the (n,) or (P, n) terminal state.
-        capture: optional collection of step indices; if given, a dict
-            index -> state copy ((n,) or (P, n)) is returned alongside the
-            main result.
+    Returns the (len(at), n) or (P, len(at), n) states; stepping stops at
+    at[-1]. A ledger is billed the functional evaluations of those steps
+    for one path (noise draws are billed where the noise is drawn).
 
-    Returns:
-        array, or (array, captures) when capture is not None. Deterministic
-        given the noise.
-
-    Raises:
-        NonFiniteState: some path's state is not finite. The states are
-            checked every few hundred steps and at the end; stepping stops
-            at the first block that fails, under suppressed overflow and
-            invalid-value warnings.
+    Raises NonFiniteState when some path's state is not finite: the state
+    is checked every few hundred steps and at the last one, and stepping
+    stops at the first check that fails, under suppressed overflow and
+    invalid-value warnings.
     """
-    if store not in ("trajectory", "final"):
-        raise ValueError("store must be 'trajectory' or 'final'")
     n, k, m, h = config.n, config.k, config.m, config.h
     scheme = REGISTRY[config.kind]
+    steps = _observation_steps(at, m)
     db = np.ascontiguousarray(db, dtype=float)
     batched = db.ndim == 3
     lead = db.shape[:1] if batched else ()
@@ -259,37 +229,31 @@ def integrate(config: SchemeConfig, problem: ProblemSpec, db: np.ndarray,
     if not batched:
         db = db[None]
         iq = None if iq is None else iq[None]
-    p = db.shape[0]
+    marks = steps.tolist()
+    p, last = db.shape[0], marks[-1]
     y = np.tile(np.asarray(problem.initial_coeffs(n), dtype=float), (p, 1))
     sqrt_eta = np.sqrt(problem.q_law.values(k))
     propagator = scheme.propagator(problem, n, h)
-    kernel = scheme.kernel
-    traj = None
-    if store == "trajectory":
-        traj = np.empty((p, m + 1, n))
-        traj[:, 0] = y
-    captures = {} if capture is not None else None
-    capture_set = set(capture) if capture is not None else ()
-    if 0 in capture_set:
-        captures[0] = y.copy()
-    checked = 0
+    out = np.empty((p, steps.size, n))
+    slot = 0
+    if marks[0] == 0:
+        out[:, 0] = y
+        slot = 1
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, m + 1):
+        for step in range(1, last + 1):
             iq_step = None if iq is None else iq[:, step - 1]
-            y = kernel(problem, y, db[:, step - 1], iq_step, h, propagator, sqrt_eta, ledger)
-            if traj is not None:
-                traj[:, step] = y
-            if step in capture_set:
-                captures[step] = y.copy()
-            if step % _FINITE_CHECK_STEPS == 0 or step == m:
-                _check_finite(y if traj is None else traj[:, checked:step + 1],
-                              config.kind, step)
-                checked = step + 1
-    result = traj if store == "trajectory" else y
-    if not batched:
-        result = result[0]
-        if captures is not None:
-            captures = {step: state[0] for step, state in captures.items()}
-    if capture is not None:
-        return result, captures
-    return result
+            y = scheme.kernel(problem, y, db[:, step - 1], iq_step, h, propagator, sqrt_eta)
+            if marks[slot] == step:
+                out[:, slot] = y
+                slot += 1
+            if step % _FINITE_CHECK_STEPS == 0 or step == last:
+                finite = np.isfinite(y).all(axis=1)
+                if not finite.all():
+                    raise NonFiniteState(config.kind, int(np.argmin(finite)), step)
+    if ledger is not None:
+        f, b, bprime = scheme.evals(n, k)
+        ledger.charge_f(last * f)
+        ledger.charge_b(last * b)
+        ledger.charge_bprime(last * bprime)
+        ledger.charge_unit(last * n)
+    return out if batched else out[0]

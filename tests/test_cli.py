@@ -116,14 +116,6 @@ def test_full_reference_with_config_exits_2(tmp_path, capsys):
     assert "error:" in err and "--full-reference" in err
 
 
-def test_reference_presets_are_exclusive(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["study", "--example", "1", "--scaled-reference", "--full-reference",
-              "--ladder", "2", "--schemes", "EES", "--paths", "2"])
-    assert exc.value.code == 2
-    assert "error:" in capsys.readouterr().err
-
-
 def test_cost_config_missing_key_exits_2(tmp_path, capsys):
     cfg = {k: v for k, v in _EXAMPLE1_CONFIG.items() if k != "gamma"}
     assert main(["cost", "--config", _write_config(tmp_path, cfg), "--ladder", "2"]) == 2
@@ -147,3 +139,22 @@ def test_noise_test_rejects_degenerate_sizes(args, flag, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err and flag in captured.err
+
+
+@pytest.mark.parametrize("h", ["nan", "inf"])
+def test_noise_test_rejects_non_finite_step_length(h, capsys):
+    assert main(["noise-test", "--samples", "10", "--h", h]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "step length" in captured.err
+
+
+@pytest.mark.parametrize("horizon", ["nan", "inf"])
+def test_study_rejects_non_finite_horizon(horizon, tmp_path, capsys):
+    path = _write_config(tmp_path, dict(_EXAMPLE1_CONFIG, horizon=horizon))
+    rc = main(["study", "--config", path, "--ladder", "2", "--schemes", "EES",
+               "--paths", "2", "--ref-n", "4", "--ref-k", "2", "--ref-m", "64"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "horizon" in captured.err

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 from dataclasses import replace
@@ -8,8 +9,8 @@ import pytest
 from mildspde.cost import cost_formula, ledger_expected
 from mildspde.harness import (LadderRow, ReferenceSpec, StudyConfig, StudyReport,
                               estimate_ms_error, fit_loglog, measure_order,
-                              paper_reference, plan_rows, run_study,
-                              scaled_reference)
+                              paper_reference, plan_rows, run_study)
+from mildspde.noise import choose_D1
 from mildspde.problems import (ProblemSpec, PowerLawInitial, ZeroDiffusion,
                                ZeroDrift, make_example)
 
@@ -75,7 +76,6 @@ def test_reference_presets():
     assert (ref.kind, ref.n, ref.k, ref.m) == ("LIE", 64, 3, 185364)
     ref2 = paper_reference(2)
     assert (ref2.k, ref2.m) == (3, 18391)
-    assert scaled_reference().m == 2**14
 
 
 def test_plan_rows_match_planner():
@@ -195,13 +195,24 @@ def test_rows_off_the_lattice_fail_where_no_bridge_serves():
 
 
 def test_coupling_aggregation_reproduces_endpoint():
-    # block sums of the fine increments telescope to the fine endpoint
-    # displacement; differences are summation-order roundoff only
-    from mildspde.noise import sample_increments_batch, substream
-    fine = sample_increments_batch(substream(0, 1), 4096, 3, 1 / 4096)
-    coarse = fine.reshape(64, 64, 3).sum(axis=1)
-    np.testing.assert_allclose(coarse.sum(axis=0), fine.sum(axis=0),
-                               rtol=1e-12, atol=1e-15)
+    # the block sums that Euler-type rows take equal, bit for bit, the
+    # increments that chain_arrays folds for Milstein-type rows at the same
+    # M, so both run on one table of increments; and they telescope to the
+    # lattice endpoint up to summation-order roundoff
+    from mildspde.harness import _aggregate
+    from mildspde.noise import chain_arrays, sample_increments_batch, substream
+    for paths, lattice, m, k in [(1, 4096, 64, 3), (2, 64, 16, 2), (3, 256, 8, 4),
+                                 (2, 1024, 1, 2), (1, 96, 32, 5), (2, 4096, 16, 1)]:
+        fine = np.stack([sample_increments_batch(substream(0, 1, p), lattice, k,
+                                                 1 / lattice) for p in range(paths)])
+        coarse = _aggregate(fine, m)
+        assert coarse.shape == (paths, m, k)
+        zeros = np.zeros((m, lattice // m, k, k))
+        for p in range(paths):
+            folded, _ = chain_arrays(fine[p].reshape(m, lattice // m, k), zeros, np.ones(k))
+            assert np.array_equal(coarse[p], folded)
+        np.testing.assert_allclose(coarse.sum(axis=1), fine.sum(axis=1),
+                                   rtol=1e-12, atol=1e-14)
 
 
 def test_report_ledger_equals_steps_times_expected():
@@ -295,6 +306,22 @@ def test_milstein_row_on_the_lattice_samples_at_its_own_depth():
     deep = run_study(replace(cfg, rows=(LadderRow("DFM", n=4, m=16, k=2, d=8),))).rows[0]
     assert (shallow.d, deep.d) == (1, 8)
     assert shallow.error != deep.error
+
+
+def test_json_echo_gives_the_reference_depth_that_ran():
+    prob = make_example(1)
+    rows = (LadderRow("EES", n=4, m=16, k=2),)
+    lie = run_study(StudyConfig(problem=prob, rows=rows, paths=2, seed=0,
+                                reference=ReferenceSpec("LIE", n=8, k=2, m=64)))
+    assert json.loads(lie.json_text())["config"]["reference"]["D"] is None
+    # a Milstein-type reference left unset runs at the D1 depth of its M
+    dfm = ReferenceSpec("DFM", n=8, k=2, m=64)
+    rep = run_study(StudyConfig(problem=prob, rows=rows, paths=2, seed=0, reference=dfm))
+    d1 = choose_D1(64, prob.params.q_dfm)
+    assert d1 > 1 and json.loads(rep.json_text())["config"]["reference"]["D"] == d1
+    explicit = replace(dfm, d=d1)
+    assert rep.json_text() == run_study(StudyConfig(problem=prob, rows=rows, paths=2,
+                                                    seed=0, reference=explicit)).json_text()
 
 
 def test_euler_type_reference_takes_no_series_depth():

@@ -31,7 +31,7 @@ def _one_step(kind, prob, y, db, iq, h):
                        d=1 if kind in MILSTEIN_KINDS else None, horizon=h)
     start = replace(prob, initial=_FixedInitial(tuple(y)))
     iq = None if iq is None else np.asarray(iq, dtype=float)[None]
-    return integrate(cfg, start, np.asarray(db, dtype=float)[None], iq, store="final")
+    return integrate(cfg, start, np.asarray(db, dtype=float)[None], iq, at=[1])[0]
 
 
 def _zero_noise_problem():
@@ -187,15 +187,23 @@ def test_integrate_replay_bitwise():
     np.testing.assert_array_equal(run(), run())
 
 
-def test_integrate_final_mode_and_capture():
+def test_integrate_at_selects_steps_of_the_trajectory():
     prob = make_example(1)
     cfg = SchemeConfig("LIE", n=4, k=2, m=8, horizon=1.0)
     db = sample_increments_batch(substream(3, 1), 8, 2, 1 / 8)
     traj = integrate(cfg, prob, db)
-    final, caps = integrate(cfg, prob, db, store="final", capture={0, 4, 8})
-    np.testing.assert_array_equal(final, traj[-1])
-    np.testing.assert_array_equal(caps[4], traj[4])
-    np.testing.assert_array_equal(caps[0], traj[0])
+    assert traj.shape == (9, 4)
+    np.testing.assert_array_equal(integrate(cfg, prob, db, at=[8]), traj[[8]])
+    np.testing.assert_array_equal(integrate(cfg, prob, db, at=[0, 4, 8]), traj[[0, 4, 8]])
+    np.testing.assert_array_equal(integrate(cfg, prob, db, at=np.arange(2, 6)), traj[2:6])
+
+
+@pytest.mark.parametrize("at", [[4, 2], [2, 2], [], [-1, 3], [3, 9], [[1, 2]], [0.5, 2]])
+def test_integrate_rejects_bad_at(at):
+    prob = make_example(1)
+    cfg = SchemeConfig("LIE", n=4, k=2, m=8, horizon=1.0)
+    with pytest.raises(ValueError, match="at must be"):
+        integrate(cfg, prob, np.zeros((8, 2)), at=at)
 
 
 def test_integrate_rejects_short_noise():
@@ -237,23 +245,19 @@ def _path_noise(kind, prob, paths, n, k, m, seed):
 
 @settings(derandomize=True, max_examples=20, deadline=None)
 @given(kind=st.sampled_from(KINDS), example=st.sampled_from((1, 3)),
-       store=st.sampled_from(("final", "trajectory")), capture=st.booleans(),
+       at=st.one_of(st.none(), st.sets(st.integers(0, 12), min_size=1).map(sorted)),
        paths=st.integers(1, 4), n=st.sampled_from((4, 16)), seed=st.integers(0, 999))
-def test_batched_integrate_equals_stacked_single_calls(kind, example, store, capture,
-                                                       paths, n, seed):
+def test_batched_integrate_equals_stacked_single_calls(kind, example, at, paths, n, seed):
+    # at ranges over every step (None) and sorted subsets of 0..m, with or
+    # without 0 and m
     prob = make_example(example)
     k, m = min(n, 5), 12
     cfg = SchemeConfig(kind, n=n, k=k, m=m, d=3 if kind in MILSTEIN_KINDS else None)
     db, iq = _path_noise(kind, prob, paths, n, k, m, seed)
-    steps = {0, 5, m} if capture else None
-    batched = integrate(cfg, prob, db, iq, store=store, capture=steps)
-    singles = [integrate(cfg, prob, db[p], None if iq is None else iq[p],
-                         store=store, capture=steps) for p in range(paths)]
-    if capture:
-        batched, caps = batched
-        singles, single_caps = zip(*singles)
-        for step in steps:
-            assert np.array_equal(caps[step], np.stack([c[step] for c in single_caps]))
+    batched = integrate(cfg, prob, db, iq, at=at)
+    singles = [integrate(cfg, prob, db[p], None if iq is None else iq[p], at=at)
+               for p in range(paths)]
+    assert batched.shape == (paths, m + 1 if at is None else len(at), n)
     assert np.array_equal(batched, np.stack(singles))
 
 
@@ -267,6 +271,10 @@ def test_batched_integrate_charges_one_path(kind):
     integrate(cfg, prob, db[0], None if iq is None else iq[0], ledger=one)
     integrate(cfg, prob, db, iq, ledger=four)
     assert four == one and one.functional_evals_f == m * n
+    # stepping stops at at[-1], and the bill counts the steps taken
+    part = CostLedger()
+    integrate(cfg, prob, db, iq, ledger=part, at=[0, 3])
+    assert part.functional_evals_f == 3 * n
 
 
 def test_integrate_names_first_non_finite_path():
@@ -278,6 +286,6 @@ def test_integrate_names_first_non_finite_path():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NonFiniteState) as exc:
-            integrate(cfg, prob, db, store="final")
+            integrate(cfg, prob, db, at=[cfg.m])
     assert exc.value.path == 1 and exc.value.kind == "EES"
     assert exc.value.step < cfg.m        # stopped before the last step
