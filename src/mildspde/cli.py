@@ -119,6 +119,8 @@ def _cmd_noise_test(args) -> int:
         raise ValueError("--samples must be >= 2 (moment checks need a sample variance)")
     if k < 1:
         raise ValueError("--k must be >= 1")
+    if not np.isfinite(args.rho_q):
+        raise ValueError(f"--rho-q must be finite, got {args.rho_q}")
     eta = np.arange(1.0, k + 1.0) ** -args.rho_q
     ledger = CostLedger()
     rng_inc = substream(args.seed, 1)

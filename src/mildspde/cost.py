@@ -9,20 +9,21 @@ are
     MIL + series integrals:  M N + M N K + M N^2 K + M K (1 + 2 M^(2q-1))
     EES / LIE:               M N + M N K + M K
 
-evaluated with the real-valued power and a single final ceiling. The
-ledger of an actual run uses the integer series depth D = ceil(M^(2q-1))
-instead, so the two totals are reported separately. The per-step
-functional evaluations of every kind come from `schemes.Scheme.evals`,
-which also bills the ledger of every `integrate` call.
+taken at the exact rational power M^(2q-1), with one final ceiling decided
+in integer arithmetic (`exactmath.ceil_power`). The ledger of an actual run
+uses the integer series depth D = ceil(M^(2q-1)) instead, so the two totals
+are reported separately. The per-step functional evaluations of every kind
+come from `schemes.Scheme.evals`, which also bills the ledger of every
+`integrate` call.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Union
+from numbers import Rational
+from typing import Optional
 
+from .exactmath import ceil_power
 from .schemes import REGISTRY, canonical_kind
 
 __all__ = ["CostLedger", "StepCounts", "cost_formula", "ledger_expected"]
@@ -78,47 +79,24 @@ class StepCounts:
         return c * (self.f + self.b + self.bprime) + self.normals
 
 
-def _exact_int_power(m: int, e: Fraction) -> Optional[int]:
-    # m**e when it is an exact integer, else None
-    if e == 0:
-        return 1
-    if e < 0:
-        return None
-    p, q = e.numerator, e.denominator
-    target = m**p
-    r = max(1, int(round(float(target) ** (1.0 / q))))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 1 and cand**q == target:
-            return cand
-    return None
-
-
 def cost_formula(kind: str, n: int, k: int, m: int,
-                 q: Union[Fraction, float, None] = None) -> int:
+                 q: Optional[Rational] = None) -> int:
     """Closed-form per-run cost, ceiling applied once to the full total.
 
     q (the temporal order) is required for the Milstein-type schemes, where
-    the series-depth term M^(2q-1) enters; exact rationals keep perfectly
-    representable powers exact.
+    the series-depth term M^(2q-1) enters, and must be an exact rational.
+    Every other term is an integer, so the one ceiling is that of the depth
+    term 2 M K M^(2q-1), decided exactly by `exactmath.ceil_power`.
     """
     scheme = REGISTRY[canonical_kind(kind)]
     if min(n, k, m) < 1:
         raise ValueError("resolutions must be positive")
-    base = m * sum(scheme.evals(n, k))
+    base = m * sum(scheme.evals(n, k)) + m * k
     if not scheme.milstein:
-        return base + m * k
+        return base
     if q is None:
         raise ValueError("Milstein-type cost needs the temporal order q")
-    if isinstance(q, Fraction):
-        e = 2 * q - 1
-        t_exact = _exact_int_power(m, e)
-        if t_exact is not None:
-            return base + m * k * (1 + 2 * t_exact)
-        t = float(m) ** float(e)
-    else:
-        t = float(m) ** (2.0 * float(q) - 1.0)
-    total = base + m * k * (1.0 + 2.0 * t)
-    return math.ceil(total - 1e-9 * max(1.0, total))
+    return base + ceil_power(m, 2 * q - 1, scale=2 * m * k)
 
 
 def ledger_expected(kind: str, n: int, k: int, d: Optional[int] = None) -> StepCounts:

@@ -481,7 +481,7 @@ def _row_sq_errors(ctx: _StudyContext, lo: int, row: LadderRow, db_row, iq_row,
     against the (P, len(ref_at), N_ref) reference states at the lattice
     steps ref_at."""
     cfg = SchemeConfig(kind=row.scheme, n=row.n, k=row.k, m=row.m,
-                       d=row.d, horizon=ctx.problem.horizon)
+                       horizon=ctx.problem.horizon)
     steps = _observed_steps(ctx, row)
     y = _integrate_paths(ctx, lo, cfg, db_row, iq_row, ledger=ledger, at=steps)
     # fancy indexing copies, so the reference states stay as they are
@@ -538,7 +538,7 @@ def _run_chunk(args):
     for r in ctx.rows:
         observed[_observed_steps(ctx, r) * lattice // r.m] = True
     ref_at = np.flatnonzero(observed)
-    ref_cfg = SchemeConfig(kind=ref.kind, n=ref.n, k=ref.k, m=lattice, d=ref.d,
+    ref_cfg = SchemeConfig(kind=ref.kind, n=ref.n, k=ref.k, m=lattice,
                            horizon=problem.horizon)
     ref_states = _integrate_paths(ctx, lo, ref_cfg, db_fine, ref_iq, at=ref_at)
 
@@ -675,8 +675,7 @@ def estimate_sup_second_moment(problem: ProblemSpec, kind: str, n: int, k: int,
     h = problem.horizon / m
     eta = problem.q_law.values(k)
     weights = problem.a_law.values(n) ** (2.0 * r)
-    cfg = SchemeConfig(kind=kind, n=n, k=k, m=m, d=d if milstein else None,
-                       horizon=problem.horizon)
+    cfg = SchemeConfig(kind=kind, n=n, k=k, m=m, horizon=problem.horizon)
     chunk = max(1, _CHUNK_NOISE_ELEMS // (m * k * (k + 1 if milstein else 1)))
     acc = np.zeros(m + 1)
     for lo in range(0, paths, chunk):

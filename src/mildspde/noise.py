@@ -45,8 +45,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence, Union
+from numbers import Rational
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -270,17 +270,12 @@ def chain_arrays(db: np.ndarray, iq: np.ndarray, eta: np.ndarray):
     return acc_db, acc_iq
 
 
-def choose_D1(m: int, q: Union[Fraction, float]) -> int:
-    """Series depth maintaining the temporal order: ceil(m**(2q-1)), >= 1."""
+def choose_D1(m: int, q: Rational) -> int:
+    """Series depth maintaining the temporal order: ceil(m**(2q-1)), >= 1,
+    for an exact rational q (`exactmath.ceil_power`)."""
     if m < 1:
         raise ValueError("step count must be >= 1")
-    if isinstance(q, Fraction):
-        return max(1, ceil_power(m, 2 * q - 1))
-    e = 2.0 * float(q) - 1.0
-    if e <= 0:
-        return 1
-    v = float(m) ** e
-    return max(1, math.ceil(v - 1e-9 * max(1.0, v)))
+    return ceil_power(m, 2 * q - 1)
 
 
 def exact_second_moment(i: int, j: int, h: float, eta: np.ndarray) -> float:

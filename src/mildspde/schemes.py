@@ -136,7 +136,6 @@ class SchemeConfig:
     n: int
     k: int
     m: int
-    d: Optional[int] = None
     horizon: float = 1.0
 
     def __post_init__(self):
@@ -148,11 +147,6 @@ class SchemeConfig:
             raise ValueError("need 1 <= K <= N")
         if not 0 < self.horizon < math.inf:
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
-        if REGISTRY[kind].milstein:
-            if self.d is None or self.d < 1:
-                raise ValueError(f"{kind} needs a series depth d >= 1")
-        elif self.d is not None:
-            raise ValueError(f"{kind} takes no series depth")
 
     @property
     def h(self) -> float:

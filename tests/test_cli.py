@@ -13,6 +13,20 @@ def test_cost_subcommand(capsys):
     assert "EES,2,12,2,,96" in out
 
 
+def test_cost_rounds_exactly(capsys):
+    # 2 M K M^(-1/2) = 16384 exactly; a float ceiling with a relative fudge
+    # read 2583707646
+    assert main(["cost", "--example", "3", "--ladder", "8", "--schemes", "MIL"]) == 0
+    assert "MIL,8,16777216,2,1,2583707648" in capsys.readouterr().out.split("\n")
+
+
+def test_eoc_plans_beyond_float_range(capsys):
+    # M = N^8 = 2^1024 is past the largest float
+    assert main(["eoc", "--example", "3", "--ladder", str(2**128)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["schemes"]["DFM"]["ladder"][0]["M"] == 2**1024
+
+
 def test_eoc_subcommand(capsys):
     assert main(["eoc", "--example", "3"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -147,6 +161,14 @@ def test_noise_test_rejects_non_finite_step_length(h, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err and "step length" in captured.err
+
+
+@pytest.mark.parametrize("rho_q", ["nan", "inf"])
+def test_noise_test_rejects_non_finite_rho_q(rho_q, capsys):
+    assert main(["noise-test", "--samples", "10", "--rho-q", rho_q]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "--rho-q" in captured.err
 
 
 @pytest.mark.parametrize("horizon", ["nan", "inf"])

@@ -1,9 +1,12 @@
+import decimal
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from mildspde.cost import CostLedger, cost_formula, ledger_expected
+from mildspde.harness import plan_rows
 from mildspde.noise import alg1_iterated_batch, sample_increments_batch, substream
 from mildspde.problems import make_example
 from mildspde.schemes import MILSTEIN_KINDS, SchemeConfig, integrate
@@ -38,6 +41,39 @@ def test_cost_formula_published_values_example2():
 def test_cost_formula_exact_power_path():
     # 16^(3/4) = 8 exactly: total is an exact integer, no float ceiling
     assert cost_formula("DFM", 4, 2, 16, Q1) == 64 + 256 + 32 * 17
+
+
+def _oracle_cost(kind, n, k, m, q):
+    # M N + (2 or 1 + N) M N K + M K (1 + 2 M^(2q-1)) in 80-digit decimal;
+    # a value within 1e-40 of an integer is that integer (the exact cases)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        e = 2 * q - 1
+        power = decimal.Decimal(m) ** (decimal.Decimal(e.numerator) / e.denominator)
+        per_nk = 2 if kind == "DFM" else 1 + n
+        total = m * n + per_nk * m * n * k + m * k * (1 + 2 * power)
+        nearest = total.to_integral_value()
+        if abs(total - nearest) < decimal.Decimal("1e-40"):
+            return int(nearest)
+        return int(total.to_integral_value(rounding=decimal.ROUND_CEILING))
+
+
+def test_cost_formula_matches_exact_oracle():
+    prob = make_example(3)
+    rows = plan_rows(prob, ("DFM", "MIL"), range(2, 33))
+    q = prob.params.q_dfm
+    for row in rows:
+        assert cost_formula(row.scheme, row.n, row.k, row.m, q) == \
+            _oracle_cost(row.scheme, row.n, row.k, row.m, q), row
+    assert cost_formula("MIL", 8, 2, 2**24, q) == 2_583_707_648     # planned row N = 8
+    rng = random.Random(10)
+    for _ in range(2000):
+        kind = rng.choice(("DFM", "MIL"))
+        n, k, m = rng.randint(1, 64), rng.randint(1, 64), rng.randint(1, 10**7)
+        b = rng.randint(1, 48)
+        q = Fraction(rng.randint(1, b), b)          # a temporal order in (0, 1]
+        assert cost_formula(kind, n, k, m, q) == _oracle_cost(kind, n, k, m, q), \
+            (kind, n, k, m, q)
 
 
 def test_cost_formula_requires_q_for_milstein():
@@ -80,14 +116,13 @@ def test_instrumented_ledger_matches_expected_for_every_scheme():
         led = CostLedger()
         db = sample_increments_batch(substream(0, 1), m, k, h, ledger=led)
         if kind in MILSTEIN_KINDS:
-            cfg = SchemeConfig(kind, n=n, k=k, m=m, d=d, horizon=prob.horizon)
             iq = alg1_iterated_batch(substream(0, 2), db, h, d, eta, ledger=led)
             exp = ledger_expected(kind, n, k, d)
         else:
-            cfg = SchemeConfig(kind, n=n, k=k, m=m, horizon=prob.horizon)
             iq = None
             exp = ledger_expected(kind, n, k)
-        integrate(cfg, prob, db, iq, ledger=led)
+        integrate(SchemeConfig(kind, n=n, k=k, m=m, horizon=prob.horizon), prob, db, iq,
+                  ledger=led)
         got = (led.functional_evals_f, led.functional_evals_b,
                led.functional_evals_bprime, led.normal_draws)
         assert got == (m * exp.f, m * exp.b, m * exp.bprime, m * exp.normals)

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -137,6 +138,25 @@ def test_ceil_power_exactness():
     assert ceil_power(5, Fraction(0)) == 1
     assert ceil_power(5, Fraction(-1, 2)) == 1
     assert ceil_power(1, Fraction(100)) == 1
+    # scaled: the smallest x >= scale * n**e
+    assert ceil_power(4, Fraction(1, 2), scale=3) == 6
+    assert ceil_power(2, Fraction(1, 2), scale=3) == 5          # 4.24...
+    assert ceil_power(16777216, Fraction(-1, 2), scale=2 * 16777216 * 2) == 16384
+    # negative exponents, scaled and not
+    assert ceil_power(16, Fraction(-1, 2), scale=8) == 2
+    assert ceil_power(16, Fraction(-1, 2), scale=9) == 3        # 2.25
+    assert ceil_power(2, Fraction(-3), scale=17) == 3           # 2.125
+    assert ceil_power(1000, Fraction(-2, 3), scale=7) == 1      # 0.07
+    for n in range(1, 12):
+        for e in range(-4, 5):
+            for scale in (1, 2, 3, 7, 100):
+                assert ceil_power(n, Fraction(e), scale=scale) == math.ceil(scale * Fraction(n)**e)
+    # far past the float range, and no float exponent
+    assert ceil_power(10**6, Fraction(8)) == 10**48
+    assert ceil_power(2**128, Fraction(8)) == 2**1024
+    assert ceil_power(np.int64(2**20), np.int64(8)) == 2**160   # no int64 wrap
+    with pytest.raises(ValueError):
+        ceil_power(16, 0.75)
 
 
 def test_plan_input_validation():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mildspde import noise
-from mildspde.cost import CostLedger
+from mildspde.cost import CostLedger, cost_formula
 from mildspde.noise import (NoisePacket, alg1_iterated_batch,
                             alg1_iterated_nested, chain_arrays, choose_D1,
                             exact_second_moment,
@@ -302,8 +302,11 @@ def test_depth_rule_examples():
     for m in (1, 5, 1000):
         assert choose_D1(m, Fraction(1, 2)) == 1
     assert choose_D1(1024, Fraction(7, 8)) == 182
-    assert choose_D1(16, 0.875) == 8      # float path, exact power
     assert choose_D1(8192, Fraction(7, 8)) == 862
+    with pytest.raises(ValueError):
+        choose_D1(16, 0.875)              # q must be an exact rational
+    with pytest.raises(ValueError):
+        cost_formula("DFM", 4, 2, 16, 0.875)
 
 
 def test_packet_validation():

@@ -18,7 +18,7 @@ PLAN = dict(gamma=Fraction(7, 8), beta=0, alpha=Fraction(9, 4), rho_a=2, rho_q=3
 def _consumers(kind):
     d = 2 if kind in MILSTEIN_KINDS else None
     return {
-        "SchemeConfig": lambda: SchemeConfig(kind, n=4, k=2, m=8, d=d),
+        "SchemeConfig": lambda: SchemeConfig(kind, n=4, k=2, m=8),
         "LadderRow": lambda: LadderRow(kind, n=4, m=8, k=2, d=d),
         "cost_formula": lambda: cost_formula(kind, 4, 2, 8, Fraction(7, 8)),
         "ledger_expected": lambda: ledger_expected(kind, 4, 2, d),

@@ -27,8 +27,7 @@ class _FixedInitial:
 
 def _one_step(kind, prob, y, db, iq, h):
     """State after one step of `kind` from y: integrate with m = 1."""
-    cfg = SchemeConfig(kind, n=len(y), k=len(db), m=1,
-                       d=1 if kind in MILSTEIN_KINDS else None, horizon=h)
+    cfg = SchemeConfig(kind, n=len(y), k=len(db), m=1, horizon=h)
     start = replace(prob, initial=_FixedInitial(tuple(y)))
     iq = None if iq is None else np.asarray(iq, dtype=float)[None]
     return integrate(cfg, start, np.asarray(db, dtype=float)[None], iq, at=[1])[0]
@@ -41,11 +40,7 @@ def _zero_noise_problem():
 
 
 def test_config_validation():
-    SchemeConfig("DFM", n=4, k=2, m=8, d=3)
-    with pytest.raises(ValueError):
-        SchemeConfig("DFM", n=4, k=2, m=8)          # missing depth
-    with pytest.raises(ValueError):
-        SchemeConfig("EES", n=4, k=2, m=8, d=3)     # spurious depth
+    SchemeConfig("DFM", n=4, k=2, m=8)
     with pytest.raises(ValueError):
         SchemeConfig("EES", n=4, k=8, m=8)          # K > N
     with pytest.raises(ValueError):
@@ -152,7 +147,7 @@ def test_integrate_single_step_matches_step():
     # each step of a trajectory is a one-step integrate from the previous state
     prob = make_example(1)
     m, h = 2, 0.5
-    cfg = SchemeConfig("DFM", n=4, k=2, m=m, d=2, horizon=1.0)
+    cfg = SchemeConfig("DFM", n=4, k=2, m=m, horizon=1.0)
     eta = prob.q_law.values(2)
     db = sample_increments_batch(substream(1, 1), m, 2, h)
     iq = alg1_iterated_batch(substream(1, 2), db, h, 2, eta)
@@ -176,7 +171,7 @@ def test_integrate_pure_heat_decay():
 
 def test_integrate_replay_bitwise():
     prob = make_example(2)
-    cfg = SchemeConfig("MIL", n=6, k=3, m=12, d=4, horizon=1.0)
+    cfg = SchemeConfig("MIL", n=6, k=3, m=12, horizon=1.0)
     eta = prob.q_law.values(3)
 
     def run():
@@ -215,7 +210,7 @@ def test_integrate_rejects_short_noise():
         integrate(cfg, prob, np.zeros((8, 3)))                     # wrong K
     with pytest.raises(ValueError):
         integrate(cfg, prob, np.zeros((8, 2)), np.zeros((8, 2, 2)))  # Euler takes no iq
-    mil = SchemeConfig("MIL", n=4, k=2, m=8, d=1, horizon=1.0)
+    mil = SchemeConfig("MIL", n=4, k=2, m=8, horizon=1.0)
     with pytest.raises(ValueError):
         integrate(mil, prob, np.zeros((8, 2)))                     # iq missing
     with pytest.raises(ValueError):
@@ -252,7 +247,7 @@ def test_batched_integrate_equals_stacked_single_calls(kind, example, at, paths,
     # without 0 and m
     prob = make_example(example)
     k, m = min(n, 5), 12
-    cfg = SchemeConfig(kind, n=n, k=k, m=m, d=3 if kind in MILSTEIN_KINDS else None)
+    cfg = SchemeConfig(kind, n=n, k=k, m=m)
     db, iq = _path_noise(kind, prob, paths, n, k, m, seed)
     batched = integrate(cfg, prob, db, iq, at=at)
     singles = [integrate(cfg, prob, db[p], None if iq is None else iq[p], at=at)
@@ -265,7 +260,7 @@ def test_batched_integrate_equals_stacked_single_calls(kind, example, at, paths,
 def test_batched_integrate_charges_one_path(kind):
     prob = make_example(2)
     n, k, m = 6, 3, 8
-    cfg = SchemeConfig(kind, n=n, k=k, m=m, d=3 if kind in MILSTEIN_KINDS else None)
+    cfg = SchemeConfig(kind, n=n, k=k, m=m)
     db, iq = _path_noise(kind, prob, 4, n, k, m, seed=5)
     one, four = CostLedger(), CostLedger()
     integrate(cfg, prob, db[0], None if iq is None else iq[0], ledger=one)
