@@ -9,7 +9,8 @@ from .harness import (LadderRow, OrderFit, ReferenceSpec, StudyConfig,
                       StudyReport, estimate_ms_error, measure_order,
                       paper_reference, plan_rows, run_study)
 from .noise import (NoisePacket, alg1_iterated_batch, alg1_iterated_nested,
-                    chain_arrays, choose_D1, exact_second_moment,
+                    alg2_iterated_batch, chain_arrays, choose_D1, choose_D2,
+                    exact_second_moment,
                     sample_increments_batch, substream)
 from .problems import (ProblemSpec, RegularityParams, check_growth_bounds,
                        commutativity_defect, make_example,
@@ -24,7 +25,8 @@ __all__ = [
     "estimate_ms_error", "measure_order", "paper_reference", "plan_rows",
     "run_study",
     "NoisePacket", "alg1_iterated_batch", "alg1_iterated_nested",
-    "chain_arrays", "choose_D1", "exact_second_moment",
+    "alg2_iterated_batch", "chain_arrays", "choose_D1", "choose_D2",
+    "exact_second_moment",
     "sample_increments_batch", "substream",
     "ProblemSpec", "RegularityParams", "check_growth_bounds",
     "commutativity_defect", "make_example", "make_problem_from_config",

@@ -175,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_study.add_argument("--ref-k", type=int, default=3)
     p_study.add_argument("--ref-m", type=int, default=2**14)
     p_study.add_argument("--ref-d", type=int, default=None,
-                         help="series depth of a Milstein-type reference (default: D1 rule)")
+                         help="Algorithm 2 depth (default: D2 rule)")
     p_study.add_argument("--allow-big", action="store_true")
     p_study.add_argument("--out", help="CSV output path (default: stdout)")
     p_study.add_argument("--json", help="JSON mirror output path")

@@ -7,10 +7,15 @@ takes the increments of its grid values W(t_j), drawn by Brownian bridge
 between the neighbouring lattice points (grid times are exact rationals,
 so a time two rows share gets one value). Either way reference and rows
 share the driving path. Milstein-type rows additionally need iterated
-integrals. Under a Milstein-type reference every Milstein-type M folds
+integrals. A Milstein-type reference samples its own with Algorithm 2,
+whose error falls like 1/D rather than 1/sqrt(D), at its depth D (default:
+`choose_D2` of its K and of the D1 rule at its M, the depth whose error
+bound matches Algorithm 1's there). Under it, every Milstein-type M folds
 them from the reference's with the exact chaining rule; under an
 Euler-type reference every Milstein-type M samples its own from its
-increments with Algorithm 1, at the largest depth D of its rows.
+increments with Algorithm 1, at the largest depth D of its rows. Rows
+keep Algorithm 1 because the paper's cost model and effective order are
+derived for it.
 
 The mean-square error (E |X_ref(T) - Y_M|^2)^(1/2) is estimated across
 paths, with the standard error of the estimate obtained from the per-path
@@ -64,7 +69,8 @@ from . import noise as noise_mod
 from .cost import CostLedger, cost_formula, ledger_expected
 from .eoc import PlanInput, optimal_resolution
 from .exactmath import ceil_power
-from .noise import alg1_iterated_batch, choose_D1, sample_increments_batch, substream
+from .noise import (alg1_iterated_batch, alg2_iterated_batch, choose_D1, choose_D2,
+                    sample_increments_batch, substream)
 # imported only so that bench/tracer.py, which patches this name, keeps working
 from .noise import NoisePacket  # noqa: F401
 from .problems import ProblemSpec
@@ -87,8 +93,9 @@ _GUARDRAIL_STEPS = 2**33
 @dataclass(frozen=True)
 class ReferenceSpec:
     """Scheme and resolutions of the reference solution. A Milstein-type
-    reference takes an optional series depth (default: the D1 rule at its
-    M); an Euler-type one takes none."""
+    reference takes an optional Algorithm 2 series depth (default:
+    `choose_D2(K, D1)` with D1 the D1 rule at its M); an Euler-type one
+    takes none."""
 
     kind: str
     n: int
@@ -393,11 +400,14 @@ class _StudyContext:
     """Everything one worker needs to run all rows on a chunk of paths.
     Must stay picklable.
 
-    `series` lists (m, k, d) for every Milstein-type row M, finest first:
-    the largest K and D of the rows at that M. Under a Milstein-type reference the grid
-    folds its k-direction iterated integrals from the reference's (d is
-    unused); under an Euler-type one it samples them from its own
-    increments at depth d.
+    `reference.d` is the depth that runs: for a Milstein-type reference
+    left unset, `choose_D2` of its K and of the D1 rule at its M, which
+    its Algorithm 2 series then uses. `series` lists (m, k, d) for every
+    Milstein-type row M, finest first: the largest K and D of the rows at
+    that M. Under a Milstein-type reference the grid folds its
+    k-direction iterated integrals from the reference's (d is unused);
+    under an Euler-type one it samples them from its own increments with
+    Algorithm 1 at depth d.
     """
 
     problem: ProblemSpec
@@ -429,7 +439,7 @@ class _StudyContext:
 def _study_context(config: "StudyConfig") -> _StudyContext:
     ref = config.reference
     if REGISTRY[ref.kind].milstein and ref.d is None:
-        ref = replace(ref, d=choose_D1(ref.m, config.problem.params.q_dfm))
+        ref = replace(ref, d=choose_D2(ref.k, choose_D1(ref.m, config.problem.params.q_dfm)))
     milstein = [r for r in config.rows if REGISTRY[r.scheme].milstein]
     series = []
     # finest first: the largest fold or draw runs before the others' outputs pile up
@@ -498,7 +508,8 @@ def _run_chunk(args):
     """All rows on paths lo..hi-1.
 
     Each path draws its lattice increments (and bridge normals) from its
-    own (purpose, 0, path) substreams. Every row grid of M steps gets one
+    own (purpose, 0, path) substreams, and a Milstein-type reference its
+    iterated integrals with Algorithm 2. Every row grid of M steps gets one
     table of increments: block sums of the lattice increments when M
     divides the L lattice steps, bridged increments otherwise. A
     Milstein-type grid folds its iterated integrals from the reference's
@@ -522,7 +533,7 @@ def _run_chunk(args):
         rng_inc = substream(ctx.seed, _PURPOSE_INCREMENTS, 0, path)
         db_fine.append(sample_increments_batch(rng_inc, lattice, ref.k, h_f))
         if ref_milstein:
-            ref_iq.append(alg1_iterated_batch(
+            ref_iq.append(alg2_iterated_batch(
                 substream(ctx.seed, _PURPOSE_SERIES, 0, path),
                 db_fine[-1], h_f, ref.d, eta_ref))
         if ctx.bridge is not None:
@@ -647,9 +658,11 @@ def run_study(config: StudyConfig) -> StudyReport:
         "horizon": problem.horizon,
         "params": {name: str(getattr(problem.params, name))
                    for name in ("beta", "gamma", "delta", "alpha", "rho_a", "rho_q")},
-        # the depth that ran: None for Euler-type kinds, else the D1 rule when unset
+        # the depth and sampler that ran: D is None for Euler-type kinds,
+        # which draw no series and so carry no "series" key
         "reference": {"kind": ref.kind, "N": ref.n, "K": ref.k, "M": ref.m,
-                      "D": ctx.reference.d},
+                      "D": ctx.reference.d,
+                      **({"series": "alg2"} if REGISTRY[ref.kind].milstein else {})},
         "rows": [{"scheme": r.scheme, "N": r.n, "M": r.m, "K": r.k, "D": r.d}
                  for r in config.rows],
         "paths": config.paths,

@@ -3,8 +3,9 @@
 One time step of driving noise is a packet of K standard Brownian
 increments together with the K x K matrix of iterated Ito integrals of the
 covariance-scaled noise over that step. Off-diagonal entries carry Levy
-areas, which cannot be recovered from the increments and are simulated by
-a truncated Fourier-series expansion with D terms: the normalized matrix is
+areas, which cannot be recovered from the increments. Algorithm 1
+simulates them by a truncated Fourier-series expansion with D terms: the
+normalized matrix is
 
     I[i,j] = db_i db_j / 2 - delta_ij h / 2 + c_D * A[i,j],
     A[i,j] = (h / 2 pi) * sum_{r=1..D} (1/r) (X_ri Yt_rj - X_rj Yt_ri),
@@ -19,6 +20,19 @@ entry (i,j) by sqrt(eta_i * eta_j). Two identities hold for every sample
 and every D: the diagonal equals eta_i (db_i^2 - h)/2, and
 I[i,j] + I[j,i] = sqrt(eta_i eta_j) db_i db_j - delta_ij eta_i h.
 
+Algorithm 2 (Wiktorsson 2001) keeps the series with plain 1/r weights and
+no c_D, and adds a Gaussian approximation of its tail: A gains
+(h / 2 pi) a_D sqrt(Sigma) G, where a_D^2 = S_inf - S_D, G is antisymmetric
+with K(K-1)/2 i.i.d. standard normals above the diagonal, and Sigma is
+the tail's conditional covariance given db, up to the factor a_D^2. With
+c = sqrt(2/h) db, s = sqrt(1 + |db|^2 / h) and v = G c, its square root
+acts as sqrt(Sigma) G = sqrt(2) G + (v c^T - c v^T) / (sqrt(2) (1 + s)),
+so the tail costs O(K^2) per step and no K(K-1)/2-square matrix is built.
+The tail is antisymmetric, so both identities hold for it as well.
+Its error, in the same mean-square sense (against the exact areas under
+the best coupling), falls like 1/D rather than 1/sqrt(D), and
+`choose_D2` gives the depth whose error bound matches Algorithm 1's.
+
 Noise is held as arrays: (M, K) increments and (M, K, K) iterated
 integrals for M steps. Packets over adjacent steps chain exactly
 (`chain_arrays`), which couples coarse grids to a fine lattice without
@@ -29,16 +43,21 @@ generator is derived from a seed and an explicit substream key, so results
 do not depend on execution order or worker count. Functions that consume
 normal draws accept an optional ledger and charge it one unit per draw.
 
-Algorithm 1 has one streamed core: rows are drawn in order into one
-reused buffer of at most 2^18 normals (2 MB, cache-sized; one row if a row
-is larger); Y is shifted and X weighted in place, and the two halves are
-contracted as views. `alg1_iterated_batch` finishes each block of rows
-into its output, so its peak memory is the output plus about one block,
-and the block size cannot change a result. `alg1_iterated_nested` streams
-every depth block of its series through the same core and adds it into
-the running sum. Its depth-block boundaries (2^22 normals over all
-samples) decide which normal feeds which (sample, depth) term, so they are
-part of its output; the buffer size is not.
+Both algorithms share one streamed core: each row draws its X, its Y and
+(Algorithm 2) its tail normals contiguously, and rows are drawn in order
+into one reused buffer of at most 2^18 normals (2 MB, cache-sized; one
+row if a row is larger), X is weighted in place, and the halves are
+contracted as views. Algorithm 1 shifts Y by sqrt(2/h) db in place;
+Algorithm 2 adds the shift's share of the contraction, (sum_r x_r) c^T,
+as one outer product. `alg1_iterated_batch` and
+`alg2_iterated_batch` finish each block of rows in place into their
+output with one reused scratch array, so their peak memory is the output
+plus about one block, and the block size cannot change a result.
+`alg1_iterated_nested` streams every depth block of its series through
+the same core and adds it into the running sum. Its depth-block
+boundaries (2^22 normals over all samples) decide which normal feeds
+which (sample, depth) term, so they are part of its output; the buffer
+size is not.
 """
 
 from __future__ import annotations
@@ -46,6 +65,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from numbers import Rational
+from operator import index
 from typing import Optional, Sequence
 
 import numpy as np
@@ -58,8 +78,10 @@ __all__ = [
     "sample_increments_batch",
     "alg1_iterated_batch",
     "alg1_iterated_nested",
+    "alg2_iterated_batch",
     "chain_arrays",
     "choose_D1",
+    "choose_D2",
     "exact_second_moment",
 ]
 
@@ -146,30 +168,59 @@ _SERIES_BLOCK_NORMALS = 1 << 18
 _NESTED_BLOCK_NORMALS = 1 << 22
 
 
-def _series_blocks(rng: np.random.Generator, db: np.ndarray, h: float,
-                   weights: np.ndarray, ledger=None):
-    """Stream the series terms of the (s, k) increments db block by block.
+def _series_blocks(rng: np.random.Generator, s: int, k: int,
+                   weights: np.ndarray, ledger=None, extra: int = 0):
+    """Stream the series draws of s rows of k directions block by block.
 
-    Row i draws its X then its Y terms, 2 * d * k normals for the d
-    weights; rows are drawn in order into one reused buffer of at most
-    _SERIES_BLOCK_NORMALS normals (one row if a row is larger). Y is
-    shifted by sqrt(2/h) db and X weighted in place; yields
-    (lo, hi, sum_r w_r x_r ytil_r^T) with shape (hi - lo, k, k).
+    Row i draws its X terms, its Y terms, then `extra` further normals:
+    2 * d * k + extra normals for the d weights. Rows are drawn in order
+    into one reused buffer of at most _SERIES_BLOCK_NORMALS normals (one
+    row if a row is larger), and X is weighted in place; yields
+    (lo, hi, x, y, g) with x and y of shape (hi - lo, d, k) and g the
+    (hi - lo, extra) further normals.
     """
-    s, k = db.shape
     d = weights.size
-    chunk = max(1, _SERIES_BLOCK_NORMALS // max(1, 2 * d * k))
-    buf = np.empty((min(s, chunk), 2, d, k))
-    shift = math.sqrt(2.0 / h)
+    width = 2 * d * k + extra
+    chunk = max(1, _SERIES_BLOCK_NORMALS // max(1, width))
+    buf = np.empty((min(s, chunk), width))
+    weights_x = np.repeat(weights, k)
     for lo in range(0, s, chunk):
         hi = min(s, lo + chunk)
         z = buf[: hi - lo]
         rng.standard_normal(out=z)
-        _charge(ledger, (hi - lo) * 2 * d * k)
-        x, y = z[:, 0], z[:, 1]
-        y += shift * db[lo:hi, None, :]
-        x *= weights[:, None]
-        yield lo, hi, np.matmul(np.swapaxes(x, -1, -2), y)
+        _charge(ledger, (hi - lo) * width)
+        # a 2-D update: when the row width is no multiple of k, numpy cannot
+        # rule out overlap within a strided 3-D view and copies it first
+        z[:, : d * k] *= weights_x
+        yield (lo, hi, z[:, : d * k].reshape(hi - lo, d, k),
+               z[:, d * k: 2 * d * k].reshape(hi - lo, d, k), z[:, 2 * d * k:])
+
+
+def _check_batch(delta_beta, h: float, d: int, eta):
+    if d < 1:
+        raise ValueError("truncation depth must be >= 1")
+    if not 0 < h < math.inf:
+        raise ValueError(f"step length must be positive and finite, got {h}")
+    db = np.asarray(delta_beta, dtype=float)
+    _, k = db.shape
+    eta = np.asarray(eta, dtype=float)
+    if eta.shape != (k,):
+        raise ValueError("eta length does not match increment count")
+    return db, eta
+
+
+def _finish(o: np.ndarray, db: np.ndarray, h: float, scale: np.ndarray,
+            area: np.ndarray) -> None:
+    """Overwrite o, which holds P, with scale * (db db^T / 2 - h I / 2
+    + (h / 2 pi) (P - P^T)); area is a scratch array of o's shape."""
+    n, k = db.shape
+    np.subtract(o, np.swapaxes(o, -1, -2), out=area)
+    area *= h / _TWO_PI
+    np.multiply(db[:, :, None], db[:, None, :], out=o)
+    o *= 0.5
+    o.reshape(n, k * k)[:, :: k + 1] -= 0.5 * h
+    o += area
+    o *= scale
 
 
 def alg1_iterated_batch(rng: np.random.Generator, delta_beta: np.ndarray,
@@ -179,26 +230,65 @@ def alg1_iterated_batch(rng: np.random.Generator, delta_beta: np.ndarray,
     delta_beta has shape (s, k); the result has shape (s, k, k). Consumes
     exactly 2*d*k normals per row, drawn in row order, so the first rows of
     a batch equal a shorter batch drawn from the same generator state.
-    Beyond the result, the call holds one block of draws (module docstring).
+    Beyond the result, the call holds one block of draws and one (rows, k,
+    k) scratch array (module docstring).
     """
-    if d < 1:
-        raise ValueError("truncation depth must be >= 1")
-    if not 0 < h < math.inf:
-        raise ValueError(f"step length must be positive and finite, got {h}")
-    db = np.asarray(delta_beta, dtype=float)
+    db, eta = _check_batch(delta_beta, h, d, eta)
     s, k = db.shape
-    eta = np.asarray(eta, dtype=float)
-    if eta.shape != (k,):
-        raise ValueError("eta length does not match increment count")
     weights = _tail_scale(d) / np.arange(1.0, d + 1.0)
-    sqrt_eta = np.sqrt(eta)
-    scale = np.outer(sqrt_eta, sqrt_eta)
-    eye = np.eye(k)
+    scale = np.outer(np.sqrt(eta), np.sqrt(eta))
     out = np.empty((s, k, k))
-    for lo, hi, t1 in _series_blocks(rng, db, h, weights, ledger):
-        a = (h / _TWO_PI) * (t1 - np.swapaxes(t1, -1, -2))
-        i_norm = 0.5 * (db[lo:hi, :, None] * db[lo:hi, None, :]) - 0.5 * h * eye + a
-        out[lo:hi] = scale * i_norm
+    shift = math.sqrt(2.0 / h)
+    area = None
+    for lo, hi, x, y, _ in _series_blocks(rng, s, k, weights, ledger):
+        y += shift * db[lo:hi, None, :]
+        o = out[lo:hi]
+        np.matmul(np.swapaxes(x, -1, -2), y, out=o)
+        area = np.empty_like(o) if area is None else area[: hi - lo]
+        _finish(o, db[lo:hi], h, scale, area)
+    return out
+
+
+def alg2_iterated_batch(rng: np.random.Generator, delta_beta: np.ndarray,
+                        h: float, d: int, eta: np.ndarray, ledger=None) -> np.ndarray:
+    """Algorithm 2: the series of Algorithm 1 with plain 1/r weights, plus
+    a Gaussian approximation of its tail (module docstring).
+
+    delta_beta has shape (s, k); the result has shape (s, k, k). Consumes
+    exactly 2*d*k + k*(k-1)/2 normals per row (X, Y, then the tail's),
+    drawn in row order, so the first rows of a batch equal a shorter batch
+    drawn from the same generator state. Beyond the result, the call holds
+    one block of draws and one (rows, k, k) scratch array.
+    """
+    db, eta = _check_batch(delta_beta, h, d, eta)
+    s, k = db.shape
+    upper = np.triu_indices(k, 1)
+    weights = 1.0 / np.arange(1.0, d + 1.0)
+    a_d = math.sqrt(_S_INF - _partial_basel(d))
+    scale = np.outer(np.sqrt(eta), np.sqrt(eta))
+    out = np.empty((s, k, k))
+    work = None
+    for lo, hi, x, y, g in _series_blocks(rng, s, k, weights, ledger, extra=upper[0].size):
+        o = out[lo:hi]
+        work = np.empty_like(o) if work is None else work[: hi - lo]
+        c = math.sqrt(2.0 / h) * db[lo:hi]
+        # G = U - U^T with U the tail normals above the diagonal, v = G c
+        work.fill(0.0)
+        work[:, upper[0], upper[1]] = g
+        cv = c[:, :, None]
+        v = (np.matmul(work, cv) - np.matmul(np.swapaxes(work, -1, -2), cv))[..., 0]
+        # P = x^T y + (sum_r x_r + beta v) c^T + a_D sqrt(2) U with
+        # beta = a_D / (sqrt(2) (1 + s)): x^T y + (sum_r x_r) c^T is the
+        # series x^T (y + c), and P - P^T adds the tail a_D sqrt(Sigma) G
+        s_row = np.sqrt(1.0 + np.einsum("ij,ij->i", db[lo:hi], db[lo:hi]) / h)
+        v *= (a_d / (math.sqrt(2.0) * (1.0 + s_row)))[:, None]
+        v += x.sum(axis=1)
+        np.matmul(np.swapaxes(x, -1, -2), y, out=o)
+        work *= a_d * math.sqrt(2.0)
+        o += work
+        np.multiply(v[:, :, None], c[:, None, :], out=work)
+        o += work
+        _finish(o, db[lo:hi], h, scale, work)
     return out
 
 
@@ -231,6 +321,7 @@ def alg1_iterated_nested(rng: np.random.Generator, delta_beta: np.ndarray,
     scale = np.outer(sqrt_eta, sqrt_eta)
     base = 0.5 * (db[:, :, None] * db[:, None, :]) - 0.5 * h * np.eye(k)
     t1 = np.zeros((s, k, k))
+    shift = math.sqrt(2.0 / h)
     out = {}
     prev = 0
     block = max(1, _NESTED_BLOCK_NORMALS // max(1, 2 * s * k))
@@ -239,8 +330,9 @@ def alg1_iterated_nested(rng: np.random.Generator, delta_beta: np.ndarray,
         for lo in range(prev, depth, block):
             hi = min(depth, lo + block)
             weights = 1.0 / np.arange(lo + 1.0, hi + 1.0)
-            for s_lo, s_hi, part in _series_blocks(rng, db, h, weights):
-                t1[s_lo:s_hi] += part
+            for s_lo, s_hi, x, y, _ in _series_blocks(rng, s, k, weights):
+                y += shift * db[s_lo:s_hi, None, :]
+                t1[s_lo:s_hi] += np.matmul(np.swapaxes(x, -1, -2), y)
         prev = depth
         a = (_tail_scale(depth) * h / _TWO_PI) * (t1 - np.swapaxes(t1, -1, -2))
         out[depth] = scale * (base + a)
@@ -276,6 +368,18 @@ def choose_D1(m: int, q: Rational) -> int:
     if m < 1:
         raise ValueError("step count must be >= 1")
     return ceil_power(m, 2 * q - 1)
+
+
+def choose_D2(k: int, d1: int) -> int:
+    """Algorithm 2 depth whose mean-square error bound over k directions
+    matches Algorithm 1's at depth d1: the bounds K(K-1) h^2 / (2 pi^2 D1)
+    and 5 K^2 (K-1) h^2 / (24 pi^2 D2^2) are equal at D2^2 = 5 K D1 / 12.
+    Returns ceil(sqrt(5 k d1 / 12)) in integer arithmetic."""
+    k, d1 = index(k), index(d1)
+    if k < 1 or d1 < 1:
+        raise ValueError("direction count and depth must be >= 1")
+    # x >= sqrt(5 k d1 / 12)  <=>  x**2 >= ceil(5 k d1 / 12)
+    return math.isqrt(-(-5 * k * d1 // 12) - 1) + 1
 
 
 def exact_second_moment(i: int, j: int, h: float, eta: np.ndarray) -> float:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import warnings
@@ -10,7 +11,7 @@ from mildspde.cost import cost_formula, ledger_expected
 from mildspde.harness import (LadderRow, ReferenceSpec, StudyConfig, StudyReport,
                               estimate_ms_error, fit_loglog, measure_order,
                               paper_reference, plan_rows, run_study)
-from mildspde.noise import choose_D1
+from mildspde.noise import choose_D1, choose_D2
 from mildspde.problems import (ProblemSpec, PowerLawInitial, ZeroDiffusion,
                                ZeroDrift, make_example)
 
@@ -313,15 +314,42 @@ def test_json_echo_gives_the_reference_depth_that_ran():
     rows = (LadderRow("EES", n=4, m=16, k=2),)
     lie = run_study(StudyConfig(problem=prob, rows=rows, paths=2, seed=0,
                                 reference=ReferenceSpec("LIE", n=8, k=2, m=64)))
-    assert json.loads(lie.json_text())["config"]["reference"]["D"] is None
-    # a Milstein-type reference left unset runs at the D1 depth of its M
+    lie_echo = json.loads(lie.json_text())["config"]["reference"]
+    assert lie_echo["D"] is None and lie_echo.get("series") is None
+    # a Milstein-type reference left unset runs Algorithm 2 at the D2 depth
+    # matching the D1 rule at its M
     dfm = ReferenceSpec("DFM", n=8, k=2, m=64)
-    rep = run_study(StudyConfig(problem=prob, rows=rows, paths=2, seed=0, reference=dfm))
+    cfg = StudyConfig(problem=prob, rows=rows, paths=2, seed=0, reference=dfm)
+    rep = run_study(cfg)
     d1 = choose_D1(64, prob.params.q_dfm)
-    assert d1 > 1 and json.loads(rep.json_text())["config"]["reference"]["D"] == d1
-    explicit = replace(dfm, d=d1)
-    assert rep.json_text() == run_study(StudyConfig(problem=prob, rows=rows, paths=2,
-                                                    seed=0, reference=explicit)).json_text()
+    d2 = choose_D2(2, d1)
+    assert 1 < d2 < d1
+    echo = json.loads(rep.json_text())["config"]["reference"]
+    assert (echo["D"], echo["series"]) == (d2, "alg2")
+    explicit = replace(dfm, d=d2)
+    assert rep.json_text() == run_study(replace(cfg, reference=explicit)).json_text()
+    assert rep.csv_text() != run_study(replace(cfg, reference=replace(dfm, d=d1))).csv_text()
+
+
+# sha256 of the CSV and JSON of the full-tier example 2 study (LIE
+# reference, 6 paths, seed 8002). Its rows sample Algorithm 1 under an
+# Euler-type reference, so the Milstein-type reference's sampler must not
+# move these bytes (pinned with numpy 2.4 and its bundled OpenBLAS)
+FULLTIER_EX2_SHA256 = (
+    "b49dd03bfbc8dd05fabaec30f7455cacb804adc23a3ff82c105621e0184492d1",
+    "10023315ebd375885f694a4b3d4ef0cb427a9f1eba44b4ce5f896beb087e3a98",
+)
+
+
+def test_euler_type_reference_study_is_unchanged():
+    prob = make_example(2)
+    cfg = StudyConfig(problem=prob, rows=tuple(plan_rows(prob, ("DFM", "MIL", "EES"),
+                                                         (2, 4, 8, 16))),
+                      reference=paper_reference(2), paths=6, seed=8002)
+    rep = run_study(cfg)
+    got = tuple(hashlib.sha256(text.encode()).hexdigest()
+                for text in (rep.csv_text(), rep.json_text()))
+    assert got == FULLTIER_EX2_SHA256
 
 
 def test_euler_type_reference_takes_no_series_depth():

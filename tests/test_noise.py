@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from mildspde import noise
 from mildspde.cost import CostLedger, cost_formula
 from mildspde.noise import (NoisePacket, alg1_iterated_batch,
-                            alg1_iterated_nested, chain_arrays, choose_D1,
+                            alg1_iterated_nested, alg2_iterated_batch,
+                            chain_arrays, choose_D1, choose_D2,
                             exact_second_moment,
                             sample_increments_batch, substream)
 
@@ -203,6 +204,157 @@ def test_alg1_nested_peak_memory_is_output_plus_one_block():
     assert peak - sum(v.nbytes for v in out.values()) < 8 * 2**20
 
 
+ALG2_DEPTHS = pytest.mark.parametrize("d", [1, 4, 16])
+
+
+def _pairs(k):
+    return list(zip(*np.triu_indices(k, 1)))
+
+
+def _tail_covariance(db, h):
+    """Sigma, the Algorithm 2 tail's conditional covariance over the upper
+    pairs up to a_D^2, built entry by entry from the series terms
+    X_i Yt_j - X_j Yt_i: 2 delta + the covariance of the db-driven parts."""
+    c = math.sqrt(2.0 / h) * np.asarray(db, dtype=float)
+    pairs = _pairs(c.size)
+    sig = np.zeros((len(pairs), len(pairs)))
+    for p, (i, j) in enumerate(pairs):
+        for q, (a, b) in enumerate(pairs):
+            sig[p, q] = (2.0 * (p == q) + (i == a) * c[j] * c[b] - (i == b) * c[j] * c[a]
+                         - (j == a) * c[i] * c[b] + (j == b) * c[i] * c[a])
+    return sig
+
+
+def _alg2_explicit(rng, db, h, d, eta):
+    # Algorithm 2 with the tail's square root taken numerically from the
+    # explicit Sigma, every row in one draw
+    s, k = db.shape
+    pairs = _pairs(k)
+    z = rng.standard_normal((s, 2 * d * k + len(pairs)))
+    x = z[:, : d * k].reshape(s, d, k) / np.arange(1.0, d + 1.0)[:, None]
+    ytil = z[:, d * k: 2 * d * k].reshape(s, d, k) + math.sqrt(2.0 / h) * db[:, None, :]
+    t1 = np.matmul(np.swapaxes(x, -1, -2), ytil)
+    area = t1 - np.swapaxes(t1, -1, -2)
+    a_d = math.sqrt(np.pi**2 / 6.0 - float(np.sum(1.0 / np.arange(1.0, d + 1.0) ** 2)))
+    for row in range(s):
+        w, v = np.linalg.eigh(_tail_covariance(db[row], h))
+        tail = (v * np.sqrt(w)) @ v.T @ z[row, 2 * d * k:]
+        for (i, j), t in zip(pairs, tail):
+            area[row, i, j] += a_d * t
+            area[row, j, i] -= a_d * t
+    i_norm = (0.5 * (db[:, :, None] * db[:, None, :]) - 0.5 * h * np.eye(k)
+              + (h / (2.0 * np.pi)) * area)
+    return np.outer(np.sqrt(eta), np.sqrt(eta)) * i_norm
+
+
+@ALG2_DEPTHS
+def test_alg2_identities_every_sample(d):
+    db = sample_increments_batch(substream(15, 1), 5000, 3, 0.1)
+    eta = np.arange(1.0, 4.0) ** -3.0
+    iq = alg2_iterated_batch(substream(15, 2, d), db, 0.1, d, eta)
+    assert _identity_residual(db, iq, eta, 0.1) < 1e-12
+    np.testing.assert_allclose(np.diagonal(iq, axis1=1, axis2=2),
+                               eta * (db**2 - 0.1) / 2.0, rtol=1e-12, atol=1e-15)
+
+
+@ALG2_DEPTHS
+def test_alg2_matches_the_explicit_square_root(d):
+    db = sample_increments_batch(substream(16, 1), 40, 4, 0.05)
+    eta = np.arange(1.0, 5.0) ** -3.0
+    got = alg2_iterated_batch(substream(16, 2), db, 0.05, d, eta)
+    expect = _alg2_explicit(substream(16, 2), db, 0.05, d, eta)
+    np.testing.assert_allclose(got, expect, rtol=1e-10, atol=1e-13 * np.abs(expect).max())
+
+
+@ALG2_DEPTHS
+def test_alg2_conditional_covariance_is_the_exact_one(d):
+    # at fixed increments the Levy areas (I - I^T) / 2 have covariance
+    # (h / 2 pi)^2 (pi^2 / 6) Sigma at every depth: series plus tail
+    s, h = 200_000, 0.1
+    db = np.array([0.3, -0.2, 0.15])
+    iq = alg2_iterated_batch(substream(17, d), np.broadcast_to(db, (s, 3)), h, d,
+                             np.ones(3))
+    upper = np.triu_indices(3, 1)
+    areas = (0.5 * (iq - np.swapaxes(iq, -1, -2)))[:, upper[0], upper[1]]
+    expect = (h / (2.0 * np.pi)) ** 2 * (np.pi**2 / 6.0) * _tail_covariance(db, h)
+    assert np.abs(areas.mean(axis=0)).max() < 5.0 * math.sqrt(expect.max() / s)
+    assert np.abs(np.cov(areas.T) - expect).max() < 0.015 * expect.max()
+
+
+def _levy_area_excess_kurtosis(sampler, d, s=400_000, h=0.1):
+    db = sample_increments_batch(substream(18, 1), s, 2, h)
+    iq = sampler(substream(18, 2, d), db, h, d, np.ones(2))
+    area = 0.5 * (iq[:, 0, 1] - iq[:, 1, 0])
+    return (area**4).mean() / (area**2).mean() ** 2 - 3.0
+
+
+@ALG2_DEPTHS
+def test_alg2_levy_area_has_the_sech_kurtosis(d):
+    # the K = 2 Levy area has the sech law, excess kurtosis exactly 2;
+    # Algorithm 1's truncated series reads 3 at D = 1 (its tail is lost)
+    assert abs(_levy_area_excess_kurtosis(alg2_iterated_batch, d) - 2.0) < 0.3
+    if d == 1:
+        assert abs(_levy_area_excess_kurtosis(alg1_iterated_batch, d) - 2.0) > 0.6
+
+
+def test_alg2_draw_count_exact():
+    s, k, d = 3, 5, 6
+    led = CostLedger()
+    db = sample_increments_batch(substream(19, 1), s, k, 0.1)
+    rng = substream(19, 2)
+    alg2_iterated_batch(rng, db, 0.1, d, np.ones(k), ledger=led)
+    per_row = 2 * d * k + k * (k - 1) // 2
+    assert led.normal_draws == s * per_row
+    # the generator moved on by exactly that many normals
+    skipped = substream(19, 2)
+    skipped.standard_normal(s * per_row)
+    assert rng.standard_normal() == skipped.standard_normal()
+
+
+def test_alg2_rejects_bad_input():
+    with pytest.raises(ValueError):
+        alg2_iterated_batch(substream(0, 0), np.zeros((1, 2)), 0.1, 0, ETA2)
+    with pytest.raises(ValueError):
+        alg2_iterated_batch(substream(0, 0), np.zeros((1, 2)), 0.0, 1, ETA2)
+    with pytest.raises(ValueError):
+        alg2_iterated_batch(substream(0, 0), np.zeros((1, 3)), 0.1, 1, ETA2)
+
+
+@ALG2_DEPTHS
+def test_alg2_prefix_and_block_size_leave_rows_unchanged(monkeypatch, d):
+    s, k = 11, 4
+    eta = np.arange(1.0, k + 1.0) ** -3.0
+    db = sample_increments_batch(substream(20, 1), s, k, 0.05)
+    full = alg2_iterated_batch(substream(20, 2), db, 0.05, d, eta)
+    head = alg2_iterated_batch(substream(20, 2), db[:7], 0.05, d, eta)
+    np.testing.assert_array_equal(full[:7], head)
+    row = 2 * d * k + k * (k - 1) // 2
+    for rows_per_block in (1, 3, 4, 100):
+        monkeypatch.setattr(noise, "_SERIES_BLOCK_NORMALS", rows_per_block * row + 1)
+        got = alg2_iterated_batch(substream(20, 2), db, 0.05, d, eta)
+        np.testing.assert_array_equal(got, full)
+
+
+@pytest.mark.parametrize("s,k,d", [(1000, 16, 76), (4096, 16, 3)])
+def test_alg2_peak_memory_is_output_plus_one_block(s, k, d):
+    # criterion 7's reference depth (many normals per row) and
+    # mil-allgrid-ex3's (many rows per block): beyond the output, one block
+    # of draws and one (rows, k, k) scratch array may be live, not the
+    # whole batch's draws or one temporary per tail term
+    eta = np.arange(1.0, k + 1.0) ** -3.0
+    db = sample_increments_batch(substream(21, 1), s, k, 1.0 / 1024)
+    row = 2 * d * k + k * (k - 1) // 2
+    rows = min(s, noise._SERIES_BLOCK_NORMALS // row)
+    allowed = 8 * (rows * row + rows * k * k) + 2**20
+    tracemalloc.start()
+    try:
+        out = alg2_iterated_batch(substream(21, 2), db, 1.0 / 1024, d, eta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes < allowed
+
+
 def test_exact_second_moment_values():
     assert exact_second_moment(1, 1, 1.0, np.array([1.0, 1.0])) == 0.5
     assert exact_second_moment(1, 2, 0.0, ETA2) == 0.0
@@ -307,6 +459,20 @@ def test_depth_rule_examples():
         choose_D1(16, 0.875)              # q must be an exact rational
     with pytest.raises(ValueError):
         cost_formula("DFM", 4, 2, 16, 0.875)
+
+
+def test_alg2_depth_rule():
+    assert choose_D2(16, 862) == 76          # criterion 7's reference
+    assert choose_D2(16, 1) == 3             # mil-allgrid-ex3's reference
+    assert choose_D2(1, 1) == 1
+    # the smallest x with 12 x^2 >= 5 k d1, checked exactly
+    for k in range(1, 30):
+        for d1 in range(1, 300, 7):
+            x = choose_D2(k, d1)
+            assert 12 * x * x >= 5 * k * d1 > 12 * (x - 1) ** 2
+    for k, d1 in ((0, 5), (16, 0), (-1, 3), (4, -2)):
+        with pytest.raises(ValueError):
+            choose_D2(k, d1)
 
 
 def test_packet_validation():
