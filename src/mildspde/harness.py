@@ -10,12 +10,12 @@ share the driving path. Milstein-type rows additionally need iterated
 integrals. A Milstein-type reference samples its own with Algorithm 2,
 whose error falls like 1/D rather than 1/sqrt(D), at its depth D (default:
 `choose_D2` of its K and of the D1 rule at its M, the depth whose error
-bound matches Algorithm 1's there). Under it, every Milstein-type M folds
-them from the reference's with the exact chaining rule; under an
-Euler-type reference every Milstein-type M samples its own from its
-increments with Algorithm 1, at the largest depth D of its rows. Rows
+bound matches Algorithm 1's there), and uses them only itself. Whatever
+the reference's kind, every Milstein-type M samples its own from its
+increments with Algorithm 1, at the largest K and D of its rows. Rows
 keep Algorithm 1 because the paper's cost model and effective order are
-derived for it.
+derived for it, and so a row's error includes the truncation error of
+a series at its M, which its ledger bills.
 
 The mean-square error (E |X_ref(T) - Y_M|^2)^(1/2) is estimated across
 paths, with the standard error of the estimate obtained from the per-path
@@ -40,15 +40,14 @@ rows at one M share its series, so billed draws are the cost a standalone
 run would pay, not the draws made.
 
 Paths run in chunks. Each path draws from its own (purpose, 0, path)
-substreams (the series of a Milstein grid of M steps under an Euler-type
-reference from (purpose, 0, path, M)); the chunk stacks its paths' noise
-and integrates the reference and every row with one batched `integrate`
-call each. A process pool of W workers maps the chunks: a chunk holds
-min(ceil(paths / W), max(1, 2^19 // noise elements per path)) paths, so
-every worker gets a chunk and a chunk's stacked noise stays within 4 MB
-unless one path alone is larger. Batched and single-path integration agree
-bit for bit, so the chunking, like the worker count, cannot change a
-report.
+substreams (the series of a Milstein grid of M steps from (purpose, 0,
+path, M)); the chunk stacks its paths' noise and integrates the reference
+and every row with one batched `integrate` call each. A process pool of
+W workers maps the chunks: a chunk holds min(ceil(paths / W), max(1,
+2^19 // noise elements per path)) paths, so every worker gets a chunk and
+a chunk's stacked noise stays within 4 MB unless one path alone is
+larger. Batched and single-path integration agree bit for bit, so the
+chunking, like the worker count, cannot change a report.
 
 A reference or row state that turns non-finite stops its integration and
 raises ValueError naming the seed, path and scheme.
@@ -65,7 +64,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import noise as noise_mod
 from .cost import CostLedger, cost_formula, ledger_expected
 from .eoc import PlanInput, optimal_resolution
 from .exactmath import ceil_power
@@ -192,11 +190,6 @@ class StudyConfig:
             if self.error_at == "all-grid":
                 raise ValueError(f"row {row.scheme} M={row.m} does not divide the "
                                  f"reference M={ref.m}, which error_at='all-grid' needs")
-            if REGISTRY[row.scheme].milstein and REGISTRY[ref.kind].milstein:
-                raise ValueError(
-                    f"Milstein-type row {row.scheme} M={row.m} does not divide the "
-                    f"{ref.kind} reference M={ref.m}: the Brownian bridge gives no "
-                    f"Levy areas between lattice points")
 
 
 @dataclass(frozen=True)
@@ -403,11 +396,9 @@ class _StudyContext:
     `reference.d` is the depth that runs: for a Milstein-type reference
     left unset, `choose_D2` of its K and of the D1 rule at its M, which
     its Algorithm 2 series then uses. `series` lists (m, k, d) for every
-    Milstein-type row M, finest first: the largest K and D of the rows at
-    that M. Under a Milstein-type reference the grid folds its
-    k-direction iterated integrals from the reference's (d is unused);
-    under an Euler-type one it samples them from its own increments with
-    Algorithm 1 at depth d.
+    Milstein-type row M: the largest K and D of the rows at that M, with
+    which the grid samples its iterated integrals from its own increments
+    by Algorithm 1.
     """
 
     problem: ProblemSpec
@@ -442,8 +433,7 @@ def _study_context(config: "StudyConfig") -> _StudyContext:
         ref = replace(ref, d=choose_D2(ref.k, choose_D1(ref.m, config.problem.params.q_dfm)))
     milstein = [r for r in config.rows if REGISTRY[r.scheme].milstein]
     series = []
-    # finest first: the largest fold or draw runs before the others' outputs pile up
-    for m in sorted({r.m for r in milstein}, reverse=True):
+    for m in sorted({r.m for r in milstein}):
         at_m = [r for r in milstein if r.m == m]
         series.append((m, max(r.k for r in at_m), max(r.d for r in at_m)))
     bridged = sorted({r.m for r in config.rows if ref.m % r.m})
@@ -456,9 +446,8 @@ def _study_context(config: "StudyConfig") -> _StudyContext:
 
 def _aggregate(fine: np.ndarray, m_coarse: int) -> np.ndarray:
     """(P, m_coarse, K) block sums of the (P, L, K) lattice increments,
-    added left to right as `noise.chain_arrays` folds them (a plain sum
-    adds pairwise when K = 1), so Milstein-type rows folded from a
-    Milstein-type reference step on the same increments bit for bit."""
+    added left to right (a plain sum adds pairwise when K = 1). The order
+    is kept so that the rows' increments keep their bytes."""
     paths, lattice, k = fine.shape
     blocks = fine.reshape(paths, m_coarse, lattice // m_coarse, k)
     return np.ascontiguousarray(blocks.cumsum(axis=2)[:, :, -1])
@@ -511,12 +500,12 @@ def _run_chunk(args):
     own (purpose, 0, path) substreams, and a Milstein-type reference its
     iterated integrals with Algorithm 2. Every row grid of M steps gets one
     table of increments: block sums of the lattice increments when M
-    divides the L lattice steps, bridged increments otherwise. A
-    Milstein-type grid folds its iterated integrals from the reference's
-    when the reference is Milstein-type, and otherwise samples them from
-    its increments with Algorithm 1, from the (purpose, 0, path, M)
-    substream. The reference and every row are then integrated by one
-    batched call each, the reference at every lattice step a row observes.
+    divides the L lattice steps, bridged increments otherwise. Every
+    Milstein-type grid, whatever the reference's kind, samples its own
+    iterated integrals from that table with Algorithm 1, from the
+    (purpose, 0, path, M) substream. The reference and every row are then
+    integrated by one batched call each, the reference at every lattice
+    step a row observes.
     Returns per row the (hi-lo, observed steps) squared errors and the
     ledger total of one path.
     """
@@ -552,6 +541,7 @@ def _run_chunk(args):
     ref_cfg = SchemeConfig(kind=ref.kind, n=ref.n, k=ref.k, m=lattice,
                            horizon=problem.horizon)
     ref_states = _integrate_paths(ctx, lo, ref_cfg, db_fine, ref_iq, at=ref_at)
+    del ref_iq                        # serves the reference only
 
     # one table of increments per row grid
     grids = {m: _aggregate(db_fine, m) for m in {r.m for r in ctx.rows}
@@ -560,26 +550,13 @@ def _run_chunk(args):
         w = _bridge_values(ctx.bridge, db_fine, _stack(z_bridge), h_f)
         grids.update((m, np.diff(w[:, idx], axis=1)) for m, idx in ctx.bridge.index.items())
 
-    # increments and iterated integrals of every Milstein-type grid
-    milstein_noise = {}
+    # iterated integrals of every Milstein-type grid, from its own increments
+    milstein_iq = {}
     for m, k, d in ctx.series:
-        if ref_milstein:
-            # chaining acts entrywise, so folding k directions gives the
-            # k-slice of a fold over all of the reference's
-            ratio = lattice // m
-            folded = [noise_mod.chain_arrays(
-                          db_fine[i, :, :k].reshape(m, ratio, k),
-                          ref_iq[i, :, :k, :k].reshape(m, ratio, k, k), eta_ref[:k])
-                      for i in range(hi - lo)]
-            milstein_noise[m] = (_stack([db for db, _ in folded]),
-                                 _stack([iq for _, iq in folded]))
-        else:
-            iqs = [alg1_iterated_batch(
-                       substream(ctx.seed, _PURPOSE_SERIES, 0, path, m),
-                       np.ascontiguousarray(grids[m][i, :, :k]),
-                       problem.horizon / m, d, eta_ref[:k])
-                   for i, path in enumerate(range(lo, hi))]
-            milstein_noise[m] = (grids[m], _stack(iqs))
+        milstein_iq[m] = _stack([alg1_iterated_batch(
+            substream(ctx.seed, _PURPOSE_SERIES, 0, path, m),
+            np.ascontiguousarray(grids[m][i, :, :k]), problem.horizon / m, d, eta_ref[:k])
+            for i, path in enumerate(range(lo, hi))])
 
     sq_errors: List[np.ndarray] = []
     ledgers: List[int] = []
@@ -587,14 +564,10 @@ def _run_chunk(args):
         ledger = CostLedger()
         # bill the draws a standalone run of this row would make
         ledger.charge_normals(row.m * ledger_expected(row.scheme, row.n, row.k, row.d).normals)
-        if REGISTRY[row.scheme].milstein:
-            db_m, iq_m = milstein_noise[row.m]
-            db_row = db_m[:, :, : row.k]
-            iq_row = iq_m[:, :, : row.k, : row.k]
-        else:
-            db_row, iq_row = grids[row.m][:, :, : row.k], None
-        sq_errors.append(_row_sq_errors(ctx, lo, row, db_row, iq_row, ref_at,
-                                        ref_states, ledger))
+        iq_row = (milstein_iq[row.m][:, :, : row.k, : row.k]
+                  if REGISTRY[row.scheme].milstein else None)
+        sq_errors.append(_row_sq_errors(ctx, lo, row, grids[row.m][:, :, : row.k], iq_row,
+                                        ref_at, ref_states, ledger))
         ledgers.append(ledger.total())
     return sq_errors, ledgers
 
@@ -674,20 +647,16 @@ def run_study(config: StudyConfig) -> StudyReport:
 
 
 def estimate_sup_second_moment(problem: ProblemSpec, kind: str, n: int, k: int,
-                               m: int, paths: int, seed: int,
-                               r: Optional[float] = None,
-                               d: Optional[int] = None) -> float:
+                               m: int, paths: int, seed: int) -> float:
     """Monte Carlo estimate of max over grid points of E |Y_step|^2 in the
-    fractional norm of order r (default: the problem's delta)."""
+    fractional norm of order delta, Milstein-type kinds sampling their
+    series at the D1 depth of m."""
     kind = canonical_kind(kind)
     milstein = REGISTRY[kind].milstein
-    if r is None:
-        r = float(problem.params.delta)
-    if milstein and d is None:
-        d = choose_D1(m, problem.params.q_dfm)
+    d = choose_D1(m, problem.params.q_dfm) if milstein else None
     h = problem.horizon / m
     eta = problem.q_law.values(k)
-    weights = problem.a_law.values(n) ** (2.0 * r)
+    weights = problem.a_law.values(n) ** (2.0 * float(problem.params.delta))
     cfg = SchemeConfig(kind=kind, n=n, k=k, m=m, horizon=problem.horizon)
     chunk = max(1, _CHUNK_NOISE_ELEMS // (m * k * (k + 1 if milstein else 1)))
     acc = np.zeros(m + 1)

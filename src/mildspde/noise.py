@@ -35,8 +35,8 @@ the best coupling), falls like 1/D rather than 1/sqrt(D), and
 
 Noise is held as arrays: (M, K) increments and (M, K, K) iterated
 integrals for M steps. Packets over adjacent steps chain exactly
-(`chain_arrays`), which couples coarse grids to a fine lattice without
-fresh randomness.
+(`chain_arrays`): a coarse step's increments and iterated integrals
+follow from its fine steps' without fresh randomness.
 
 All sampling is driven by SeedSequence-keyed SFC64 substreams: each
 generator is derived from a seed and an explicit substream key, so results
@@ -46,13 +46,14 @@ normal draws accept an optional ledger and charge it one unit per draw.
 Both algorithms share one streamed core: each row draws its X, its Y and
 (Algorithm 2) its tail normals contiguously, and rows are drawn in order
 into one reused buffer of at most 2^18 normals (2 MB, cache-sized; one
-row if a row is larger), X is weighted in place, and the halves are
-contracted as views. Algorithm 1 shifts Y by sqrt(2/h) db in place;
-Algorithm 2 adds the shift's share of the contraction, (sum_r x_r) c^T,
-as one outer product. `alg1_iterated_batch` and
-`alg2_iterated_batch` finish each block of rows in place into their
-output with one reused scratch array, so their peak memory is the output
-plus about one block, and the block size cannot change a result.
+row if a row is larger) and at most 2^18 / K^2 rows, X is weighted in
+place, and the halves are contracted as views. Algorithm 1 shifts Y by
+sqrt(2/h) db in place; Algorithm 2 adds the shift's share of the
+contraction, (sum_r x_r) c^T, as one outer product. `alg1_iterated_batch`
+and `alg2_iterated_batch` finish each block of rows in place into their
+output with one reused (rows, K, K) scratch array, so their peak memory
+is the output plus about two blocks, and the block size cannot change a
+result.
 `alg1_iterated_nested` streams every depth block of its series through
 the same core and adds it into the running sum. Its depth-block
 boundaries (2^22 normals over all samples) decide which normal feeds
@@ -177,11 +178,13 @@ def _series_blocks(rng: np.random.Generator, s: int, k: int,
     into one reused buffer of at most _SERIES_BLOCK_NORMALS normals (one
     row if a row is larger), and X is weighted in place; yields
     (lo, hi, x, y, g) with x and y of shape (hi - lo, d, k) and g the
-    (hi - lo, extra) further normals.
+    (hi - lo, extra) further normals. A block also holds at most
+    _SERIES_BLOCK_NORMALS / k^2 rows, so a caller's (rows, k, k) scratch
+    stays within one block's size when k^2 exceeds the row width.
     """
     d = weights.size
     width = 2 * d * k + extra
-    chunk = max(1, _SERIES_BLOCK_NORMALS // max(1, width))
+    chunk = max(1, _SERIES_BLOCK_NORMALS // max(width, k * k))
     buf = np.empty((min(s, chunk), width))
     weights_x = np.repeat(weights, k)
     for lo in range(0, s, chunk):

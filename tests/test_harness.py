@@ -186,19 +186,24 @@ def test_rows_off_the_lattice_fail_where_no_bridge_serves():
     with pytest.raises(ValueError, match="EES M=12 does not divide the reference M=64"):
         StudyConfig(problem=prob, rows=(LadderRow("EES", n=4, m=12, k=2),),
                     reference=lie, paths=3, seed=0, error_at="all-grid")
+    # a Milstein-type row samples its series from its own bridged
+    # increments, so it runs under a Milstein-type reference too
     mil = ReferenceSpec("MIL", n=8, k=2, m=64, d=4)
-    with pytest.raises(ValueError, match="DFM M=12 does not divide the MIL reference M=64"):
-        StudyConfig(problem=prob, rows=(LadderRow("DFM", n=4, m=12, k=2, d=4),),
-                    reference=mil, paths=3, seed=0)
-    # Euler-type rows are bridged under a Milstein-type reference too
+    cfg = StudyConfig(problem=prob, rows=(LadderRow("DFM", n=4, m=12, k=2, d=4),),
+                      reference=mil, paths=3, seed=0)
+    serial = run_study(cfg)
+    assert 0 < serial.rows[0].error < math.inf
+    assert 0 < serial.rows[0].std < math.inf
+    assert serial.csv_text() == run_study(replace(cfg, workers=2)).csv_text()
+    # and so do Euler-type rows
     StudyConfig(problem=prob, rows=(LadderRow("EES", n=4, m=12, k=2),),
                 reference=mil, paths=3, seed=0)
 
 
 def test_coupling_aggregation_reproduces_endpoint():
-    # the block sums that Euler-type rows take equal, bit for bit, the
-    # increments that chain_arrays folds for Milstein-type rows at the same
-    # M, so both run on one table of increments; and they telescope to the
+    # the block sums every row steps on add left to right, so they equal,
+    # bit for bit, the increments chain_arrays folds from the same steps
+    # (the order that keeps the rows' bytes); and they telescope to the
     # lattice endpoint up to summation-order roundoff
     from mildspde.harness import _aggregate
     from mildspde.noise import chain_arrays, sample_increments_batch, substream
@@ -286,11 +291,17 @@ def test_incompatible_row_is_bridged():
     assert 0 < both.rows[1].error < math.inf
 
 
-def test_milstein_row_on_the_lattice_is_independent_of_other_rows():
-    # under an Euler-type reference each Milstein-type M samples its own
-    # series, so a MIL row at M = 32 leaves the DFM row at M = 16 as it was
+# one reference of each kind: every Milstein-type M samples its own series
+# under either
+REFERENCE_KINDS = pytest.mark.parametrize("ref_kind", ["LIE", "DFM"])
+
+
+@REFERENCE_KINDS
+def test_milstein_row_on_the_lattice_is_independent_of_other_rows(ref_kind):
+    # each Milstein-type M samples its own series, so a MIL row at M = 32
+    # leaves the DFM row at M = 16 as it was
     prob = make_example(1)
-    ref = ReferenceSpec("LIE", n=8, k=2, m=64)
+    ref = ReferenceSpec(ref_kind, n=8, k=2, m=64)
     dfm = LadderRow("DFM", n=4, m=16, k=2, d=8)
     cfg = StudyConfig(problem=prob, rows=(dfm,), reference=ref, paths=3, seed=5)
     alone = run_study(cfg)
@@ -298,9 +309,10 @@ def test_milstein_row_on_the_lattice_is_independent_of_other_rows():
     assert both.rows[0] == alone.rows[0]
 
 
-def test_milstein_row_on_the_lattice_samples_at_its_own_depth():
+@REFERENCE_KINDS
+def test_milstein_row_on_the_lattice_samples_at_its_own_depth(ref_kind):
     prob = make_example(1)
-    ref = ReferenceSpec("LIE", n=8, k=2, m=64)
+    ref = ReferenceSpec(ref_kind, n=8, k=2, m=64)
     cfg = StudyConfig(problem=prob, rows=(LadderRow("DFM", n=4, m=16, k=2, d=1),),
                       reference=ref, paths=3, seed=5)
     shallow = run_study(cfg).rows[0]
@@ -350,6 +362,31 @@ def test_euler_type_reference_study_is_unchanged():
     got = tuple(hashlib.sha256(text.encode()).hexdigest()
                 for text in (rep.csv_text(), rep.json_text()))
     assert got == FULLTIER_EX2_SHA256
+
+
+# sha256 of the CSV and JSON of the all-grid example 3 study (MIL
+# reference at M = 2^10, 5 paths, seed 8003). Its rows sample Algorithm 1
+# from their own increments under a Milstein-type reference, so any move of
+# those random numbers shows here (pinned with numpy 2.4 and its bundled
+# OpenBLAS)
+MIL_ALLGRID_EX3_SHA256 = (
+    "8fe3b00e4e1c8f281bc19fd8c22848e5de840dcca0fecc646428b2cbcd42be19",
+    "9a7e65d6023afe67bfd061b041c761373018ede29502b9010c1df68839eeee15",
+)
+
+
+def test_milstein_type_reference_study_is_pinned():
+    prob = make_example(3)
+    q = prob.params.q_dfm
+    rows = tuple(LadderRow(scheme, n=16, m=2**j, k=16, d=choose_D1(2**j, q))
+                 for scheme in ("DFM", "MIL") for j in range(3, 8))
+    ref = ReferenceSpec("MIL", n=16, k=16, m=2**10)
+    cfg = StudyConfig(problem=prob, rows=rows, reference=ref, paths=5, seed=8003,
+                      error_at="all-grid")
+    rep = run_study(cfg)
+    got = tuple(hashlib.sha256(text.encode()).hexdigest()
+                for text in (rep.csv_text(), rep.json_text()))
+    assert got == MIL_ALLGRID_EX3_SHA256
 
 
 def test_euler_type_reference_takes_no_series_depth():

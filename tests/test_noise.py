@@ -176,19 +176,37 @@ def test_alg1_blocks_equal_one_draw(monkeypatch, s, k, d, rows_per_block):
     assert led.normal_draws == s * 2 * d * k
 
 
-def test_alg1_peak_memory_is_output_plus_one_block():
-    # criterion 7's reference depth: 200 rows hold 5.5 M normals (44 MB),
-    # but only one block of them may be live at a time
-    s, k, d = 200, 16, 862
+def _peak_beyond_output(sampler, s, k, d, h, seed):
+    # tracemalloc peak of one sampler call, less its (s, k, k) output
     eta = np.arange(1.0, k + 1.0) ** -3.0
-    db = sample_increments_batch(substream(13, 1), s, k, 1.0 / 8192)
+    db = sample_increments_batch(substream(seed, 1), s, k, h)
     tracemalloc.start()
     try:
-        out = alg1_iterated_batch(substream(13, 2), db, 1.0 / 8192, d, eta)
+        out = sampler(substream(seed, 2), db, h, d, eta)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - out.nbytes < 8 * 2**20
+    return peak - out.nbytes
+
+
+def _block_allowance(s, k, row):
+    # one block of draws and one (rows, k, k) scratch array, plus 1 MB;
+    # rows per block are capped by the row width and by k^2, so this is
+    # at most two blocks plus 1 MB
+    rows = min(s, noise._SERIES_BLOCK_NORMALS // max(row, k * k))
+    allowed = 8 * rows * (row + k * k) + 2**20
+    assert allowed <= 16 * noise._SERIES_BLOCK_NORMALS + 2**20
+    return allowed
+
+
+def test_alg1_peak_memory_is_output_plus_one_block():
+    # the D1 depth at criterion 7's reference M: 200 rows hold 5.5 M
+    # normals (44 MB), but only one block of them may be live at a time
+    assert _peak_beyond_output(alg1_iterated_batch, 200, 16, 862, 1.0 / 8192, 13) < 8 * 2**20
+    # mil-allgrid-ex3's depth: k^2 exceeds the row width, so a block of
+    # 2^18 normals would hold 2730 rows and a 5.3 MB scratch array
+    assert (_peak_beyond_output(alg1_iterated_batch, 4096, 16, 3, 1.0 / 1024, 21)
+            < _block_allowance(4096, 16, 2 * 3 * 16))
 
 
 def test_alg1_nested_peak_memory_is_output_plus_one_block():
@@ -341,18 +359,9 @@ def test_alg2_peak_memory_is_output_plus_one_block(s, k, d):
     # mil-allgrid-ex3's (many rows per block): beyond the output, one block
     # of draws and one (rows, k, k) scratch array may be live, not the
     # whole batch's draws or one temporary per tail term
-    eta = np.arange(1.0, k + 1.0) ** -3.0
-    db = sample_increments_batch(substream(21, 1), s, k, 1.0 / 1024)
     row = 2 * d * k + k * (k - 1) // 2
-    rows = min(s, noise._SERIES_BLOCK_NORMALS // row)
-    allowed = 8 * (rows * row + rows * k * k) + 2**20
-    tracemalloc.start()
-    try:
-        out = alg2_iterated_batch(substream(21, 2), db, 1.0 / 1024, d, eta)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - out.nbytes < allowed
+    assert (_peak_beyond_output(alg2_iterated_batch, s, k, d, 1.0 / 1024, 21)
+            < _block_allowance(s, k, row))
 
 
 def test_exact_second_moment_values():
