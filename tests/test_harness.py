@@ -389,6 +389,31 @@ def test_milstein_type_reference_study_is_pinned():
     assert got == MIL_ALLGRID_EX3_SHA256
 
 
+# sha256 of the CSV and JSON of criterion 7's study at 4 paths (DFM
+# reference at M = 2^13, K = 16, seed 2027; bench/'s c7-dfm-ref). Its
+# reference samples Algorithm 2 on the lattice and its DFM rows Algorithm
+# 1 on their block sums, so any move of either series shows here (pinned
+# with numpy 2.4 and its bundled OpenBLAS)
+C7_DFM_REF_SHA256 = (
+    "1581c45aabfa2c6d119669878d94f0d96bb6a013daf4f15013eed25bee7d1471",
+    "594cbc342cd6c8c7699714edeac91cf075e78a7de013ab2efae37f75c65fc0a2",
+)
+
+
+def test_dfm_reference_study_is_pinned():
+    prob = make_example(1)
+    q = prob.params.q_dfm
+    ms = [2**j for j in range(4, 10)]
+    rows = (tuple(LadderRow("DFM", n=16, m=m, k=16, d=choose_D1(m, q)) for m in ms)
+            + tuple(LadderRow("EES", n=16, m=m, k=16) for m in ms))
+    cfg = StudyConfig(problem=prob, rows=rows, paths=4, seed=2027,
+                      reference=ReferenceSpec("DFM", n=16, k=16, m=2**13))
+    rep = run_study(cfg)
+    got = tuple(hashlib.sha256(text.encode()).hexdigest()
+                for text in (rep.csv_text(), rep.json_text()))
+    assert got == C7_DFM_REF_SHA256
+
+
 def test_euler_type_reference_takes_no_series_depth():
     with pytest.raises(ValueError, match="takes no series depth"):
         ReferenceSpec("LIE", n=8, k=2, m=64, d=5)
