@@ -39,15 +39,19 @@ registry's per-step counts (`Scheme.evals`). Rows share the lattice, and
 rows at one M share its series, so billed draws are the cost a standalone
 run would pay, not the draws made.
 
-Paths run in chunks. Each path draws from its own (purpose, 0, path)
+Paths run in chunks, one per worker: a pool of W workers maps chunks of
+ceil(paths / W) paths. Each path draws from its own (purpose, 0, path)
 substreams (the series of a Milstein grid of M steps from (purpose, 0,
-path, M)); the chunk stacks its paths' noise and integrates the reference
-and every row with one batched `integrate` call each. A process pool of
-W workers maps the chunks: a chunk holds min(ceil(paths / W), max(1,
-2^19 // noise elements per path)) paths, so every worker gets a chunk and
-a chunk's stacked noise stays within 4 MB unless one path alone is
-larger. Batched and single-path integration agree bit for bit, so the
-chunking, like the worker count, cannot change a report.
+path, M)). A chunk walks the lattice in blocks of steps whose noise, over
+all its paths, stays within one fixed element budget (1 MB of float64),
+though a block takes at least 64 steps, so that many paths do not make
+the blocks short enough for per-call overheads to matter.
+Per block every generator draws its share, the reference and then every
+row continue their batched `integrate` calls from their last states
+(`y0`), each as far as its increments are complete, and only the observed
+states are kept. Split draws equal whole ones, and batched and
+single-path integration agree bit for bit, so the blocks, the chunking
+and the worker count cannot change a report.
 
 A reference or row state that turns non-finite stops its integration and
 raises ValueError naming the seed, path and scheme.
@@ -67,8 +71,8 @@ import numpy as np
 from .cost import CostLedger, cost_formula, ledger_expected
 from .eoc import PlanInput, optimal_resolution
 from .exactmath import ceil_power
-from .noise import (alg1_iterated_batch, alg2_iterated_batch, choose_D1, choose_D2,
-                    sample_increments_batch, substream)
+from .noise import (_check_seed, alg1_iterated_batch, alg2_iterated_batch, choose_D1,
+                    choose_D2, sample_increments_batch, substream)
 # imported only so that bench/tracer.py, which patches this name, keeps working
 from .noise import NoisePacket  # noqa: F401
 from .problems import ProblemSpec
@@ -171,6 +175,7 @@ class StudyConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(self.rows))
+        _check_seed(self.seed)
         if self.paths < 2:
             raise ValueError("need at least two paths for an error estimate")
         if self.error_at not in ("final", "all-grid"):
@@ -303,9 +308,13 @@ def measure_order(report: StudyReport, axis: str = "M",
 
 # --- study execution ---------------------------------------------------------
 
-# A path chunk stacks at most this many noise elements (4 MB of float64)
-# into its batched integrate calls, or one path's worth if that is more.
-_CHUNK_NOISE_ELEMS = 2**19
+# A chunk walks the lattice in blocks of steps whose noise, over all the
+# chunk's paths, holds at most this many elements (1 MB of float64) ...
+_BLOCK_ELEMS = 2**17
+# ... but at least this many steps: every block costs each path a few
+# generator calls of fixed overhead (~0.1 ms for Algorithm 2), which must
+# stay small next to the block's draws when a chunk holds many paths
+_BLOCK_MIN_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -369,28 +378,29 @@ def _bridge_plan(lattice: int, ms: Sequence[int]) -> _BridgePlan:
                        index=index)
 
 
-def _bridge_values(plan: _BridgePlan, db_fine: np.ndarray, z: np.ndarray,
-                   h: float) -> np.ndarray:
-    """(P, L + 1 + n, K) values of W: the L + 1 lattice points (cumulative
-    sums of the (P, L, K) lattice increments db_fine), then the n bridge
-    points, built from the (P, n, K) standard normals z."""
-    paths, lattice, k = db_fine.shape
-    w = np.empty((paths, lattice + 1 + plan.cell.size, k))
-    w[:, 0] = 0.0
-    np.cumsum(db_fine, axis=1, out=w[:, 1: lattice + 1])
-    bridge = w[:, lattice + 1:]
-    for r in range(int(plan.rank.max(initial=-1)) + 1):
-        sel = np.flatnonzero(plan.rank == r)
-        cell = plan.cell[sel]
-        left = w[:, cell] if r == 0 else bridge[:, sel - 1]
-        bridge[:, sel] = (left + plan.weight[sel, None] * (w[:, cell + 1] - left)
-                          + (math.sqrt(h) * plan.spread[sel])[:, None] * z[:, sel])
-    return w
+def _bridge_values(plan: _BridgePlan, w: np.ndarray, z: np.ndarray, h: float,
+                   a: int = 0) -> None:
+    """Fill in the bridge points of the lattice cells a..a+s-1.
+
+    w is (P, s + 1 + n, K): W at the lattice points a..a+s, then room for
+    the n bridge points of those cells, which this draws from the (P, n, K)
+    standard normals z."""
+    first = int(np.searchsorted(plan.cell, a))
+    n = z.shape[1]
+    lattice_w, bridge = w[:, : w.shape[1] - n], w[:, w.shape[1] - n:]
+    rank = plan.rank[first: first + n]
+    for r in range(int(rank.max(initial=-1)) + 1):
+        sel = np.flatnonzero(rank == r)
+        cell = plan.cell[first + sel] - a
+        left = lattice_w[:, cell] if r == 0 else bridge[:, sel - 1]
+        bridge[:, sel] = (left + plan.weight[first + sel, None] * (lattice_w[:, cell + 1] - left)
+                          + (math.sqrt(h) * plan.spread[first + sel])[:, None] * z[:, sel])
 
 
 @dataclass(frozen=True)
 class _StudyContext:
-    """Everything one worker needs to run all rows on a chunk of paths.
+    """Everything one worker needs to run all rows on a chunk of paths,
+    which it streams over the lattice in blocks sized by `elems_per_step`.
     Must stay picklable.
 
     `reference.d` is the depth that runs: for a Milstein-type reference
@@ -410,12 +420,13 @@ class _StudyContext:
     bridge: Optional[_BridgePlan]
     series: Tuple[Tuple[int, int, int], ...]
 
-    def noise_per_path(self) -> int:
-        """Noise elements one path stacks: its lattice increments, the
-        reference's iterated integrals when it is Milstein-type, the
-        increments and iterated integrals of every Milstein-type grid and,
-        when rows are bridged, the bridge normals, the W values and each
-        bridged grid's increments."""
+    def elems_per_step(self) -> int:
+        """Noise elements one path holds per lattice step of a block,
+        rounded up: its lattice increments, the reference's iterated
+        integrals when it is Milstein-type, the increments and iterated
+        integrals of every Milstein-type grid and, when rows are bridged,
+        the bridge normals, the W values and each bridged grid's
+        increments."""
         lattice, k = self.reference.m, self.reference.k
         elems = lattice * k
         if REGISTRY[self.reference.kind].milstein:
@@ -424,7 +435,8 @@ class _StudyContext:
             points = self.bridge.cell.size
             # z draws, then W at the lattice and bridge points, then increments
             elems += (points + lattice + 1 + points + sum(self.bridge.index)) * k
-        return elems + sum(m * (k + k**2) for m, k, _ in self.series)
+        elems += sum(m * (k + k**2) for m, k, _ in self.series)
+        return -(-elems // lattice)
 
 
 def _study_context(config: "StudyConfig") -> _StudyContext:
@@ -445,28 +457,84 @@ def _study_context(config: "StudyConfig") -> _StudyContext:
 
 
 def _aggregate(fine: np.ndarray, m_coarse: int) -> np.ndarray:
-    """(P, m_coarse, K) block sums of the (P, L, K) lattice increments,
-    added left to right (a plain sum adds pairwise when K = 1). The order
-    is kept so that the rows' increments keep their bytes."""
+    """(P, m_coarse, K) sums of each r consecutive steps of the
+    (P, m_coarse r, K) lattice increments, added left to right (a plain
+    sum adds pairwise when K = 1). The order is kept so that the rows'
+    increments keep their bytes."""
     paths, lattice, k = fine.shape
     blocks = fine.reshape(paths, m_coarse, lattice // m_coarse, k)
     return np.ascontiguousarray(blocks.cumsum(axis=2)[:, :, -1])
 
 
-def _stack(per_path: List[np.ndarray]) -> np.ndarray:
-    """(P, ...) stack of per-path arrays; a view for a single path, so a
-    one-path chunk holds its noise only once."""
-    return per_path[0][None] if len(per_path) == 1 else np.stack(per_path)
+class _BlockSums:
+    """Increments of a grid whose step spans r lattice steps: their sums,
+    added left to right as `_aggregate` adds them. A grid step cut by a
+    block boundary carries its partial sum into the next block."""
+
+    def __init__(self, r: int):
+        self.r, self.partial, self.count = r, None, 0
+
+    def feed(self, fine: np.ndarray) -> np.ndarray:
+        """(P, j, K) increments of the j grid steps that the (P, s, K)
+        lattice increments of the next block complete."""
+        r, s = self.r, fine.shape[1]
+        head = r - self.count             # lattice steps that close the open grid step
+        if self.count:
+            # the partial sum goes first, so the sum still runs left to right
+            fine = np.concatenate([self.partial[:, None], fine], axis=1)
+            head += 1
+        if fine.shape[1] < head:
+            self.partial, self.count = fine.cumsum(axis=1)[:, -1], self.count + s
+            return fine[:, :0]
+        rest = fine[:, head:]
+        full = rest.shape[1] // r * r
+        self.count = rest.shape[1] - full
+        if self.count:
+            self.partial = rest[:, full:].cumsum(axis=1)[:, -1]
+        done = [fine[:, :head].cumsum(axis=1)[:, -1:]]
+        if full:
+            done.append(_aggregate(rest[:, :full], full // r))
+        return np.concatenate(done, axis=1)
 
 
-def _integrate_paths(ctx: _StudyContext, lo: int, cfg: SchemeConfig, db, iq, **kwargs):
-    """Batched `integrate` of paths lo, lo+1, ...; a non-finite path is
-    reported by its seed, path index and scheme."""
-    try:
-        return integrate(cfg, ctx.problem, db, iq, **kwargs)
-    except NonFiniteState as exc:
-        raise ValueError(f"non-finite state: seed {ctx.seed}, path {lo + exc.path}, "
-                         f"scheme {exc.kind}") from None
+class _BridgedGrid:
+    """Increments of a grid off the lattice: differences of its W values,
+    taken from each block's lattice and bridge points. The last grid value
+    is carried into the next block."""
+
+    def __init__(self, points: np.ndarray, m: int, lattice: int, paths: int, k: int):
+        self.points, self.m, self.lattice = points, m, lattice
+        self.done, self.last = 0, np.zeros((paths, k))
+
+    def feed(self, w: np.ndarray, a: int, b: int, first: int) -> np.ndarray:
+        """(P, j, K) increments of the grid steps that end by lattice step
+        b, from the block's W values w: lattice points a..b, then the
+        bridge points numbered from `first` on (`_bridge_values`)."""
+        upto = b * self.m // self.lattice
+        pts = self.points[self.done + 1: upto + 1]
+        local = np.where(pts <= self.lattice, pts - a,
+                         pts - (self.lattice + 1) - first + (b - a + 1))
+        vals = np.concatenate([self.last[:, None], w[:, local]], axis=1)
+        self.done, self.last = upto, vals[:, -1]
+        return np.diff(vals, axis=1)
+
+
+def _block_steps(paths: int, elems_per_step: int) -> int:
+    """Lattice steps per block of a chunk of paths, each holding
+    elems_per_step noise elements per step."""
+    return max(_BLOCK_MIN_STEPS, _BLOCK_ELEMS // (paths * elems_per_step))
+
+
+def _stacked(rngs: Sequence[np.random.Generator], draw) -> np.ndarray:
+    """(P, ...) array of draw(i, rng) over the paths' generators, filled
+    in place so that the per-path arrays are not held twice."""
+    out = None
+    for i, rng in enumerate(rngs):
+        x = draw(i, rng)
+        if out is None:
+            out = np.empty((len(rngs),) + x.shape)
+        out[i] = x
+    return out
 
 
 def _observed_steps(ctx: _StudyContext, row: LadderRow) -> np.ndarray:
@@ -474,110 +542,167 @@ def _observed_steps(ctx: _StudyContext, row: LadderRow) -> np.ndarray:
     return np.arange(row.m + 1) if ctx.error_at == "all-grid" else np.array([row.m])
 
 
-def _row_sq_errors(ctx: _StudyContext, lo: int, row: LadderRow, db_row, iq_row,
-                   ref_at: np.ndarray, ref_states: np.ndarray, ledger) -> np.ndarray:
-    """(P, observed steps) squared errors of one row on the chunk's paths,
-    against the (P, len(ref_at), N_ref) reference states at the lattice
-    steps ref_at."""
-    cfg = SchemeConfig(kind=row.scheme, n=row.n, k=row.k, m=row.m,
-                       horizon=ctx.problem.horizon)
-    steps = _observed_steps(ctx, row)
-    y = _integrate_paths(ctx, lo, cfg, db_row, iq_row, ledger=ledger, at=steps)
-    # fancy indexing copies, so the reference states stay as they are
-    diff = ref_states[:, np.searchsorted(ref_at, steps * ctx.reference.m // row.m)]
+class _Stepper:
+    """One scheme integrated block by block on the paths lo, lo+1, ... of
+    a study with this seed: its state, the steps taken, and the steps it
+    observes."""
+
+    def __init__(self, problem: ProblemSpec, seed: int, lo: int, cfg: SchemeConfig,
+                 observed: np.ndarray, ledger=None):
+        self.problem, self.seed, self.lo, self.cfg = problem, seed, lo, cfg
+        self.observed, self.ledger = observed, ledger
+        self.y = problem.initial_coeffs(cfg.n)
+        self.done = 0
+
+    def advance(self, db: np.ndarray, iq: Optional[np.ndarray]):
+        """Step through the steps whose noise db (and iq) holds. Returns
+        (i0, i1, states): the states at observed[i0:i1], the observed
+        steps reached since the last call. A non-finite path is reported
+        by its seed, path index and scheme."""
+        start, stop = self.done, self.done + db.shape[1]
+        i0 = int(np.searchsorted(self.observed, start, "left" if start == 0 else "right"))
+        i1 = int(np.searchsorted(self.observed, stop, "right"))
+        at = self.observed[i0:i1] - start
+        if at.size == 0 or at[-1] != stop - start:
+            at = np.append(at, stop - start)
+        try:
+            out = integrate(self.cfg, self.problem, db, iq, ledger=self.ledger,
+                            at=at, y0=self.y)
+        except NonFiniteState as exc:
+            raise ValueError(f"non-finite state: seed {self.seed}, path "
+                             f"{self.lo + exc.path}, scheme {exc.kind}") from None
+        self.y, self.done = out[:, -1], stop
+        return i0, i1, out[:, : i1 - i0]
+
+
+def _sq_errors(ctx: _StudyContext, row: LadderRow, y: np.ndarray,
+               ref: np.ndarray) -> np.ndarray:
+    """(P, steps) squared errors of a row's (P, steps, N) states y against
+    the (P, steps, N_ref) reference states ref at the same times, which
+    it may overwrite."""
     if ctx.error_space == "row":
-        diff = diff[..., : row.n] - y
+        diff = ref[..., : row.n] - y
     else:
+        diff = ref
         diff[..., : row.n] -= y
     # one dot product per (path, step): bit-equal to np.dot of each difference
     return (diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
 
 
 def _run_chunk(args):
-    """All rows on paths lo..hi-1.
+    """All rows on paths lo..hi-1, streamed over the lattice in blocks.
 
     Each path draws its lattice increments (and bridge normals) from its
     own (purpose, 0, path) substreams, and a Milstein-type reference its
-    iterated integrals with Algorithm 2. Every row grid of M steps gets one
-    table of increments: block sums of the lattice increments when M
-    divides the L lattice steps, bridged increments otherwise. Every
-    Milstein-type grid, whatever the reference's kind, samples its own
-    iterated integrals from that table with Algorithm 1, from the
-    (purpose, 0, path, M) substream. The reference and every row are then
-    integrated by one batched call each, the reference at every lattice
-    step a row observes.
+    iterated integrals with Algorithm 2. Every row grid of M steps takes
+    its increments from the lattice: sums of lattice increments when M
+    divides the L lattice steps, differences of bridged W values otherwise.
+    Every Milstein-type grid, whatever the reference's kind, samples its
+    own iterated integrals from those with Algorithm 1, from the
+    (purpose, 0, path, M) substream.
+
+    A block is the next lattice steps whose noise over the chunk's paths
+    stays within _BLOCK_ELEMS (`_StudyContext.elems_per_step`), or the
+    next _BLOCK_MIN_STEPS if that is more (`_block_steps`). Every
+    generator draws its block's share in turn, and split draws equal
+    whole ones, so the blocks cannot change a report. Per block the
+    reference, then every row, continues its batched integration as far
+    as its increments are complete; a grid step cut by the block's end
+    waits for the next block as a partial sum, a bridged grid as its last
+    W value. Only observed states are kept: the reference's at every
+    lattice step a row observes, and each row's squared errors.
     Returns per row the (hi-lo, observed steps) squared errors and the
     ledger total of one path.
     """
     ctx, lo, hi = args
-    problem = ctx.problem
-    ref = ctx.reference
-    lattice = ref.m
+    problem, ref, bridge = ctx.problem, ctx.reference, ctx.bridge
+    lattice, k_ref = ref.m, ref.k
     h_f = problem.horizon / lattice
-    eta_ref = problem.q_law.values(ref.k)
-    ref_milstein = REGISTRY[ref.kind].milstein
+    eta_ref = problem.q_law.values(k_ref)
+    paths = range(lo, hi)
 
-    db_fine, ref_iq, z_bridge = [], [], []
-    for path in range(lo, hi):
-        rng_inc = substream(ctx.seed, _PURPOSE_INCREMENTS, 0, path)
-        db_fine.append(sample_increments_batch(rng_inc, lattice, ref.k, h_f))
-        if ref_milstein:
-            ref_iq.append(alg2_iterated_batch(
-                substream(ctx.seed, _PURPOSE_SERIES, 0, path),
-                db_fine[-1], h_f, ref.d, eta_ref))
-        if ctx.bridge is not None:
-            z_bridge.append(sample_increments_batch(
-                substream(ctx.seed, _PURPOSE_BRIDGE, 0, path),
-                ctx.bridge.cell.size, ref.k, 1.0))
-    db_fine = _stack(db_fine)
-    ref_iq = _stack(ref_iq) if ref_milstein else None
+    # each path's substreams, kept across blocks
+    inc_rngs = [substream(ctx.seed, _PURPOSE_INCREMENTS, 0, p) for p in paths]
+    ref_rngs = ([substream(ctx.seed, _PURPOSE_SERIES, 0, p) for p in paths]
+                if REGISTRY[ref.kind].milstein else None)
+    bridge_rngs = ([substream(ctx.seed, _PURPOSE_BRIDGE, 0, p) for p in paths]
+                   if bridge is not None else None)
+    series = {m: (k, d, [substream(ctx.seed, _PURPOSE_SERIES, 0, p, m) for p in paths])
+              for m, k, d in ctx.series}
+    sums = {m: _BlockSums(lattice // m) for m in {r.m for r in ctx.rows} if lattice % m == 0}
+    bridged = {m: _BridgedGrid(idx, m, lattice, len(paths), k_ref)
+               for m, idx in (bridge.index.items() if bridge is not None else ())}
 
     # the reference is observed at every lattice step some row observes (a
     # mask, not np.unique, which imports numpy.ma: ~2 MB RSS per process)
     observed = np.zeros(lattice + 1, dtype=bool)
     for r in ctx.rows:
         observed[_observed_steps(ctx, r) * lattice // r.m] = True
-    ref_at = np.flatnonzero(observed)
-    ref_cfg = SchemeConfig(kind=ref.kind, n=ref.n, k=ref.k, m=lattice,
+    ref_cfg = SchemeConfig(kind=ref.kind, n=ref.n, k=k_ref, m=lattice,
                            horizon=problem.horizon)
-    ref_states = _integrate_paths(ctx, lo, ref_cfg, db_fine, ref_iq, at=ref_at)
-    del ref_iq                        # serves the reference only
+    ref_run = _Stepper(problem, ctx.seed, lo, ref_cfg, np.flatnonzero(observed))
+    ref_states = np.empty((len(paths), ref_run.observed.size, ref.n))
 
-    # one table of increments per row grid
-    grids = {m: _aggregate(db_fine, m) for m in {r.m for r in ctx.rows}
-             if lattice % m == 0}
-    if ctx.bridge is not None:
-        w = _bridge_values(ctx.bridge, db_fine, _stack(z_bridge), h_f)
-        grids.update((m, np.diff(w[:, idx], axis=1)) for m, idx in ctx.bridge.index.items())
-
-    # iterated integrals of every Milstein-type grid, from its own increments
-    milstein_iq = {}
-    for m, k, d in ctx.series:
-        milstein_iq[m] = _stack([alg1_iterated_batch(
-            substream(ctx.seed, _PURPOSE_SERIES, 0, path, m),
-            np.ascontiguousarray(grids[m][i, :, :k]), problem.horizon / m, d, eta_ref[:k])
-            for i, path in enumerate(range(lo, hi))])
-
-    sq_errors: List[np.ndarray] = []
-    ledgers: List[int] = []
+    runs, sq_errors = [], []
     for row in ctx.rows:
         ledger = CostLedger()
         # bill the draws a standalone run of this row would make
         ledger.charge_normals(row.m * ledger_expected(row.scheme, row.n, row.k, row.d).normals)
-        iq_row = (milstein_iq[row.m][:, :, : row.k, : row.k]
+        cfg = SchemeConfig(kind=row.scheme, n=row.n, k=row.k, m=row.m,
+                           horizon=problem.horizon)
+        runs.append(_Stepper(problem, ctx.seed, lo, cfg, _observed_steps(ctx, row), ledger))
+        sq_errors.append(np.empty((len(paths), runs[-1].observed.size)))
+
+    block = _block_steps(len(paths), ctx.elems_per_step())
+    w_start = np.zeros((len(paths), k_ref))          # W at the block's first lattice point
+    for a in range(0, lattice, block):
+        b = min(lattice, a + block)
+        db = _stacked(inc_rngs, lambda i, rng: sample_increments_batch(rng, b - a, k_ref, h_f))
+        ref_iq = None if ref_rngs is None else _stacked(
+            ref_rngs, lambda i, rng: alg2_iterated_batch(rng, db[i], h_f, ref.d, eta_ref))
+        i0, i1, states = ref_run.advance(db, ref_iq)
+        ref_states[:, i0:i1] = states
+        del ref_iq, states
+
+        # the increments of the grid steps this block completes
+        incs = {m: grid.feed(db) for m, grid in sums.items()}
+        if bridge is not None:
+            first, end = (int(i) for i in np.searchsorted(bridge.cell, [a, b]))
+            w = np.empty((len(paths), b - a + 1 + end - first, k_ref))
+            w[:, 0] = w_start
+            w[:, 1: b - a + 1] = db
+            np.cumsum(w[:, : b - a + 1], axis=1, out=w[:, : b - a + 1])
+            w_start = w[:, b - a].copy()
+            if end > first:
+                _bridge_values(bridge, w, _stacked(bridge_rngs, lambda i, rng: (
+                    sample_increments_batch(rng, end - first, k_ref, 1.0))), h_f, a)
+            incs.update((m, grid.feed(w, a, b, first)) for m, grid in bridged.items())
+            del w
+        del db
+
+        # iterated integrals of every Milstein-type grid, from its own increments
+        iqs = {m: _stacked(rngs, lambda i, rng: alg1_iterated_batch(
+                   rng, np.ascontiguousarray(incs[m][i, :, :k]), problem.horizon / m,
+                   d, eta_ref[:k]))
+               for m, (k, d, rngs) in series.items() if incs[m].shape[1]}
+
+        for row, run, sq in zip(ctx.rows, runs, sq_errors):
+            inc = incs[row.m]
+            if not inc.shape[1]:
+                continue
+            iq = (iqs[row.m][:, :, : row.k, : row.k]
                   if REGISTRY[row.scheme].milstein else None)
-        sq_errors.append(_row_sq_errors(ctx, lo, row, grids[row.m][:, :, : row.k], iq_row,
-                                        ref_at, ref_states, ledger))
-        ledgers.append(ledger.total())
-    return sq_errors, ledgers
+            i0, i1, y = run.advance(inc[:, :, : row.k], iq)
+            # fancy indexing copies, so the reference states stay as they are
+            at = np.searchsorted(ref_run.observed, run.observed[i0:i1] * lattice // row.m)
+            sq[:, i0:i1] = _sq_errors(ctx, row, y, ref_states[:, at])
+        del incs, iqs
+    return sq_errors, [run.ledger.total() for run in runs]
 
 
-def _chunk_size(paths: int, workers: int, noise_per_path: int) -> int:
-    """Paths per chunk: ceil(paths / workers), so every worker gets one
-    chunk, with a chunk's stacked noise capped at _CHUNK_NOISE_ELEMS
-    unless one path alone is larger."""
-    cap = -(-paths // workers)
-    return min(cap, max(1, _CHUNK_NOISE_ELEMS // noise_per_path))
+def _chunk_size(paths: int, workers: int) -> int:
+    """Paths per chunk: ceil(paths / workers), so every worker gets one."""
+    return -(-paths // workers)
 
 
 def run_study(config: StudyConfig) -> StudyReport:
@@ -601,7 +726,7 @@ def run_study(config: StudyConfig) -> StudyReport:
             f"(--allow-big) to run it")
 
     ctx = _study_context(config)
-    size = _chunk_size(config.paths, config.workers, ctx.noise_per_path())
+    size = _chunk_size(config.paths, config.workers)
     tasks = [(ctx, lo, min(lo + size, config.paths))
              for lo in range(0, config.paths, size)]
     if config.workers == 1:
@@ -658,17 +783,19 @@ def estimate_sup_second_moment(problem: ProblemSpec, kind: str, n: int, k: int,
     eta = problem.q_law.values(k)
     weights = problem.a_law.values(n) ** (2.0 * float(problem.params.delta))
     cfg = SchemeConfig(kind=kind, n=n, k=k, m=m, horizon=problem.horizon)
-    chunk = max(1, _CHUNK_NOISE_ELEMS // (m * k * (k + 1 if milstein else 1)))
+    # all paths at once, streamed in blocks of steps as a study chunk is
+    inc_rngs = [substream(seed, 71, m, path, 1) for path in range(paths)]
+    series_rngs = [substream(seed, 71, m, path, 2) for path in range(paths)]
+    run = _Stepper(problem, seed, 0, cfg, np.arange(m + 1))
+    block = _block_steps(paths, k * (k + 1 if milstein else 1))
     acc = np.zeros(m + 1)
-    for lo in range(0, paths, chunk):
-        dbs, iqs = [], []
-        for path in range(lo, min(lo + chunk, paths)):
-            db = sample_increments_batch(substream(seed, 71, m, path, 1), m, k, h)
-            dbs.append(db)
-            if milstein:
-                iqs.append(alg1_iterated_batch(substream(seed, 71, m, path, 2),
-                                               db, h, d, eta))
-        trajs = integrate(cfg, problem, _stack(dbs), _stack(iqs) if milstein else None)
-        for traj in trajs:
-            acc += (traj**2 * weights[None, :]).sum(axis=1)
+    for a in range(0, m, block):
+        b = min(m, a + block)
+        db = _stacked(inc_rngs, lambda i, rng: sample_increments_batch(rng, b - a, k, h))
+        iq = _stacked(series_rngs, lambda i, rng: alg1_iterated_batch(
+            rng, db[i], h, d, eta)) if milstein else None
+        i0, i1, states = run.advance(db, iq)
+        # path by path, as the sum over paths has always been added
+        for traj in states:
+            acc[i0:i1] += (traj**2 * weights[None, :]).sum(axis=1)
     return float((acc / paths).max())

@@ -89,10 +89,22 @@ __all__ = [
 _TWO_PI = 2.0 * np.pi
 
 
+def _check_seed(seed) -> None:
+    """ValueError naming the seed unless it is a non-negative integer."""
+    try:
+        valid = index(seed) >= 0
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def substream(seed: int, *key: int) -> np.random.Generator:
     """SeedSequence-keyed SFC64 substream for (seed, key...), independent of
     every other key. SFC64 is the fastest of numpy's generators at standard
-    normals, which dominate the cost of deep series."""
+    normals, which dominate the cost of deep series. The seed must be a
+    non-negative integer."""
+    _check_seed(seed)
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.SFC64(ss))
 

@@ -25,13 +25,16 @@ The noise may carry a leading path axis, (P, m, k) increments and
 noise bit for bit. The problem's drift and diffusion compute their
 per-dimension constants once and reuse them across steps.
 
-All steps end inside the projected space, so trailing projection is a
-no-op. Kernels are pure. `integrate` bills an optional ledger once per
-call with the steps taken times `Scheme.evals`, the cost of one path
-whatever the batch size (the Milstein derivative tensor is billed at
-K N^2 once per step, applications being free). The current state is
-checked for finiteness every few hundred steps; a non-finite path stops
-the integration with `NonFiniteState`.
+A call may continue a trajectory: given a state y0, it takes the next
+s <= m steps of the grid from there, so calls chained through their last
+states equal one call bit for bit. All steps end inside the projected
+space, so trailing projection is a no-op. Kernels are pure. `integrate`
+bills an optional ledger once per call with the steps taken times
+`Scheme.evals`, the cost of one path whatever the batch size (the
+Milstein derivative tensor is billed at K N^2 once per step, applications
+being free). The current state is checked for finiteness every few
+hundred steps; a non-finite path stops the integration with
+`NonFiniteState`.
 """
 
 from __future__ import annotations
@@ -184,40 +187,51 @@ def _observation_steps(at, m: int) -> np.ndarray:
 
 
 def integrate(config: SchemeConfig, problem: ProblemSpec, db: np.ndarray,
-              iq: Optional[np.ndarray] = None, *, ledger=None, at=None) -> np.ndarray:
-    """States of the configured scheme, stepped from the projected initial
-    value, at the increasing step indices `at` (default: every step 0..m).
+              iq: Optional[np.ndarray] = None, *, ledger=None, at=None,
+              y0=None) -> np.ndarray:
+    """States of the configured scheme at the increasing step indices `at`
+    (default: every step 0..s), stepped from the projected initial value or
+    from the state y0.
 
-    db holds (m, k) standard Brownian increments on the uniform grid, iq the
-    (m, k, k) covariance-scaled iterated integrals that the Milstein-type
-    kinds require and the Euler-type ones refuse. With a leading path axis
-    on both, P paths are stepped together as one (P, n) state, and each
-    path's result equals, bit for bit, an unbatched call on its own noise.
+    db holds (s, k) standard Brownian increments on the uniform grid, iq the
+    (s, k, k) covariance-scaled iterated integrals that the Milstein-type
+    kinds require and the Euler-type ones refuse. From the initial value s
+    is the grid's m; from y0, the call continues a trajectory by any s <= m
+    of its steps, and step 0 is y0. With a leading path axis on both, P
+    paths are stepped together as one (P, n) state, and each path's result
+    equals, bit for bit, an unbatched call on its own noise. y0 is one (n,)
+    state, or with a path axis (P, n) states or one (n,) state for every
+    path; it must be finite.
 
     Returns the (len(at), n) or (P, len(at), n) states; stepping stops at
     at[-1]. A ledger is billed the functional evaluations of those steps
     for one path (noise draws are billed where the noise is drawn).
 
     Raises NonFiniteState when some path's state is not finite: the state
-    is checked every few hundred steps and at the last one, and stepping
-    stops at the first check that fails, under suppressed overflow and
-    invalid-value warnings.
+    is checked every few hundred steps of the call and at its last one, and
+    stepping stops at the first check that fails, under suppressed overflow
+    and invalid-value warnings.
     """
     n, k, m, h = config.n, config.k, config.m, config.h
     scheme = REGISTRY[config.kind]
-    steps = _observation_steps(at, m)
     db = np.ascontiguousarray(db, dtype=float)
     batched = db.ndim == 3
     lead = db.shape[:1] if batched else ()
-    if db.shape != lead + (m, k):
-        raise ValueError(f"increments have shape {db.shape}, config needs {lead + (m, k)}")
+    s = m
+    if y0 is not None and db.ndim in (2, 3) and db.shape[-2] <= m:
+        s = db.shape[-2]
+    if db.shape != lead + (s, k):
+        want = m if y0 is None else f"s <= {m}"
+        raise ValueError(f"increments have shape {db.shape}, config needs "
+                         f"{lead + (want, k)}")
+    steps = _observation_steps(at, s)
     if scheme.milstein:
         if iq is None:
             raise ValueError(f"{config.kind} needs iterated integrals")
         iq = np.ascontiguousarray(iq, dtype=float)
-        if iq.shape != lead + (m, k, k):
+        if iq.shape != lead + (s, k, k):
             raise ValueError(f"iterated integrals have shape {iq.shape}, "
-                             f"config needs {lead + (m, k, k)}")
+                             f"config needs {lead + (s, k, k)}")
     elif iq is not None:
         raise ValueError(f"{config.kind} takes no iterated integrals")
     if not batched:
@@ -225,7 +239,16 @@ def integrate(config: SchemeConfig, problem: ProblemSpec, db: np.ndarray,
         iq = None if iq is None else iq[None]
     marks = steps.tolist()
     p, last = db.shape[0], marks[-1]
-    y = np.tile(np.asarray(problem.initial_coeffs(n), dtype=float), (p, 1))
+    if y0 is None:
+        y = np.tile(np.asarray(problem.initial_coeffs(n), dtype=float), (p, 1))
+    else:
+        y = np.asarray(y0, dtype=float)
+        if y.shape not in {(n,), lead + (n,)}:
+            raise ValueError(f"y0 has shape {y.shape}, config needs {lead + (n,)}"
+                             + (f" or {(n,)}" if batched else ""))
+        if not np.isfinite(y).all():
+            raise ValueError("y0 must be finite")
+        y = np.tile(y, (p, 1)) if y.ndim == 1 else y
     sqrt_eta = np.sqrt(problem.q_law.values(k))
     propagator = scheme.propagator(problem, n, h)
     out = np.empty((p, steps.size, n))

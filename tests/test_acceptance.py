@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, one printed verdict line each.
 
 Criteria 1-7, 9 and 10 form the fast tier and always run (the suite takes
-around ten minutes on two cores; criterion 7 dominates). Criterion 8
+around two minutes on two cores; criterion 7 dominates). Criterion 8
 re-runs the published error tables at full resolution and 500 paths; it
-takes about 14 minutes on two cores and only runs when MILDSPDE_FULL_TIER=1
+takes about 2 minutes on two cores and only runs when MILDSPDE_FULL_TIER=1
 is set.
 """
 
@@ -204,7 +204,7 @@ def test_criterion_07_temporal_order():
 
 
 @pytest.mark.skipif(not os.environ.get("MILDSPDE_FULL_TIER"),
-                    reason="full tier is opt-in (~14 min on 2 cores): set MILDSPDE_FULL_TIER=1")
+                    reason="full tier is opt-in (~2 min on 2 cores): set MILDSPDE_FULL_TIER=1")
 def test_criterion_08_published_error_tables():
     published = {
         1: {"DFM": [(2, 3.77e-2, 2.38e-3), (4, 2.95e-2, 1.25e-3),

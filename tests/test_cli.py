@@ -180,3 +180,13 @@ def test_study_rejects_non_finite_horizon(horizon, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err and "horizon" in captured.err
+
+
+@pytest.mark.parametrize("argv, seed", [
+    (["study", "--ladder", "2", "--paths", "3", "--seed", "-1"], "-1"),
+    (["noise-test", "--samples", "100", "--seed", "-3"], "-3"),
+])
+def test_negative_seed_is_named(argv, seed, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"seed must be a non-negative integer, got {seed}" in err

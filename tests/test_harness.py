@@ -131,16 +131,70 @@ def test_study_determinism_and_worker_independence(workers):
     assert serial.json_text() == pooled.json_text()
 
 
+@pytest.mark.parametrize("ref_kind", ["LIE", "DFM"])
+@pytest.mark.parametrize("error_at", ["final", "all-grid"])
+def test_reports_are_independent_of_the_block_size(monkeypatch, ref_kind, error_at):
+    # blocks of 1, 3, 5 and 37 lattice steps cut the rows' grid steps (8
+    # and 4 lattice steps at M = 16 and 32), the bridged grid's (128 / 12)
+    # and the Milstein grids' series, which continue block after block;
+    # every report keeps the bytes of the default blocks
+    import mildspde.harness as harness
+    prob = make_example(1)
+    ref = ReferenceSpec(ref_kind, n=8, k=2, m=128)
+    rows = (LadderRow("DFM", n=4, m=16, k=2, d=8),
+            LadderRow("EES", n=4, m=32, k=2),
+            LadderRow("MIL", n=4, m=16, k=2, d=8),
+            LadderRow("DFM", n=4, m=12, k=2, d=4))
+    if error_at == "all-grid":
+        rows = rows[:3]                   # all-grid takes no bridged row
+    cfg = StudyConfig(problem=prob, rows=rows, reference=ref, paths=5, seed=11,
+                      error_at=error_at)
+    default = run_study(cfg)
+    per_step = harness._study_context(cfg).elems_per_step()
+    monkeypatch.setattr(harness, "_BLOCK_MIN_STEPS", 1)
+    for steps in (1, 3, 5, 37):
+        monkeypatch.setattr(harness, "_BLOCK_ELEMS", steps * cfg.paths * per_step)
+        assert harness._block_steps(cfg.paths, per_step) == steps
+        rep = run_study(cfg)
+        assert rep.csv_text() == default.csv_text()
+        assert rep.json_text() == default.json_text()
+
+
+def test_study_memory_does_not_grow_with_the_lattice_noise():
+    # a one-worker chunk holds all its paths, but only one block of their
+    # noise: four times the paths add their observed states, not their
+    # lattices (here 4096 x (4 + 16) noise elements, 655 KB, per path)
+    import tracemalloc
+    prob = make_example(1)
+    ref = ReferenceSpec("MIL", n=8, k=4, m=4096)
+    rows = (LadderRow("DFM", n=4, m=64, k=4, d=8), LadderRow("EES", n=8, m=256, k=4),
+            LadderRow("EES", n=4, m=96, k=2))
+    cfg = StudyConfig(problem=prob, rows=rows, reference=ref, paths=2, seed=0)
+
+    def peak(paths):
+        tracemalloc.start()
+        try:
+            run_study(replace(cfg, paths=paths))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)                               # fills the problem's per-dimension caches
+    small, large = peak(4), peak(16)
+    # (paths, observed steps, N) states: the reference's at its one observed
+    # lattice step and the rows' final ones
+    states = 16 * 8 * (ref.n + sum(r.n for r in rows))
+    assert large - small <= states + 256 * 1024
+
+
 def test_chunk_size_spreads_paths_over_workers():
-    from mildspde.harness import _CHUNK_NOISE_ELEMS, _chunk_size
-    # one chunk per worker
-    assert _chunk_size(paths=6, workers=2, noise_per_path=100) == 3
-    assert _chunk_size(paths=5, workers=2, noise_per_path=100) == 3
-    assert _chunk_size(paths=5, workers=3, noise_per_path=100) == 2
-    assert _chunk_size(paths=500, workers=1, noise_per_path=100) == 500
-    # the stacked-noise cap still binds, down to one path per chunk
-    assert _chunk_size(6, 1, _CHUNK_NOISE_ELEMS // 2) == 2
-    assert _chunk_size(6, 2, 2 * _CHUNK_NOISE_ELEMS) == 1
+    from mildspde.harness import _chunk_size
+    # one chunk per worker, whatever a path's noise
+    assert _chunk_size(paths=6, workers=2) == 3
+    assert _chunk_size(paths=5, workers=2) == 3
+    assert _chunk_size(paths=5, workers=3) == 2
+    assert _chunk_size(paths=500, workers=1) == 500
+    assert _chunk_size(paths=6, workers=6) == 1
 
 
 def _bridged_grids(lattice, ms, paths, seed, k=2):
@@ -150,7 +204,9 @@ def _bridged_grids(lattice, ms, paths, seed, k=2):
     h = 1.0 / lattice
     plan = _bridge_plan(lattice, ms)
     db = math.sqrt(h) * rng.standard_normal((paths, lattice, k))
-    w = _bridge_values(plan, db, rng.standard_normal((paths, plan.cell.size, k)), h)
+    w = np.zeros((paths, lattice + 1 + plan.cell.size, k))
+    np.cumsum(db, axis=1, out=w[:, 1: lattice + 1])
+    _bridge_values(plan, w, rng.standard_normal((paths, plan.cell.size, k)), h)
     return db, {m: w[:, plan.index[m]] for m in ms}
 
 
@@ -442,6 +498,7 @@ def test_guardrail_counts_a_bridged_row_finer_than_the_reference():
 
 
 def test_chunk_noise_counts_the_bridge_arrays():
+    # per lattice step, rounded up: the block rule's count of one path's noise
     prob = make_example(1)
     ref = ReferenceSpec("LIE", n=8, k=2, m=64)
     cfg = StudyConfig(problem=prob, rows=(LadderRow("EES", n=4, m=12, k=2),),
@@ -449,13 +506,21 @@ def test_chunk_noise_counts_the_bridge_arrays():
     # j * 64 / 12 is off the lattice for the 8 grid points j not divisible by 3:
     # 64 increments, 8 bridge normals, 65 + 8 W values and 12 row increments
     from mildspde.harness import _study_context
-    assert _study_context(cfg).noise_per_path() == (64 + 8 + 73 + 12) * 2
+    assert _study_context(cfg).elems_per_step() == -(-(64 + 8 + 73 + 12) * 2 // 64)
     # a Milstein grid adds its increments and iterated integrals, m (k + k^2)
     cfg = replace(cfg, rows=(LadderRow("DFM", n=4, m=16, k=2, d=8),))
-    assert _study_context(cfg).noise_per_path() == 64 * 2 + 16 * (2 + 4)
+    assert _study_context(cfg).elems_per_step() == -(-(64 * 2 + 16 * (2 + 4)) // 64)
     # a Milstein-type reference adds its own iterated integrals
     cfg = replace(cfg, reference=ReferenceSpec("MIL", n=8, k=2, m=64))
-    assert _study_context(cfg).noise_per_path() == 64 * (2 + 4) + 16 * (2 + 4)
+    assert _study_context(cfg).elems_per_step() == 2 + 4 + -(-16 * (2 + 4) // 64)
+
+
+def test_blocks_fill_the_element_budget_down_to_a_minimum():
+    from mildspde.harness import _BLOCK_ELEMS, _BLOCK_MIN_STEPS, _block_steps
+    # c7-dfm-ref's 4 paths of 306 elements per step: 107 steps per block
+    assert _block_steps(4, 306) == _BLOCK_ELEMS // (4 * 306) == 107
+    # criterion 7's 100 paths per worker would get 4 steps: the minimum holds
+    assert _block_steps(100, 306) == _BLOCK_MIN_STEPS == 64
 
 
 def test_config_validation():
@@ -470,6 +535,15 @@ def test_config_validation():
     with pytest.raises(ValueError):
         StudyConfig(problem=prob, rows=(LadderRow("EES", n=4, m=8, k=2),),
                     reference=ref, paths=1, seed=0)      # too few paths
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+def test_config_rejects_a_bad_seed_by_name(seed):
+    prob = make_example(1)
+    ref = ReferenceSpec("LIE", n=8, k=2, m=64)
+    with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed!r}"):
+        StudyConfig(problem=prob, rows=(LadderRow("EES", n=4, m=8, k=2),),
+                    reference=ref, paths=4, seed=seed)
 
 
 def test_csv_layout():

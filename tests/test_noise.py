@@ -115,6 +115,28 @@ def test_batch_prefix_matches_shorter_batch(s, extra, k, d):
     np.testing.assert_array_equal(full[:s], head)
 
 
+@pytest.mark.parametrize("sampler", [alg1_iterated_batch, alg2_iterated_batch])
+def test_split_draws_equal_the_whole_draw(sampler):
+    # a study streams each generator in blocks of steps: successive calls on
+    # one generator continue its rows, bit for bit
+    k, d, h = 3, 5, 0.01
+    eta = np.arange(1.0, k + 1.0) ** -3.0
+    db = sample_increments_batch(substream(8, 1), 1000, k, h)
+    rng = substream(8, 1)
+    parts = [sample_increments_batch(rng, 317, k, h), sample_increments_batch(rng, 683, k, h)]
+    assert np.array_equal(np.concatenate(parts), db)
+    whole = sampler(substream(8, 2), db, h, d, eta)
+    rng = substream(8, 2)
+    parts = [sampler(rng, db[lo:hi], h, d, eta) for lo, hi in ((0, 117), (117, 600), (600, 1000))]
+    assert np.array_equal(np.concatenate(parts), whole)
+
+
+@pytest.mark.parametrize("seed", [-3, 2.5, None])
+def test_substream_rejects_a_bad_seed_by_name(seed):
+    with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed!r}"):
+        substream(seed, 1)
+
+
 def _alg1_all_rows_at_once(rng, db, h, d, eta):
     # the series formula of the module docstring, every row in one draw
     s, k = db.shape

@@ -217,6 +217,54 @@ def test_integrate_rejects_short_noise():
         integrate(mil, prob, np.zeros((8, 2)), np.zeros((7, 2, 2)))
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("batched", [False, True])
+def test_integrate_continues_from_y0(kind, batched):
+    # calls chained through their last states equal one call bit for bit,
+    # and their bills add up to its bill
+    prob = make_example(3)
+    n, k, m = 6, 3, 10
+    cfg = SchemeConfig(kind, n=n, k=k, m=m)
+    db, iq = _path_noise(kind, prob, 3, n, k, m, seed=7)
+    if not batched:
+        db, iq = db[0], None if iq is None else iq[0]
+
+    def steps(x, lo, hi):
+        return None if x is None else x[:, lo:hi] if batched else x[lo:hi]
+
+    whole_bill, parts_bill = CostLedger(), CostLedger()
+    whole = integrate(cfg, prob, db, iq, ledger=whole_bill)
+    head = integrate(cfg, prob, db, iq, ledger=parts_bill, at=np.arange(5))
+    middle = integrate(cfg, prob, steps(db, 4, 7), steps(iq, 4, 7), ledger=parts_bill,
+                       y0=head[..., -1, :], at=[0, 3])
+    tail = integrate(cfg, prob, steps(db, 7, m), steps(iq, 7, m), ledger=parts_bill,
+                     y0=middle[..., -1, :])
+    # step 0 of a continued call is y0; the tail observes steps 7..10
+    assert np.array_equal(middle[..., 0, :], head[..., -1, :])
+    chained = np.concatenate([head, middle[..., 1:, :], tail[..., 1:, :]], axis=-2)
+    assert np.array_equal(chained, whole[..., [0, 1, 2, 3, 4, 7, 8, 9, 10], :])
+    assert parts_bill == whole_bill
+    # one (n,) state serves every path
+    start = prob.initial_coeffs(n)
+    assert np.array_equal(integrate(cfg, prob, db, iq, y0=start), whole)
+
+
+def test_integrate_rejects_bad_y0():
+    prob = make_example(1)
+    cfg = SchemeConfig("EES", n=4, k=2, m=8, horizon=1.0)
+    y0 = np.ones(4)
+    for bad in (np.ones(5), np.ones((2, 4)), np.array([1.0, np.nan, 0.0, 0.0]),
+                np.array([np.inf, 0.0, 0.0, 0.0])):
+        with pytest.raises(ValueError, match="y0"):
+            integrate(cfg, prob, np.zeros((3, 2)), y0=bad)
+    with pytest.raises(ValueError, match="y0"):
+        integrate(cfg, prob, np.zeros((2, 3, 2)), y0=np.ones((3, 4)))   # 3 states, 2 paths
+    # a continued call takes at most the grid's m steps
+    with pytest.raises(ValueError, match="increments"):
+        integrate(cfg, prob, np.zeros((9, 2)), y0=y0)
+    assert integrate(cfg, prob, np.zeros((3, 2)), y0=y0).shape == (4, 4)
+
+
 def test_step_output_stays_projected():
     prob = make_example(1)
     y = np.arange(1.0, 6.0)
