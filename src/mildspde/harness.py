@@ -662,6 +662,7 @@ def _run_chunk(args):
             ref_rngs, lambda i, rng: alg2_iterated_batch(rng, db[i], h_f, ref.d, eta_ref))
         i0, i1, states = ref_run.advance(db, ref_iq)
         ref_states[:, i0:i1] = states
+        # each block's arrays go before the next block draws its own
         del ref_iq, states
 
         # the increments of the grid steps this block completes
