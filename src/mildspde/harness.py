@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import json
 import math
+from operator import index
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -92,6 +93,18 @@ _PURPOSE_BRIDGE = 13
 _GUARDRAIL_STEPS = 2**33
 
 
+def _check_integers(**fields) -> None:
+    """ValueError naming the first field whose value is not an integer
+    (None stands for an absent optional field)."""
+    for name, value in fields.items():
+        if value is None:
+            continue
+        try:
+            index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class ReferenceSpec:
     """Scheme and resolutions of the reference solution. A Milstein-type
@@ -107,6 +120,7 @@ class ReferenceSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", canonical_kind(self.kind))
+        _check_integers(N=self.n, K=self.k, M=self.m, D=self.d)
         if min(self.n, self.k, self.m) < 1 or self.k > self.n:
             raise ValueError("reference needs 1 <= K <= N and M >= 1")
         if REGISTRY[self.kind].milstein:
@@ -128,6 +142,7 @@ class LadderRow:
 
     def __post_init__(self):
         object.__setattr__(self, "scheme", canonical_kind(self.scheme))
+        _check_integers(N=self.n, K=self.k, M=self.m, D=self.d)
         if not 1 <= self.k <= self.n or self.m < 1:
             raise ValueError("row needs 1 <= K <= N and M >= 1")
         if REGISTRY[self.scheme].milstein:
@@ -176,6 +191,7 @@ class StudyConfig:
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(self.rows))
         _check_seed(self.seed)
+        _check_integers(paths=self.paths, workers=self.workers)
         if self.paths < 2:
             raise ValueError("need at least two paths for an error estimate")
         if self.error_at not in ("final", "all-grid"):

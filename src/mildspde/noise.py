@@ -53,7 +53,9 @@ contraction, (sum_r x_r) c^T, as one outer product. `alg1_iterated_batch`
 and `alg2_iterated_batch` finish each block of rows in place into their
 output with one reused (rows, K, K) scratch array, so their peak memory
 is the output plus about two blocks, and the block size cannot change a
-result.
+result. Their constants that depend only on (K, D), the X weights and
+Algorithm 2's indices above the diagonal and a_D, are computed on the
+first call and kept read-only.
 `alg1_iterated_nested` streams every depth block of its series through
 the same core and adds it into the running sum. Its depth-block
 boundaries (2^22 normals over all samples) decide which normal feeds
@@ -65,6 +67,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from numbers import Rational
 from operator import index
 from typing import Optional, Sequence
@@ -181,12 +184,33 @@ _SERIES_BLOCK_NORMALS = 1 << 18
 _NESTED_BLOCK_NORMALS = 1 << 22
 
 
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+@lru_cache(maxsize=64)
+def _alg1_constants(k: int, d: int):
+    """Algorithm 1's X weights c_D / r, each repeated over the k directions."""
+    return _readonly(np.repeat(_tail_scale(d) / np.arange(1.0, d + 1.0), k))
+
+
+@lru_cache(maxsize=64)
+def _alg2_constants(k: int, d: int):
+    """Algorithm 2's X weights 1 / r, each repeated over the k directions,
+    the row and column indices above the diagonal, and a_D."""
+    rows, cols = np.triu_indices(k, 1)
+    return (_readonly(np.repeat(1.0 / np.arange(1.0, d + 1.0), k)), _readonly(rows),
+            _readonly(cols), math.sqrt(_S_INF - _partial_basel(d)))
+
+
 def _series_blocks(rng: np.random.Generator, s: int, k: int,
-                   weights: np.ndarray, ledger=None, extra: int = 0):
+                   weights_x: np.ndarray, ledger=None, extra: int = 0):
     """Stream the series draws of s rows of k directions block by block.
 
+    weights_x holds the d weights of the X terms, each repeated k times.
     Row i draws its X terms, its Y terms, then `extra` further normals:
-    2 * d * k + extra normals for the d weights. Rows are drawn in order
+    2 * d * k + extra normals. Rows are drawn in order
     into one reused buffer of at most _SERIES_BLOCK_NORMALS normals (one
     row if a row is larger), and X is weighted in place; yields
     (lo, hi, x, y, g) with x and y of shape (hi - lo, d, k) and g the
@@ -194,11 +218,10 @@ def _series_blocks(rng: np.random.Generator, s: int, k: int,
     _SERIES_BLOCK_NORMALS / k^2 rows, so a caller's (rows, k, k) scratch
     stays within one block's size when k^2 exceeds the row width.
     """
-    d = weights.size
+    d = weights_x.size // k
     width = 2 * d * k + extra
     chunk = max(1, _SERIES_BLOCK_NORMALS // max(width, k * k))
     buf = np.empty((min(s, chunk), width))
-    weights_x = np.repeat(weights, k)
     for lo in range(0, s, chunk):
         hi = min(s, lo + chunk)
         z = buf[: hi - lo]
@@ -250,12 +273,11 @@ def alg1_iterated_batch(rng: np.random.Generator, delta_beta: np.ndarray,
     """
     db, eta = _check_batch(delta_beta, h, d, eta)
     s, k = db.shape
-    weights = _tail_scale(d) / np.arange(1.0, d + 1.0)
     scale = np.outer(np.sqrt(eta), np.sqrt(eta))
     out = np.empty((s, k, k))
     shift = math.sqrt(2.0 / h)
     area = None
-    for lo, hi, x, y, _ in _series_blocks(rng, s, k, weights, ledger):
+    for lo, hi, x, y, _ in _series_blocks(rng, s, k, _alg1_constants(k, d), ledger):
         y += shift * db[lo:hi, None, :]
         o = out[lo:hi]
         np.matmul(np.swapaxes(x, -1, -2), y, out=o)
@@ -277,19 +299,17 @@ def alg2_iterated_batch(rng: np.random.Generator, delta_beta: np.ndarray,
     """
     db, eta = _check_batch(delta_beta, h, d, eta)
     s, k = db.shape
-    upper = np.triu_indices(k, 1)
-    weights = 1.0 / np.arange(1.0, d + 1.0)
-    a_d = math.sqrt(_S_INF - _partial_basel(d))
+    weights_x, upper_i, upper_j, a_d = _alg2_constants(k, d)
     scale = np.outer(np.sqrt(eta), np.sqrt(eta))
     out = np.empty((s, k, k))
     work = None
-    for lo, hi, x, y, g in _series_blocks(rng, s, k, weights, ledger, extra=upper[0].size):
+    for lo, hi, x, y, g in _series_blocks(rng, s, k, weights_x, ledger, extra=upper_i.size):
         o = out[lo:hi]
         work = np.empty_like(o) if work is None else work[: hi - lo]
         c = math.sqrt(2.0 / h) * db[lo:hi]
         # G = U - U^T with U the tail normals above the diagonal, v = G c
         work.fill(0.0)
-        work[:, upper[0], upper[1]] = g
+        work[:, upper_i, upper_j] = g
         cv = c[:, :, None]
         v = (np.matmul(work, cv) - np.matmul(np.swapaxes(work, -1, -2), cv))[..., 0]
         # P = x^T y + (sum_r x_r + beta v) c^T + a_D sqrt(2) U with
@@ -344,8 +364,8 @@ def alg1_iterated_nested(rng: np.random.Generator, delta_beta: np.ndarray,
         # each depth block draws every sample's terms r = lo+1..hi in turn
         for lo in range(prev, depth, block):
             hi = min(depth, lo + block)
-            weights = 1.0 / np.arange(lo + 1.0, hi + 1.0)
-            for s_lo, s_hi, x, y, _ in _series_blocks(rng, s, k, weights):
+            weights_x = np.repeat(1.0 / np.arange(lo + 1.0, hi + 1.0), k)
+            for s_lo, s_hi, x, y, _ in _series_blocks(rng, s, k, weights_x):
                 y += shift * db[s_lo:s_hi, None, :]
                 t1[s_lo:s_hi] += np.matmul(np.swapaxes(x, -1, -2), y)
         prev = depth

@@ -172,14 +172,19 @@ class DiffusionBase:
     (..., n, k). stage_columns(stages, n) evaluates column j of the
     operator at a per-column state (row j of `stages`, which is
     (..., k, n)). deriv_column(y, v, j, n) is the derivative at y in
-    direction v applied to the j-th noise basis element; subclasses that
-    provide it set has_derivative.
+    direction v applied to the j-th noise basis element, (..., n); subclasses
+    that provide it set has_derivative. j may also be a sequence of column
+    indices: v then carries one direction per index, (..., len(j), n), row
+    i pairing with j[i], and the call returns those columns at once,
+    (..., len(j), n), row i equal bit for bit to the single call with j[i]
+    and row i of v.
     """
 
     has_derivative = False
 
-    def deriv_column(self, y: np.ndarray, v: np.ndarray, j: int, n: int) -> np.ndarray:
+    def deriv_column(self, y: np.ndarray, v: np.ndarray, j, n: int) -> np.ndarray:
         raise NotImplementedError("this diffusion does not provide a derivative")
+
 
 
 @dataclass(frozen=True)
@@ -200,6 +205,14 @@ class RationalDecayDiffusion(DiffusionBase):
     def _column_denom(self, n: int, j: int) -> np.ndarray:
         # (n,) denominators i^p + j^4 of column j
         return np.arange(1.0, n + 1.0) ** self.p + float(j) ** 4
+
+    def _deriv_plan(self, n: int, cols: tuple, width: int):
+        # row r of a sequence call reads coefficient cols[r] of direction r
+        # and divides by the (n,) denominators of column cols[r]
+        if not all(1 <= j <= width for j in cols):
+            raise ValueError(f"noise columns {cols} outside 1..{width}")
+        return (np.arange(len(cols)), np.array(cols) - 1,
+                np.stack([self._column_denom(n, j) for j in cols]))
 
     def _inv_denom(self, n: int, k: int) -> np.ndarray:
         # (n, k) reciprocals 1 / (i^p + j^4)
@@ -223,8 +236,11 @@ class RationalDecayDiffusion(DiffusionBase):
         diag = stages[..., np.arange(k), np.arange(k)]
         return _cached(self._cache, self._inv_denom, n, k) * diag[..., None, :]
 
-    def deriv_column(self, y: np.ndarray, v: np.ndarray, j: int, n: int) -> np.ndarray:
-        return self.column(v, j, n)
+    def deriv_column(self, y: np.ndarray, v: np.ndarray, j, n: int) -> np.ndarray:
+        if isinstance(j, (int, np.integer)):
+            return self.column(v, j, n)
+        rows, coeffs, denoms = _cached(self._cache, self._deriv_plan, n, tuple(j), v.shape[-1])
+        return v[..., rows, coeffs][..., None] / denoms
 
 
 @dataclass(frozen=True)
@@ -241,7 +257,7 @@ class ZeroDiffusion(DiffusionBase):
         return np.zeros(stages.shape[:-2] + (n, stages.shape[-2]))
 
     def deriv_column(self, y, v, j, n):
-        return np.zeros(y.shape[:-1] + (n,))
+        return np.zeros(y.shape[:-1] + np.shape(j) + (n,))
 
 
 # --- initial values -------------------------------------------------------

@@ -23,7 +23,10 @@ The noise may carry a leading path axis, (P, m, k) increments and
 (P, m, k, k) iterated integrals; the kernels then step all P paths as one
 (P, n) state, and each path's result equals an unbatched call on its own
 noise bit for bit. The problem's drift and diffusion compute their
-per-dimension constants once and reuse them across steps.
+per-dimension constants once and reuse them across steps, and `integrate`
+scales the increments by sqrt(eta) once per call. A MIL step asks the
+diffusion for all K derivative columns in one `deriv_column` call, so its
+count of numpy calls does not grow with K.
 
 A call may continue a trajectory: given a state y0, it takes the next
 s <= m steps of the grid from there, so calls chained through their last
@@ -52,38 +55,47 @@ __all__ = ["Scheme", "REGISTRY", "KINDS", "MILSTEIN_KINDS", "canonical_kind",
 
 
 # --- array kernels ----------------------------------------------------------
-# kernel(problem, y, db, iq, h, propagator, sqrt_eta) -> next state.
-# y is the (P, n) state of P paths, db their (P, k) increments and iq their
-# (P, k, k) iterated-integral matrices (None for the Euler-type kinds).
+# kernel(problem, y, dw, iq, h, propagator) -> next state.
+# y is the (P, n) state of P paths, dw their (P, k) covariance-scaled
+# increments sqrt(eta) db and iq their (P, k, k) iterated-integral matrices
+# (None for the Euler-type kinds). A kernel writes in place only into the
+# arrays it made itself, never into y, dw or what the problem returns.
 
-def _euler_part(problem, y, db, h, sqrt_eta):
-    # y + h F(y) + B(y) sqrt(eta) db, and B(y) itself; the matrix-vector
-    # product runs once per path: (P, n, k) @ (P, k, 1)
-    bmat = problem.diffusion.matrix(y, y.shape[-1], db.shape[-1])
-    u = y + h * problem.drift(y) + (bmat @ (sqrt_eta * db)[..., None])[..., 0]
+def _euler_part(problem, y, dw, h):
+    # y + h F(y) + B(y) dw, and B(y) itself; the matrix-vector product runs
+    # once per path: (P, n, k) @ (P, k, 1)
+    bmat = problem.diffusion.matrix(y, y.shape[-1], dw.shape[-1])
+    u = h * problem.drift(y)
+    u += y
+    u += (bmat @ dw[..., None])[..., 0]
     return u, bmat
 
 
-def _dfm_kernel(problem, y, db, iq, h, propagator, sqrt_eta):
-    u, bmat = _euler_part(problem, y, db, h, sqrt_eta)
+def _dfm_kernel(problem, y, dw, iq, h, propagator):
+    u, bmat = _euler_part(problem, y, dw, h)
     stages = y[:, None, :] + np.swapaxes(bmat @ iq, -1, -2)
     stage_cols = problem.diffusion.stage_columns(stages, y.shape[-1])
-    return propagator * (u + (stage_cols - bmat).sum(axis=-1))
+    u += (stage_cols - bmat).sum(axis=-1)
+    u *= propagator
+    return u
 
 
-def _mil_kernel(problem, y, db, iq, h, propagator, sqrt_eta):
-    u, bmat = _euler_part(problem, y, db, h, sqrt_eta)
+def _mil_kernel(problem, y, dw, iq, h, propagator):
+    u, bmat = _euler_part(problem, y, dw, h)
     # sum_ij iq[i,j] B'(y)(b_i, e_j) = sum_j B'(y)(dirs_j, e_j): the
-    # derivative is linear in its direction
-    dirs = bmat @ iq
-    second = np.zeros_like(y)
-    for j in range(1, db.shape[-1] + 1):
-        second += problem.diffusion.deriv_column(y, dirs[..., j - 1], j, y.shape[-1])
-    return propagator * (u + second)
+    # derivative is linear in its direction. One call returns the K
+    # columns as (P, K, n) rows, added in column order from the first.
+    k = dw.shape[-1]
+    dirs = np.swapaxes(bmat @ iq, -1, -2)
+    u += problem.diffusion.deriv_column(y, dirs, range(1, k + 1), y.shape[-1]).sum(axis=-2)
+    u *= propagator
+    return u
 
 
-def _euler_kernel(problem, y, db, iq, h, propagator, sqrt_eta):
-    return propagator * _euler_part(problem, y, db, h, sqrt_eta)[0]
+def _euler_kernel(problem, y, dw, iq, h, propagator):
+    u = _euler_part(problem, y, dw, h)[0]
+    u *= propagator
+    return u
 
 
 def _decay(problem, n, h):
@@ -249,7 +261,7 @@ def integrate(config: SchemeConfig, problem: ProblemSpec, db: np.ndarray,
         if not np.isfinite(y).all():
             raise ValueError("y0 must be finite")
         y = np.tile(y, (p, 1)) if y.ndim == 1 else y
-    sqrt_eta = np.sqrt(problem.q_law.values(k))
+    dw = np.sqrt(problem.q_law.values(k)) * db
     propagator = scheme.propagator(problem, n, h)
     out = np.empty((p, steps.size, n))
     slot = 0
@@ -259,7 +271,7 @@ def integrate(config: SchemeConfig, problem: ProblemSpec, db: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, last + 1):
             iq_step = None if iq is None else iq[:, step - 1]
-            y = scheme.kernel(problem, y, db[:, step - 1], iq_step, h, propagator, sqrt_eta)
+            y = scheme.kernel(problem, y, dw[:, step - 1], iq_step, h, propagator)
             if marks[slot] == step:
                 out[:, slot] = y
                 slot += 1

@@ -546,6 +546,32 @@ def test_config_rejects_a_bad_seed_by_name(seed):
                     reference=ref, paths=4, seed=seed)
 
 
+_BAD_INTEGERS = {
+    "reference-N": (lambda: ReferenceSpec("LIE", n=8.0, k=2, m=64), "N", 8.0),
+    "reference-K": (lambda: ReferenceSpec("LIE", n=8, k=2.0, m=64), "K", 2.0),
+    "reference-M": (lambda: ReferenceSpec("DFM", n=8, k=2, m=64.5), "M", 64.5),
+    "reference-D": (lambda: ReferenceSpec("DFM", n=8, k=2, m=64, d=3.0), "D", 3.0),
+    "row-N": (lambda: LadderRow("EES", n=4.0, m=8, k=2), "N", 4.0),
+    "row-K": (lambda: LadderRow("EES", n=4, m=8, k="2"), "K", "2"),
+    "row-M": (lambda: LadderRow("EES", n=4, m=8.5, k=2), "M", 8.5),
+    "row-D": (lambda: LadderRow("DFM", n=4, m=8, k=2, d=2.5), "D", 2.5),
+    "paths": (lambda: StudyConfig(problem=make_example(1), rows=(), paths=3.0, seed=0,
+                                  reference=ReferenceSpec("LIE", n=8, k=2, m=64)),
+              "paths", 3.0),
+    "workers": (lambda: StudyConfig(problem=make_example(1), rows=(), paths=4, seed=0,
+                                    reference=ReferenceSpec("LIE", n=8, k=2, m=64),
+                                    workers=2.5),
+                "workers", 2.5),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_INTEGERS)
+def test_config_rejects_a_non_integer_count_by_name(case):
+    build, field, value = _BAD_INTEGERS[case]
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+        build()
+
+
 def test_csv_layout():
     rep = _synthetic_report("DFM", [4, 8, 16], [0.5, 0.25, 0.125])
     text = rep.csv_text()

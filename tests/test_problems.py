@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mildspde.problems import (RegularityParams, check_growth_bounds,
-                               commutativity_defect, make_example,
+from mildspde.problems import (RationalDecayDiffusion, RegularityParams, ZeroDiffusion,
+                               check_growth_bounds, commutativity_defect, make_example,
                                make_problem_from_config, temporal_order)
 
 
@@ -115,6 +115,31 @@ def test_diffusion_derivative_matches_column_and_ignores_base_point():
             d2 = prob.diffusion.deriv_column(y2, v, j, 5)
             np.testing.assert_array_equal(d1, d2)
             np.testing.assert_array_equal(d1, prob.diffusion.column(v, j, 5))
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["unbatched", "paths"])
+@pytest.mark.parametrize("diffusion", [RationalDecayDiffusion(p=4.0 / 3.0), ZeroDiffusion()],
+                         ids=["rational", "zero"])
+def test_sequence_deriv_column_equals_per_column_calls(diffusion, lead):
+    rng = np.random.default_rng(11)
+    n, cols = 6, (1, 4, 2, 4, 6)            # out of order, one index twice
+    y = rng.standard_normal(lead + (n,))
+    # one direction per index, given as a strided view as the MIL kernel does
+    v = np.swapaxes(rng.standard_normal(lead + (n, len(cols))), -1, -2)
+    got = diffusion.deriv_column(y, v, cols, n)
+    assert got.shape == lead + (len(cols), n)
+    for r, j in enumerate(cols):
+        want = diffusion.deriv_column(y, v[..., r, :], j, n)
+        assert want.shape == lead + (n,)
+        assert got[..., r, :].tobytes() == want.tobytes()
+
+
+def test_sequence_deriv_column_rejects_a_column_out_of_range():
+    diffusion = RationalDecayDiffusion(p=4.0)
+    with pytest.raises(ValueError, match="outside 1..3"):
+        diffusion.deriv_column(np.zeros(3), np.zeros((2, 3)), (0, 2), 3)
+    with pytest.raises(ValueError, match="outside 1..3"):
+        diffusion.deriv_column(np.zeros(3), np.zeros((2, 3)), (1, 4), 3)
 
 
 def test_commutativity_defect_positive_for_examples():

@@ -33,6 +33,30 @@ def _one_step(kind, prob, y, db, iq, h):
     return integrate(cfg, start, np.asarray(db, dtype=float)[None], iq, at=[1])[0]
 
 
+class _ForwardingDiffusion:
+    """Exposes only column, matrix, stage_columns, deriv_column and
+    has_derivative of the diffusion it wraps, as a timing wrapper does, and
+    counts the deriv_column calls (test-local)."""
+
+    def __init__(self, diffusion):
+        self._diffusion = diffusion
+        self.has_derivative = diffusion.has_derivative
+        self.deriv_calls = 0
+
+    def column(self, *args):
+        return self._diffusion.column(*args)
+
+    def matrix(self, *args):
+        return self._diffusion.matrix(*args)
+
+    def stage_columns(self, *args):
+        return self._diffusion.stage_columns(*args)
+
+    def deriv_column(self, *args):
+        self.deriv_calls += 1
+        return self._diffusion.deriv_column(*args)
+
+
 def _zero_noise_problem():
     base = make_example(1)
     return ProblemSpec("heat", base.a_law, base.q_law, ZeroDrift(),
@@ -332,3 +356,21 @@ def test_integrate_names_first_non_finite_path():
             integrate(cfg, prob, db, at=[cfg.m])
     assert exc.value.path == 1 and exc.value.kind == "EES"
     assert exc.value.step < cfg.m        # stopped before the last step
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_forwarding_diffusion_runs_every_kind_with_one_derivative_call_per_step(kind):
+    prob = make_example(3)
+    forwarding = _ForwardingDiffusion(prob.diffusion)
+    cfg = SchemeConfig(kind, n=16, k=16, m=8)
+    rng = np.random.default_rng(4)
+    db = rng.standard_normal((3, cfg.m, cfg.k)) * math.sqrt(cfg.h)
+    iq = None
+    if kind in MILSTEIN_KINDS:
+        eta = prob.q_law.values(cfg.k)
+        iq = np.stack([alg1_iterated_batch(substream(4, p), db[p], cfg.h, 4, eta)
+                       for p in range(3)])
+    got = integrate(cfg, replace(prob, diffusion=forwarding), db, iq)
+    np.testing.assert_array_equal(got, integrate(cfg, prob, db, iq))
+    assert forwarding.deriv_calls == (cfg.m if kind == "MIL" else 0)
+
