@@ -61,10 +61,10 @@ from __future__ import annotations
 
 import json
 import math
-from operator import index
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import index
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np

@@ -186,7 +186,6 @@ class DiffusionBase:
         raise NotImplementedError("this diffusion does not provide a derivative")
 
 
-
 @dataclass(frozen=True)
 class RationalDecayDiffusion(DiffusionBase):
     """Diffusion with matrix entries y_j / (i^p + j^4).
