@@ -328,8 +328,8 @@ def measure_order(report: StudyReport, axis: str = "M",
 # chunk's paths, holds at most this many elements (1 MB of float64) ...
 _BLOCK_ELEMS = 2**17
 # ... but at least this many steps: every block costs each path a few
-# generator calls of fixed overhead (~0.1 ms for Algorithm 2), which must
-# stay small next to the block's draws when a chunk holds many paths
+# generator calls of fixed overhead (~60 us for Algorithm 2 at K = 16), which
+# must stay small next to the block's draws when a chunk holds many paths
 _BLOCK_MIN_STEPS = 64
 
 
