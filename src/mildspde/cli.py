@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -67,18 +66,15 @@ def _cmd_study(args) -> int:
 def _cmd_eoc(args) -> int:
     if args.example is not None or args.config:
         problem = _load_problem(args)
-        params = dict(gamma=problem.params.gamma, beta=problem.params.beta,
-                      alpha=problem.params.alpha, rho_a=problem.params.rho_a,
-                      rho_q=problem.params.rho_q)
+        plans = {s: PlanInput.from_problem(problem, s, args.finite_dim) for s in KINDS}
     elif args.gamma is None or args.alpha is None:
         raise ValueError("eoc needs --example, --config, or both --gamma and --alpha")
     else:
-        params = dict(gamma=Fraction(args.gamma), beta=Fraction(args.beta),
-                      alpha=Fraction(args.alpha), rho_a=Fraction(args.rho_a),
-                      rho_q=Fraction(args.rho_q))
+        plans = {s: PlanInput(gamma=args.gamma, beta=args.beta, alpha=args.alpha,
+                              rho_a=args.rho_a, rho_q=args.rho_q, scheme=s,
+                              finite_dim_noise=args.finite_dim)
+                 for s in KINDS}
     out = {"finite_dim": args.finite_dim, "schemes": {}}
-    plans = {s: PlanInput(scheme=s, finite_dim_noise=args.finite_dim, **params)
-             for s in KINDS}
     cls = classify(plans["DFM"])
     out["case"] = {"row": cls.row, "label": cls.label, "optimal": list(cls.optimal)}
     exps = {s: eoc_exponent(p) for s, p in plans.items()}

@@ -1,19 +1,21 @@
 """SPDE problem definitions.
 
 A problem bundles the eigenvalue laws of the linear drift and covariance
-operators, the nonlinear drift, the diffusion operator (as a map from a
-state to the columns of its matrix representation), an optional diffusion
-derivative, an initial value, and the regularity exponents that drive the
-convergence-order and planning formulas.
+operators, the nonlinear drift, the diffusion operator (as the batched
+evaluations of its matrix representation that the schemes ask for,
+`DiffusionBase`), an optional diffusion derivative, an initial value, and
+the regularity exponents that drive the convergence-order and planning
+formulas.
 
 States are plain coefficient arrays in the eigenbasis of the linear drift
 operator, (n,) or with a leading path axis (P, n); drift and diffusion act
 on them directly, and the numerical checks (`commutativity_defect`,
 `check_growth_bounds`) take (n,) arrays too.
 
-The three shipped examples use the sine basis on (0,1) for both the state
-and the noise space, a rational-decay diffusion that does not commute, and
-regularity exponents taken in the limit of vanishing slack.
+The three shipped examples are configs of `make_problem_from_config`: the
+sine basis on (0,1) for both the state and the noise space, a
+rational-decay diffusion that does not commute, and regularity exponents
+taken in the limit of vanishing slack.
 """
 
 from __future__ import annotations
@@ -164,25 +166,27 @@ class ZeroDrift:
 # --- diffusion variants ---------------------------------------------------
 
 class DiffusionBase:
-    """Interface for the diffusion operator in matrix-column form.
+    """Interface for the diffusion operator B in matrix form.
 
-    States carry an optional leading path axis. column(y, j, n) is the
-    n-vector of coefficients of the operator applied to the j-th noise
-    basis element, (..., n). matrix(y, n, k) stacks columns 1..k,
-    (..., n, k). stage_columns(stages, n) evaluates column j of the
-    operator at a per-column state (row j of `stages`, which is
-    (..., k, n)). deriv_column(y, v, j, n) is the derivative at y in
-    direction v applied to the j-th noise basis element, (..., n); subclasses
-    that provide it set has_derivative. j may also be a sequence of column
-    indices: v then carries one direction per index, (..., len(j), n), row
-    i pairing with j[i], and the call returns those columns at once,
-    (..., len(j), n), row i equal bit for bit to the single call with j[i]
-    and row i of v.
+    States y carry an optional leading path axis, (..., n). Column j of
+    B(y) holds the n coefficients of the operator applied to the j-th noise
+    basis element e_j. The schemes ask three batched questions, the last two
+    in K directions dirs, (..., K, n), row j the direction that pairs with
+    e_{j+1}:
+
+    matrix(y, n, k) is B(y), (..., n, k).
+    stage_columns(y, dirs, n) holds column j of B at the stage state
+    y + dirs[j] as its column j, (..., n, K) (the DFM stage values).
+    deriv_column(y, dirs, n) holds B'(y)(dirs[j], e_{j+1}) as its row j,
+    (..., K, n) (the MIL derivative terms); subclasses that provide it set
+    has_derivative.
+
+    K may not exceed n.
     """
 
     has_derivative = False
 
-    def deriv_column(self, y: np.ndarray, v: np.ndarray, j, n: int) -> np.ndarray:
+    def deriv_column(self, y: np.ndarray, dirs: np.ndarray, n: int) -> np.ndarray:
         raise NotImplementedError("this diffusion does not provide a derivative")
 
 
@@ -191,7 +195,8 @@ class RationalDecayDiffusion(DiffusionBase):
     """Diffusion with matrix entries y_j / (i^p + j^4).
 
     Linear in the state, hence its derivative in direction v applied to the
-    j-th noise basis element is the j-th column evaluated at v. The induced
+    j-th noise basis element is the j-th column evaluated at v, and column
+    j at a stage state reads only that state's coefficient j. The induced
     operator does not commute: swapping the two noise directions in the
     second-order term changes the value.
     """
@@ -201,62 +206,42 @@ class RationalDecayDiffusion(DiffusionBase):
 
     has_derivative = True
 
-    def _column_denom(self, n: int, j: int) -> np.ndarray:
-        # (n,) denominators i^p + j^4 of column j
-        return np.arange(1.0, n + 1.0) ** self.p + float(j) ** 4
-
-    def _deriv_plan(self, n: int, cols: tuple, width: int):
-        # row r of a sequence call reads coefficient cols[r] of direction r
-        # and divides by the (n,) denominators of column cols[r]
-        if not all(1 <= j <= width for j in cols):
-            raise ValueError(f"noise columns {cols} outside 1..{width}")
-        return (np.arange(len(cols)), np.array(cols) - 1,
-                np.stack([self._column_denom(n, j) for j in cols]))
-
-    def _inv_denom(self, n: int, k: int) -> np.ndarray:
-        # (n, k) reciprocals 1 / (i^p + j^4)
-        i = np.arange(1.0, n + 1.0)[:, None]
-        j = np.arange(1.0, k + 1.0)[None, :]
-        return 1.0 / (i**self.p + j**4)
-
-    def column(self, y: np.ndarray, j: int, n: int) -> np.ndarray:
-        if not 1 <= j <= y.shape[-1]:
-            raise ValueError(f"noise column {j} outside 1..{y.shape[-1]}")
-        return y[..., j - 1, None] / _cached(self._cache, self._column_denom, n, j)
+    def _denoms(self, n: int, k: int):
+        # the (k, n) denominators i^p + j^4, row j - 1 for column j, and
+        # their (n, k) reciprocals, C-ordered as the products below expect
+        if k > n:
+            raise ValueError(f"noise dimension {k} exceeds state dimension {n}")
+        denom = np.arange(1.0, n + 1.0) ** self.p + np.arange(1.0, k + 1.0)[:, None] ** 4
+        return denom, np.ascontiguousarray(1.0 / denom.T)
 
     def matrix(self, y: np.ndarray, n: int, k: int) -> np.ndarray:
-        if k > y.shape[-1]:
-            raise ValueError("noise dimension exceeds state dimension")
-        return _cached(self._cache, self._inv_denom, n, k) * y[..., None, :k]
+        return _cached(self._cache, self._denoms, n, k)[1] * y[..., None, :k]
 
-    def stage_columns(self, stages: np.ndarray, n: int) -> np.ndarray:
-        k = stages.shape[-2]
-        # column j only reads coefficient j of its own stage state
-        diag = stages[..., np.arange(k), np.arange(k)]
-        return _cached(self._cache, self._inv_denom, n, k) * diag[..., None, :]
+    def stage_columns(self, y: np.ndarray, dirs: np.ndarray, n: int) -> np.ndarray:
+        k = dirs.shape[-2]
+        inv = _cached(self._cache, self._denoms, n, k)[1]
+        # column j reads coefficient j of its stage state y + dirs[j] alone
+        diag = y[..., :k] + dirs[..., np.arange(k), np.arange(k)]
+        return inv * diag[..., None, :]
 
-    def deriv_column(self, y: np.ndarray, v: np.ndarray, j, n: int) -> np.ndarray:
-        if isinstance(j, (int, np.integer)):
-            return self.column(v, j, n)
-        rows, coeffs, denoms = _cached(self._cache, self._deriv_plan, n, tuple(j), v.shape[-1])
-        return v[..., rows, coeffs][..., None] / denoms
+    def deriv_column(self, y: np.ndarray, dirs: np.ndarray, n: int) -> np.ndarray:
+        k = dirs.shape[-2]
+        denom = _cached(self._cache, self._denoms, n, k)[0]
+        return dirs[..., np.arange(k), np.arange(k), None] / denom
 
 
 @dataclass(frozen=True)
 class ZeroDiffusion(DiffusionBase):
     has_derivative = True
 
-    def column(self, y: np.ndarray, j: int, n: int) -> np.ndarray:
-        return np.zeros(y.shape[:-1] + (n,))
-
     def matrix(self, y: np.ndarray, n: int, k: int) -> np.ndarray:
         return np.zeros(y.shape[:-1] + (n, k))
 
-    def stage_columns(self, stages: np.ndarray, n: int) -> np.ndarray:
-        return np.zeros(stages.shape[:-2] + (n, stages.shape[-2]))
+    def stage_columns(self, y: np.ndarray, dirs: np.ndarray, n: int) -> np.ndarray:
+        return np.zeros(dirs.shape[:-2] + (n, dirs.shape[-2]))
 
-    def deriv_column(self, y, v, j, n):
-        return np.zeros(y.shape[:-1] + np.shape(j) + (n,))
+    def deriv_column(self, y: np.ndarray, dirs: np.ndarray, n: int) -> np.ndarray:
+        return np.zeros(dirs.shape[:-1] + (n,))
 
 
 # --- initial values -------------------------------------------------------
@@ -300,6 +285,18 @@ class ProblemSpec:
         return np.asarray(self.initial.coeffs(n), dtype=float)
 
 
+# the shipped problem instances, as configs (`make_problem_from_config`)
+_EXAMPLES = {
+    1: {"name": "example-1", "p": "4/3", "rho_q": 3, "gamma": "7/8", "delta": "3/8",
+        "alpha": "9/4"},
+    2: {"name": "example-2", "p": "44/41", "rho_q": 3, "gamma": "17/24",
+        "delta": "5/24", "alpha": "77/36"},
+    3: {"name": "example-3", "p": 4, "rho_q": 3, "beta": "7/8", "gamma": 1,
+        "delta": "1/2", "alpha": "7/3", "drift": "spectral_sine", "s": "7/2",
+        "r": "7/2", "initial": {"power": 2}},
+}
+
+
 def make_example(example_id: int) -> ProblemSpec:
     """The three shipped problem instances, slack exponents sent to zero.
 
@@ -309,31 +306,13 @@ def make_example(example_id: int) -> ProblemSpec:
     3: bounded sine drift with s=r=7/2, p=4, initial coefficients i^-2 ->
        (7/8, 1, 1/2, 7/3, 1/4).
     All use the scaled Dirichlet Laplacian (rho_a=2), cubic-decay covariance
-    (rho_q=3) and unit horizon.
+    (rho_q=3) and unit horizon, the defaults of `make_problem_from_config`.
     """
-    a_law = EigenLaw.laplacian(scale=0.01)
-    q_law = EigenLaw.power_decay(rho=3.0)
-    if example_id == 1:
-        params = RegularityParams(
-            beta=Fraction(0), gamma=Fraction(7, 8), delta=Fraction(3, 8),
-            alpha=Fraction(9, 4), rho_a=Fraction(2), rho_q=Fraction(3))
-        return ProblemSpec("example-1", a_law, q_law, AffineDrift(),
-                           RationalDecayDiffusion(p=4.0 / 3.0), ZeroInitial(), params)
-    if example_id == 2:
-        params = RegularityParams(
-            beta=Fraction(0), gamma=Fraction(17, 24), delta=Fraction(5, 24),
-            alpha=Fraction(77, 36), rho_a=Fraction(2), rho_q=Fraction(3))
-        return ProblemSpec("example-2", a_law, q_law, AffineDrift(),
-                           RationalDecayDiffusion(p=44.0 / 41.0), ZeroInitial(), params)
-    if example_id == 3:
-        params = RegularityParams(
-            beta=Fraction(7, 8), gamma=Fraction(1), delta=Fraction(1, 2),
-            alpha=Fraction(7, 3), rho_a=Fraction(2), rho_q=Fraction(3))
-        return ProblemSpec("example-3", a_law, q_law,
-                           SpectralSineDrift(s=3.5, r=3.5),
-                           RationalDecayDiffusion(p=4.0),
-                           PowerLawInitial(exponent=2.0), params)
-    raise ValueError(f"unknown example id {example_id!r} (expected 1, 2 or 3)")
+    try:
+        cfg = _EXAMPLES[example_id]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown example id {example_id!r} (expected 1, 2 or 3)") from None
+    return make_problem_from_config(cfg)
 
 
 _DRIFTS = {"affine": AffineDrift, "spectral_sine": SpectralSineDrift, "zero": ZeroDrift}
@@ -397,23 +376,20 @@ def commutativity_defect(problem: ProblemSpec, y: np.ndarray,
     """Worst-case asymmetry of the second-order noise term at the (n,)
     coefficient vector y.
 
-    Returns max over pairs (m, n_) <= k of the Euclidean norm of
-    deriv(y)(column_m(y), n_) - deriv(y)(column_n_(y), m), columns projected
-    to dimension n. Zero exactly when the noise term commutes on the
-    truncated spaces.
+    Returns max over pairs (a, b) <= k of the Euclidean norm of
+    B'(y)(column_a(y), e_b) - B'(y)(column_b(y), e_a), columns projected to
+    dimension n. Zero exactly when the noise term commutes on the truncated
+    spaces. One batched `deriv_column` call takes every pair.
     """
     if k > n:
         raise ValueError("noise truncation must not exceed state truncation")
     diff = problem.diffusion
     y = np.asarray(y, dtype=float)
-    cols = [diff.column(y, j, n) for j in range(1, k + 1)]
-    worst = 0.0
-    for m in range(1, k + 1):
-        for n_ in range(m + 1, k + 1):
-            lhs = diff.deriv_column(y, cols[m - 1], n_, n)
-            rhs = diff.deriv_column(y, cols[n_ - 1], m, n)
-            worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    return worst
+    cols = diff.matrix(y, n, k).T                                # (k, n)
+    # batch a repeats column a in all k directions: terms[a, b] = B'(y)(column_a, e_b)
+    terms = diff.deriv_column(np.broadcast_to(y, (k,) + y.shape),
+                              np.broadcast_to(cols[:, None], (k, k, n)), n)
+    return float(np.linalg.norm(terms - np.swapaxes(terms, 0, 1), axis=-1).max())
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,11 @@ The noise may carry a leading path axis, (P, m, k) increments and
 (P, n) state, and each path's result equals an unbatched call on its own
 noise bit for bit. The problem's drift and diffusion compute their
 per-dimension constants once and reuse them across steps, and `integrate`
-scales the increments by sqrt(eta) once per call. A MIL step asks the
-diffusion for all K derivative columns in one `deriv_column` call, so its
-count of numpy calls does not grow with K.
+scales the increments by sqrt(eta) once per call. DFM and MIL put one
+batched question each to the diffusion, in the same K directions
+dirs_j = (B(y) iq)^T_j: DFM asks for its stage values B(y + dirs_j) e_j
+(`stage_columns`), MIL for B'(y)(dirs_j, e_j) (`deriv_column`), so neither
+step's count of numpy calls grows with K.
 
 A call may continue a trajectory: given a state y0, it takes the next
 s <= m steps of the grid from there, so calls chained through their last
@@ -72,22 +74,22 @@ def _euler_part(problem, y, dw, h):
 
 
 def _dfm_kernel(problem, y, dw, iq, h, propagator):
+    # sum_j [B(y + dirs_j) e_j - B(y) e_j] with the stage directions
+    # dirs_j = (B(y) iq)^T_j; the diffusion forms the stage values it needs
     u, bmat = _euler_part(problem, y, dw, h)
-    stages = y[:, None, :] + np.swapaxes(bmat @ iq, -1, -2)
-    stage_cols = problem.diffusion.stage_columns(stages, y.shape[-1])
-    u += (stage_cols - bmat).sum(axis=-1)
+    dirs = np.swapaxes(bmat @ iq, -1, -2)
+    u += (problem.diffusion.stage_columns(y, dirs, y.shape[-1]) - bmat).sum(axis=-1)
     u *= propagator
     return u
 
 
 def _mil_kernel(problem, y, dw, iq, h, propagator):
-    u, bmat = _euler_part(problem, y, dw, h)
     # sum_ij iq[i,j] B'(y)(b_i, e_j) = sum_j B'(y)(dirs_j, e_j): the
     # derivative is linear in its direction. One call returns the K
-    # columns as (P, K, n) rows, added in column order from the first.
-    k = dw.shape[-1]
+    # terms as (P, K, n) rows, added in column order from the first.
+    u, bmat = _euler_part(problem, y, dw, h)
     dirs = np.swapaxes(bmat @ iq, -1, -2)
-    u += problem.diffusion.deriv_column(y, dirs, range(1, k + 1), y.shape[-1]).sum(axis=-2)
+    u += problem.diffusion.deriv_column(y, dirs, y.shape[-1]).sum(axis=-2)
     u *= propagator
     return u
 

@@ -34,27 +34,27 @@ def _one_step(kind, prob, y, db, iq, h):
 
 
 class _ForwardingDiffusion:
-    """Exposes only column, matrix, stage_columns, deriv_column and
-    has_derivative of the diffusion it wraps, as a timing wrapper does, and
-    counts the deriv_column calls (test-local)."""
+    """Exposes only matrix, stage_columns, deriv_column and has_derivative
+    of the diffusion it wraps, as bench/tracer.py's timing wrapper does, and
+    counts the calls of each (test-local)."""
 
     def __init__(self, diffusion):
         self._diffusion = diffusion
         self.has_derivative = diffusion.has_derivative
-        self.deriv_calls = 0
+        self.calls = {"matrix": 0, "stage_columns": 0, "deriv_column": 0}
 
-    def column(self, *args):
-        return self._diffusion.column(*args)
+    def _forward(self, name, args):
+        self.calls[name] += 1
+        return getattr(self._diffusion, name)(*args)
 
     def matrix(self, *args):
-        return self._diffusion.matrix(*args)
+        return self._forward("matrix", args)
 
     def stage_columns(self, *args):
-        return self._diffusion.stage_columns(*args)
+        return self._forward("stage_columns", args)
 
     def deriv_column(self, *args):
-        self.deriv_calls += 1
-        return self._diffusion.deriv_column(*args)
+        return self._forward("deriv_column", args)
 
 
 def _zero_noise_problem():
@@ -121,8 +121,8 @@ def test_mil_single_noise_direction_expansion():
     y = rng.standard_normal(4)
     got = _one_step("MIL", prob, y, db, iq, h)
     decay = np.exp(-prob.a_law.values(4) * h)
-    col = prob.diffusion.column(y, 1, 4)
-    deriv = prob.diffusion.deriv_column(y, col, 1, 4)
+    col = prob.diffusion.matrix(y, 4, 1)[:, 0]
+    deriv = prob.diffusion.deriv_column(y, col[None], 4)[0]
     expect = decay * (y + h * prob.drift(y)
                       + col * math.sqrt(eta[0]) * db[0]
                       + iq[0, 0] * deriv)
@@ -372,5 +372,9 @@ def test_forwarding_diffusion_runs_every_kind_with_one_derivative_call_per_step(
                        for p in range(3)])
     got = integrate(cfg, replace(prob, diffusion=forwarding), db, iq)
     np.testing.assert_array_equal(got, integrate(cfg, prob, db, iq))
-    assert forwarding.deriv_calls == (cfg.m if kind == "MIL" else 0)
+    # one matrix call per step, plus one stage_columns call per DFM step and
+    # one deriv_column call per MIL step; nothing else is asked for
+    assert forwarding.calls == {"matrix": cfg.m,
+                                "stage_columns": cfg.m if kind == "DFM" else 0,
+                                "deriv_column": cfg.m if kind == "MIL" else 0}
 
