@@ -25,8 +25,11 @@ from .problems import make_example, make_problem_from_config
 from .schemes import KINDS
 
 
-def _parse_int_list(text: str):
-    return [int(tok) for tok in text.split(",") if tok]
+def _parse_ladder(text: str):
+    values = [int(tok) for tok in text.split(",") if tok]
+    if not values:
+        raise ValueError(f"--ladder needs at least one N, got {text!r}")
+    return values
 
 
 def _load_problem(args):
@@ -39,7 +42,7 @@ def _load_problem(args):
 def _cmd_study(args) -> int:
     problem = _load_problem(args)
     schemes = [s.upper() for s in args.schemes.split(",") if s]
-    ladder = _parse_int_list(args.ladder)
+    ladder = _parse_ladder(args.ladder)
     rows = plan_rows(problem, schemes, ladder)
     if args.full_reference:
         if args.config:
@@ -84,7 +87,7 @@ def _cmd_eoc(args) -> int:
         entry = {"eoc": str(exps[s]), "eoc_float": float(exps[s])}
         if args.ladder:
             entry["ladder"] = []
-            for n in _parse_int_list(args.ladder):
+            for n in _parse_ladder(args.ladder):
                 res = optimal_resolution(plans[s], n)
                 entry["ladder"].append(
                     {"N": res.n, "M": res.m, "K": res.k, "D": res.d,
@@ -99,7 +102,7 @@ def _cmd_eoc(args) -> int:
 def _cmd_cost(args) -> int:
     problem = _load_problem(args)
     schemes = [s.upper() for s in args.schemes.split(",") if s]
-    rows = plan_rows(problem, schemes, _parse_int_list(args.ladder))
+    rows = plan_rows(problem, schemes, _parse_ladder(args.ladder))
     q = problem.params.q_dfm
     sys.stdout.write("scheme,N,M,K,D,cost\n")
     for row in rows:

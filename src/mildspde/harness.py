@@ -64,7 +64,6 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from operator import index
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -77,7 +76,8 @@ from .noise import (_check_seed, alg1_iterated_batch, alg2_iterated_batch, choos
 # imported only so that bench/tracer.py, which patches this name, keeps working
 from .noise import NoisePacket  # noqa: F401
 from .problems import ProblemSpec
-from .schemes import REGISTRY, NonFiniteState, SchemeConfig, canonical_kind, integrate
+from .schemes import (REGISTRY, NonFiniteState, SchemeConfig, _check_integers,
+                      _check_resolution, canonical_kind, integrate)
 
 __all__ = [
     "ReferenceSpec", "LadderRow", "StudyConfig", "ReportRow", "StudyReport",
@@ -91,18 +91,6 @@ _PURPOSE_SERIES = 12
 _PURPOSE_BRIDGE = 13
 # largest steps-per-path x paths a study runs without allow_big
 _GUARDRAIL_STEPS = 2**33
-
-
-def _check_integers(**fields) -> None:
-    """ValueError naming the first field whose value is not an integer
-    (None stands for an absent optional field)."""
-    for name, value in fields.items():
-        if value is None:
-            continue
-        try:
-            index(value)
-        except TypeError:
-            raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -119,10 +107,9 @@ class ReferenceSpec:
     d: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", canonical_kind(self.kind))
-        _check_integers(N=self.n, K=self.k, M=self.m, D=self.d)
-        if min(self.n, self.k, self.m) < 1 or self.k > self.n:
-            raise ValueError("reference needs 1 <= K <= N and M >= 1")
+        object.__setattr__(self, "kind", _check_resolution(
+            "reference", self.kind, self.n, self.k, self.m))
+        _check_integers(D=self.d)
         if REGISTRY[self.kind].milstein:
             if self.d is not None and self.d < 1:
                 raise ValueError("reference series depth must be >= 1")
@@ -141,10 +128,9 @@ class LadderRow:
     d: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "scheme", canonical_kind(self.scheme))
-        _check_integers(N=self.n, K=self.k, M=self.m, D=self.d)
-        if not 1 <= self.k <= self.n or self.m < 1:
-            raise ValueError("row needs 1 <= K <= N and M >= 1")
+        object.__setattr__(self, "scheme", _check_resolution(
+            "row", self.scheme, self.n, self.k, self.m))
+        _check_integers(D=self.d)
         if REGISTRY[self.scheme].milstein:
             if self.d is None or self.d < 1:
                 raise ValueError("Milstein-type rows need a series depth")
@@ -192,6 +178,8 @@ class StudyConfig:
         object.__setattr__(self, "rows", tuple(self.rows))
         _check_seed(self.seed)
         _check_integers(paths=self.paths, workers=self.workers)
+        if not self.rows:
+            raise ValueError("the ladder has no rows")
         if self.paths < 2:
             raise ValueError("need at least two paths for an error estimate")
         if self.error_at not in ("final", "all-grid"):
@@ -793,13 +781,11 @@ def estimate_sup_second_moment(problem: ProblemSpec, kind: str, n: int, k: int,
     """Monte Carlo estimate of max over grid points of E |Y_step|^2 in the
     fractional norm of order delta, Milstein-type kinds sampling their
     series at the D1 depth of m."""
-    kind = canonical_kind(kind)
-    milstein = REGISTRY[kind].milstein
+    cfg = SchemeConfig(kind=kind, n=n, k=k, m=m, horizon=problem.horizon)
+    milstein = REGISTRY[cfg.kind].milstein
     d = choose_D1(m, problem.params.q_dfm) if milstein else None
-    h = problem.horizon / m
     eta = problem.q_law.values(k)
     weights = problem.a_law.values(n) ** (2.0 * float(problem.params.delta))
-    cfg = SchemeConfig(kind=kind, n=n, k=k, m=m, horizon=problem.horizon)
     # all paths at once, streamed in blocks of steps as a study chunk is
     inc_rngs = [substream(seed, 71, m, path, 1) for path in range(paths)]
     series_rngs = [substream(seed, 71, m, path, 2) for path in range(paths)]
@@ -808,9 +794,9 @@ def estimate_sup_second_moment(problem: ProblemSpec, kind: str, n: int, k: int,
     acc = np.zeros(m + 1)
     for a in range(0, m, block):
         b = min(m, a + block)
-        db = _stacked(inc_rngs, lambda i, rng: sample_increments_batch(rng, b - a, k, h))
+        db = _stacked(inc_rngs, lambda i, rng: sample_increments_batch(rng, b - a, k, cfg.h))
         iq = _stacked(series_rngs, lambda i, rng: alg1_iterated_batch(
-            rng, db[i], h, d, eta)) if milstein else None
+            rng, db[i], cfg.h, d, eta)) if milstein else None
         i0, i1, states = run.advance(db, iq)
         # path by path, as the sum over paths has always been added
         for traj in states:

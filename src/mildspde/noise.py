@@ -43,24 +43,20 @@ generator is derived from a seed and an explicit substream key, so results
 do not depend on execution order or worker count. Functions that consume
 normal draws accept an optional ledger and charge it one unit per draw.
 
-Both algorithms share one streamed core: each row draws its X, its Y and
-(Algorithm 2) its tail normals contiguously, and rows are drawn in order
-into one reused buffer of at most 2^18 normals (2 MB, cache-sized; one
-row if a row is larger) and at most 2^18 / K^2 rows, X is weighted in
-place, and the halves are contracted as views. Algorithm 1 shifts Y by
-sqrt(2/h) db in place; Algorithm 2 adds the shift's share of the
-contraction, (sum_r x_r) c^T, as one outer product. `alg1_iterated_batch`
-and `alg2_iterated_batch` finish each block of rows in place into their
-output with one reused (rows, K, K) scratch array, so their peak memory
-is the output plus about two blocks, and the block size cannot change a
-result. Their constants that depend only on (K, D), the X weights and
-Algorithm 2's indices above the diagonal and a_D, are computed on the
-first call and kept read-only.
-`alg1_iterated_nested` streams every depth block of its series through
-the same core and adds it into the running sum. Its depth-block
-boundaries (2^22 normals over all samples) decide which normal feeds
-which (sample, depth) term, so they are part of its output; the buffer
-size is not.
+Both algorithms share one streamed core. Each row draws its X, its Y and
+(Algorithm 2) its tail normals contiguously; rows are drawn in order into
+one reused buffer of at most 2^18 normals (2 MB, cache-sized; one row if
+a row is larger) and 2^18 / K^2 rows, X is weighted in place, and the
+halves are contracted as views. Algorithm 1 shifts Y by sqrt(2/h) db in
+place; Algorithm 2 adds the shift's share, (sum_r x_r) c^T, as one outer
+product. Every sampler finishes each block in place into its output with
+reused (rows, K, K) scratch, so its peak memory is the output plus about
+two blocks (three for the nested one), and the block size cannot change
+a result.
+`alg1_iterated_nested` draws what `alg1_iterated_batch` draws at the
+largest depth and finishes every depth from the running sum of each
+row's leading terms. Constants that depend only on (K, D), the X weights
+and Algorithm 2's upper indices and a_D, are computed once, read-only.
 """
 
 from __future__ import annotations
@@ -70,7 +66,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Rational
 from operator import index
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -179,9 +175,6 @@ def _tail_scale(d: int) -> float:
 
 # normals per block of the series draws (2 MB, fits a core's L2 cache)
 _SERIES_BLOCK_NORMALS = 1 << 18
-# depths per depth block of alg1_iterated_nested, as normals over all
-# samples; part of its output
-_NESTED_BLOCK_NORMALS = 1 << 22
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -240,7 +233,9 @@ def _check_batch(delta_beta, h: float, d: int, eta):
     if not 0 < h < math.inf:
         raise ValueError(f"step length must be positive and finite, got {h}")
     db = np.asarray(delta_beta, dtype=float)
-    _, k = db.shape
+    if db.ndim != 2:
+        raise ValueError(f"delta_beta must have shape (s, k), got {db.shape}")
+    k = db.shape[1]
     eta = np.asarray(eta, dtype=float)
     if eta.shape != (k,):
         raise ValueError("eta length does not match increment count")
@@ -328,49 +323,30 @@ def alg2_iterated_batch(rng: np.random.Generator, delta_beta: np.ndarray,
 
 
 def alg1_iterated_nested(rng: np.random.Generator, delta_beta: np.ndarray,
-                         h: float, d_values: Sequence[int], eta: np.ndarray,
-                         samples: Optional[int] = None) -> dict:
-    """Truncations at several depths sharing one master draw of series terms.
-
-    Used to measure the in-D refinement rate: for each requested depth the
-    returned matrix uses the leading terms of the same series, so
-    differences between depths isolate the discarded tail.
-
-    delta_beta may be a single (k,) vector (fixed increments, `samples`
-    copies) or an (s, k) array.
-
-    Returns:
-        dict depth -> (s, k, k) array.
-    """
-    db = np.asarray(delta_beta, dtype=float)
-    if db.ndim == 1:
-        if samples is None:
-            samples = 1
-        db = np.broadcast_to(db, (samples, db.size))
+                         h: float, d_values: Sequence[int], eta: np.ndarray) -> dict:
+    """Algorithm 1 at several depths of one series draw: a dict depth ->
+    (s, k, k) array for the (s, k) increments delta_beta. It draws what
+    `alg1_iterated_batch` draws at the largest depth D, which it equals to
+    rounding, and depth d finishes each row's first d terms with c_d."""
+    depths = sorted({int(d) for d in d_values})
+    db, eta = _check_batch(delta_beta, h, min(depths, default=0), eta)
     s, k = db.shape
-    depths = sorted(set(int(d) for d in d_values))
-    if depths[0] < 1:
-        raise ValueError("truncation depths must be >= 1")
-    eta = np.asarray(eta, dtype=float)
-    sqrt_eta = np.sqrt(eta)
-    scale = np.outer(sqrt_eta, sqrt_eta)
-    base = 0.5 * (db[:, :, None] * db[:, None, :]) - 0.5 * h * np.eye(k)
-    t1 = np.zeros((s, k, k))
+    scale = np.outer(np.sqrt(eta), np.sqrt(eta))
+    tail = {d: _tail_scale(d) for d in depths}
+    out = {d: np.empty((s, k, k)) for d in depths}
     shift = math.sqrt(2.0 / h)
-    out = {}
-    prev = 0
-    block = max(1, _NESTED_BLOCK_NORMALS // max(1, 2 * s * k))
-    for depth in depths:
-        # each depth block draws every sample's terms r = lo+1..hi in turn
-        for lo in range(prev, depth, block):
-            hi = min(depth, lo + block)
-            weights_x = np.repeat(1.0 / np.arange(lo + 1.0, hi + 1.0), k)
-            for s_lo, s_hi, x, y, _ in _series_blocks(rng, s, k, weights_x):
-                y += shift * db[s_lo:s_hi, None, :]
-                t1[s_lo:s_hi] += np.matmul(np.swapaxes(x, -1, -2), y)
-        prev = depth
-        a = (_tail_scale(depth) * h / _TWO_PI) * (t1 - np.swapaxes(t1, -1, -2))
-        out[depth] = scale * (base + a)
+    work = None
+    weights_x = np.repeat(1.0 / np.arange(1.0, depths[-1] + 1.0), k)
+    for lo, hi, x, y, _ in _series_blocks(rng, s, k, weights_x):
+        y += shift * db[lo:hi, None, :]
+        xt = np.swapaxes(x, -1, -2)
+        work = np.empty((2, hi - lo, k, k)) if work is None else work[:, : hi - lo]
+        acc, part = work
+        acc.fill(0.0)
+        for prev, d in zip([0] + depths, depths):
+            acc += np.matmul(xt[:, :, prev:d], y[:, prev:d], out=part)
+            np.multiply(acc, tail[d], out=out[d][lo:hi])
+            _finish(out[d][lo:hi], db[lo:hi], h, scale, part)
     return out
 
 

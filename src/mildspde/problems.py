@@ -317,8 +317,19 @@ def make_example(example_id: int) -> ProblemSpec:
 
 _DRIFTS = {"affine": AffineDrift, "spectral_sine": SpectralSineDrift, "zero": ZeroDrift}
 _CONFIG_REQUIRED = ("p", "rho_q", "gamma", "delta", "alpha")
-_CONFIG_OPTIONAL = ("beta", "rho_a", "drift", "s", "r", "initial", "horizon",
-                    "a_scale", "name")
+# the optional keys and their defaults; the sine drift requires s and r
+_CONFIG_DEFAULTS = {"beta": 0, "rho_a": 2, "drift": "affine", "s": None, "r": None,
+                    "initial": "zero", "horizon": 1.0, "a_scale": 0.01, "name": "custom"}
+
+
+def _config_number(key: str, value) -> Fraction:
+    """value as a finite exact rational; ValueError naming the key if not."""
+    try:
+        x = _frac(value)
+        float(x)
+        return x
+    except (TypeError, ValueError, ArithmeticError):
+        raise ValueError(f"config key {key} has an invalid value {value!r}") from None
 
 
 def make_problem_from_config(cfg: dict) -> ProblemSpec:
@@ -327,11 +338,14 @@ def make_problem_from_config(cfg: dict) -> ProblemSpec:
     Required keys: p, rho_q, gamma, delta, alpha. Optional: beta, rho_a,
     drift ("affine" | "spectral_sine" | "zero"; the sine drift also
     requires s and r), initial ("zero" or {"power": exponent}), horizon,
-    a_scale, name. Exponents are exact rationals as strings or numbers.
-    Unknown or missing keys raise ValueError.
+    a_scale, name. Numbers are exact rationals as strings or numbers.
+    Anything else raises ValueError naming the key.
     """
-    accepted = ", ".join(_CONFIG_REQUIRED + _CONFIG_OPTIONAL)
-    unknown = sorted(set(cfg) - set(_CONFIG_REQUIRED + _CONFIG_OPTIONAL))
+    if not isinstance(cfg, dict):
+        raise ValueError(f"a problem config must be a JSON object, got {type(cfg).__name__}")
+    keys = _CONFIG_REQUIRED + tuple(_CONFIG_DEFAULTS)
+    accepted = ", ".join(keys)
+    unknown = sorted(set(cfg) - set(keys))
     if unknown:
         raise ValueError(f"unknown config key(s) {', '.join(unknown)}; accepted: {accepted}")
     required = _CONFIG_REQUIRED
@@ -340,33 +354,34 @@ def make_problem_from_config(cfg: dict) -> ProblemSpec:
     missing = [key for key in required if key not in cfg]
     if missing:
         raise ValueError(f"missing config key(s) {', '.join(missing)}; accepted: {accepted}")
-    params = RegularityParams(
-        beta=_frac(cfg.get("beta", 0)), gamma=_frac(cfg["gamma"]),
-        delta=_frac(cfg["delta"]), alpha=_frac(cfg["alpha"]),
-        rho_a=_frac(cfg.get("rho_a", 2)), rho_q=_frac(cfg["rho_q"]))
-    drift_kind = cfg.get("drift", "affine")
+    cfg = {**_CONFIG_DEFAULTS, **cfg}
+    num = {key: _config_number(key, cfg[key])
+           for key in required + ("beta", "rho_a", "horizon", "a_scale")}
+    params = RegularityParams(**{key: num[key] for key in
+                                 ("beta", "gamma", "delta", "alpha", "rho_a", "rho_q")})
+    drift_kind = cfg["drift"]
     if drift_kind == "spectral_sine":
-        drift = SpectralSineDrift(s=float(_frac(cfg["s"])), r=float(_frac(cfg["r"])))
-    elif drift_kind in _DRIFTS:
+        drift = SpectralSineDrift(s=float(num["s"]), r=float(num["r"]))
+    elif isinstance(drift_kind, str) and drift_kind in _DRIFTS:
         drift = _DRIFTS[drift_kind]()
     else:
         raise ValueError(f"unknown drift variant {drift_kind!r}")
-    initial_cfg = cfg.get("initial", "zero")
+    initial_cfg = cfg["initial"]
     if initial_cfg == "zero":
         initial = ZeroInitial()
-    elif isinstance(initial_cfg, dict) and "power" in initial_cfg:
-        initial = PowerLawInitial(exponent=float(initial_cfg["power"]))
+    elif isinstance(initial_cfg, dict) and set(initial_cfg) == {"power"}:
+        initial = PowerLawInitial(float(_config_number("initial.power", initial_cfg["power"])))
     else:
         raise ValueError(f"unknown initial-value law {initial_cfg!r}")
     return ProblemSpec(
-        name=cfg.get("name", "custom"),
-        a_law=EigenLaw.laplacian(scale=float(cfg.get("a_scale", 0.01))),
-        q_law=EigenLaw.power_decay(rho=float(_frac(cfg["rho_q"]))),
+        name=cfg["name"],
+        a_law=EigenLaw.laplacian(scale=float(num["a_scale"])),
+        q_law=EigenLaw.power_decay(rho=float(num["rho_q"])),
         drift=drift,
-        diffusion=RationalDecayDiffusion(p=float(_frac(cfg["p"]))),
+        diffusion=RationalDecayDiffusion(p=float(num["p"])),
         initial=initial,
         params=params,
-        horizon=float(cfg.get("horizon", 1.0)))
+        horizon=float(num["horizon"]))
 
 
 # --- numerical checks -----------------------------------------------------

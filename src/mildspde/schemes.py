@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import index
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -145,6 +146,27 @@ def canonical_kind(kind: str) -> str:
     return upper
 
 
+def _check_integers(**fields) -> None:
+    """ValueError naming the first field that is not an integer (None: absent)."""
+    for name, value in fields.items():
+        if value is None:
+            continue
+        try:
+            index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_resolution(role: str, kind: str, n, k, m) -> str:
+    """The canonical kind; ValueError naming the role ("row", ...) unless
+    N, K and M are integers with 1 <= K <= N and M >= 1."""
+    kind = canonical_kind(kind)
+    _check_integers(N=n, K=k, M=m)
+    if not 1 <= k <= n or m < 1:
+        raise ValueError(f"{role} needs 1 <= K <= N and M >= 1, got N={n}, K={k}, M={m}")
+    return kind
+
+
 @dataclass(frozen=True)
 class SchemeConfig:
     """Scheme kind plus the discretization triple (N, K, M) on [0, T]."""
@@ -156,12 +178,8 @@ class SchemeConfig:
     horizon: float = 1.0
 
     def __post_init__(self):
-        kind = canonical_kind(self.kind)
-        object.__setattr__(self, "kind", kind)
-        if self.m < 1:
-            raise ValueError("need at least one time step")
-        if not 1 <= self.k <= self.n:
-            raise ValueError("need 1 <= K <= N")
+        object.__setattr__(self, "kind",
+                           _check_resolution("scheme", self.kind, self.n, self.k, self.m))
         if not 0 < self.horizon < math.inf:
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
 

@@ -167,10 +167,9 @@ def test_criterion_06_depth_refinement_rate():
     s = 20_000
     k, h = 2, 0.1
     eta = np.arange(1.0, k + 1.0) ** -3.0
-    db = np.array([0.11, -0.07])          # increments held fixed
+    db = np.broadcast_to(np.array([0.11, -0.07]), (s, k))   # increments held fixed
     depths = [4, 16, 64, 256]
-    nest = alg1_iterated_nested(substream(60, 1), db, h, depths + [4096], eta,
-                                samples=s)
+    nest = alg1_iterated_nested(substream(60, 1), db, h, depths + [4096], eta)
     rms = [float(np.sqrt(((nest[d][:, 0, 1] - nest[4096][:, 0, 1]) ** 2).mean()))
            for d in depths]
     fit = fit_loglog(depths, rms)

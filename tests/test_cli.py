@@ -145,6 +145,31 @@ def test_cost_config_gamma_equal_beta_exits_2(tmp_path, capsys):
     assert "error:" in err and "gamma must exceed beta" in err
 
 
+@pytest.mark.parametrize("cfg,key", [
+    (dict(_EXAMPLE1_CONFIG, p=None), "config key p"),
+    (dict(_EXAMPLE1_CONFIG, gamma=[1]), "config key gamma"),
+    (dict(_EXAMPLE1_CONFIG, initial={"power": None}), "config key initial.power"),
+    (dict(_EXAMPLE1_CONFIG, drift=["x"]), "unknown drift variant"),
+    ([_EXAMPLE1_CONFIG], "JSON object")])
+def test_cost_config_wrong_type_exits_2(cfg, key, tmp_path, capsys):
+    assert main(["cost", "--config", _write_config(tmp_path, cfg), "--ladder", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and key in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["study", "--ladder", ",", "--paths", "2", "--ref-n", "4", "--ref-k", "2",
+     "--ref-m", "64"],
+    ["cost", "--ladder", ","],
+    ["eoc", "--example", "1", "--ladder", ","]])
+def test_empty_ladder_exits_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --ladder needs at least one N" in captured.err
+
+
 @pytest.mark.parametrize("args,flag", [(["--samples", "0"], "--samples"),
                                        (["--samples", "1"], "--samples"),
                                        (["--k", "0"], "--k")])

@@ -1,0 +1,114 @@
+"""Every spec and sampler rejects bad input with a ValueError that says
+what is wrong, never with a traceback from deeper down."""
+
+import re
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from mildspde.harness import (LadderRow, ReferenceSpec, ReportRow, StudyConfig,
+                              StudyReport, measure_order, paper_reference)
+from mildspde.noise import alg1_iterated_batch, alg1_iterated_nested, substream
+from mildspde.problems import make_example, make_problem_from_config
+from mildspde.schemes import SchemeConfig
+
+RANGE = "needs 1 <= K <= N and M >= 1"
+EX1 = {"p": "4/3", "rho_q": 3, "gamma": "7/8", "delta": "3/8", "alpha": "9/4"}
+
+
+def _study(**overrides):
+    fields = dict(problem=make_example(1), rows=(LadderRow("EES", n=4, m=8, k=2),),
+                  reference=ReferenceSpec("LIE", n=8, k=2, m=64), paths=4, seed=0)
+    return StudyConfig(**{**fields, **overrides})
+
+
+def _report(*rows):
+    return StudyReport(rows=tuple(
+        ReportRow(scheme, n=4, m=m, k=2, d=None, cost_formula=10 * m, cost_ledger=10 * m,
+                  error=error, std=0.0, paths=4)
+        for scheme, m, error in rows), config_echo={})
+
+
+_ORDERED = _report(("EES", 8, 0.4), ("EES", 16, 0.2), ("EES", 32, 0.1))
+
+
+def _samplers():
+    # both Algorithm 1 samplers, as (db, h, eta) -> result
+    return {
+        "batch": lambda db, h, eta: alg1_iterated_batch(substream(0, 0), db, h, 3, eta),
+        "nested": lambda db, h, eta: alg1_iterated_nested(substream(0, 0), db, h, [1, 3], eta),
+    }
+
+
+def _rejects():
+    # name -> (build, the start of the expected message)
+    cases = {
+        "scheme-N": (lambda: SchemeConfig("EES", n=4.0, k=2, m=8), "N must be an integer"),
+        "scheme-K": (lambda: SchemeConfig("EES", n=4, k=2.0, m=8), "K must be an integer"),
+        "scheme-M": (lambda: SchemeConfig("EES", n=4, k=2, m=8.0), "M must be an integer"),
+        "scheme-K>N": (lambda: SchemeConfig("EES", n=4, k=8, m=8),
+                       f"scheme {RANGE}, got N=4, K=8, M=8"),
+        "scheme-M<1": (lambda: SchemeConfig("EES", n=4, k=2, m=0),
+                       f"scheme {RANGE}, got N=4, K=2, M=0"),
+        "row-K>N": (lambda: LadderRow("EES", n=2, m=8, k=3), f"row {RANGE}, got N=2, K=3"),
+        "row-K<1": (lambda: LadderRow("EES", n=2, m=8, k=0), f"row {RANGE}, got N=2, K=0"),
+        "row-M<1": (lambda: LadderRow("EES", n=4, m=0, k=2), f"row {RANGE}, got N=4, K=2, M=0"),
+        "row-milstein-without-D": (lambda: LadderRow("DFM", n=4, m=8, k=2),
+                                   "Milstein-type rows need a series depth"),
+        "row-euler-with-D": (lambda: LadderRow("EES", n=4, m=8, k=2, d=3),
+                             "Euler-type rows take no series depth"),
+        "reference-K>N": (lambda: ReferenceSpec("LIE", n=2, k=3, m=64),
+                          f"reference {RANGE}, got N=2, K=3"),
+        "reference-M<1": (lambda: ReferenceSpec("LIE", n=8, k=2, m=0),
+                          f"reference {RANGE}, got N=8, K=2, M=0"),
+        "study-no-rows": (lambda: _study(rows=()), "the ladder has no rows"),
+        "study-error-at": (lambda: _study(error_at="last"), "error_at must be"),
+        "study-error-space": (lambda: _study(error_space="state"), "error_space must be"),
+        "study-workers": (lambda: _study(workers=0), "worker count must be >= 1"),
+        "paper-reference": (lambda: paper_reference(3), "published reference resolutions"),
+        "order-axis": (lambda: measure_order(_ORDERED, axis="N"), "axis must be"),
+        "order-mixed": (lambda: measure_order(_report(("EES", 8, 0.4), ("LIE", 16, 0.2),
+                                                      ("EES", 32, 0.1))),
+                        "report mixes schemes"),
+        "order-zero-error": (lambda: measure_order(replace(_ORDERED, rows=(
+            replace(_ORDERED.rows[0], error=0.0),) + _ORDERED.rows[1:])),
+                             "order fit needs strictly positive errors"),
+        "config-drift": (lambda: make_problem_from_config({**EX1, "drift": "cubic"}),
+                         "unknown drift variant 'cubic'"),
+        "config-initial": (lambda: make_problem_from_config({**EX1, "initial": "one"}),
+                           "unknown initial-value law 'one'"),
+        "config-p-null": (lambda: make_problem_from_config({**EX1, "p": None}),
+                          "config key p has an invalid value None"),
+        "config-gamma-list": (lambda: make_problem_from_config({**EX1, "gamma": [1]}),
+                              "config key gamma has an invalid value [1]"),
+        "config-power-null": (lambda: make_problem_from_config({**EX1,
+                                                                "initial": {"power": None}}),
+                              "config key initial.power has an invalid value None"),
+        "config-drift-list": (lambda: make_problem_from_config({**EX1, "drift": ["x"]}),
+                              "unknown drift variant ['x']"),
+        "config-horizon-text": (lambda: make_problem_from_config({**EX1, "horizon": "x"}),
+                                "config key horizon has an invalid value 'x'"),
+        "config-not-an-object": (lambda: make_problem_from_config([EX1]),
+                                 "a problem config must be a JSON object, got list"),
+    }
+    db, eta = np.zeros((3, 2)), np.ones(2)
+    for name, sample in _samplers().items():
+        for h in (0.0, -0.1, np.inf, np.nan):
+            cases[f"{name}-h={h}"] = (lambda sample=sample, h=h: sample(db, h, eta),
+                                      "step length must be positive and finite")
+        cases[f"{name}-eta"] = (lambda sample=sample: sample(db, 0.1, np.ones(3)),
+                                "eta length does not match increment count")
+        cases[f"{name}-1d"] = (lambda sample=sample: sample(np.zeros(2), 0.1, eta),
+                               "delta_beta must have shape (s, k), got (2,)")
+    return cases
+
+
+REJECTS = _rejects()
+
+
+@pytest.mark.parametrize("case", REJECTS)
+def test_every_spec_rejects(case):
+    build, message = REJECTS[case]
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        build()
