@@ -22,7 +22,7 @@ from .harness import ReferenceSpec, StudyConfig, paper_reference, plan_rows, run
 from .noise import (alg1_iterated_batch, exact_second_moment,
                     sample_increments_batch, substream)
 from .problems import make_example, make_problem_from_config
-from .schemes import KINDS
+from .schemes import KINDS, canonical_kind
 
 
 def _parse_ladder(text: str):
@@ -30,6 +30,13 @@ def _parse_ladder(text: str):
     if not values:
         raise ValueError(f"--ladder needs at least one N, got {text!r}")
     return values
+
+
+def _parse_schemes(text: str):
+    kinds = [canonical_kind(tok) for tok in text.split(",") if tok]
+    if not kinds:
+        raise ValueError(f"--schemes needs at least one scheme, got {text!r}")
+    return kinds
 
 
 def _load_problem(args):
@@ -41,9 +48,7 @@ def _load_problem(args):
 
 def _cmd_study(args) -> int:
     problem = _load_problem(args)
-    schemes = [s.upper() for s in args.schemes.split(",") if s]
-    ladder = _parse_ladder(args.ladder)
-    rows = plan_rows(problem, schemes, ladder)
+    rows = plan_rows(problem, _parse_schemes(args.schemes), _parse_ladder(args.ladder))
     if args.full_reference:
         if args.config:
             raise ValueError("--full-reference needs --example: published reference "
@@ -101,8 +106,7 @@ def _cmd_eoc(args) -> int:
 
 def _cmd_cost(args) -> int:
     problem = _load_problem(args)
-    schemes = [s.upper() for s in args.schemes.split(",") if s]
-    rows = plan_rows(problem, schemes, _parse_ladder(args.ladder))
+    rows = plan_rows(problem, _parse_schemes(args.schemes), _parse_ladder(args.ladder))
     q = problem.params.q_dfm
     sys.stdout.write("scheme,N,M,K,D,cost\n")
     for row in rows:

@@ -1,13 +1,25 @@
 """Effective-order-of-convergence planner, in exact rational arithmetic.
 
 Given the regularity exponents of a problem, the error of a scheme at
-resolutions (N, K, M) behaves like N^(-gamma rho_A) + K^(-alpha rho_Q)
-+ M^(-q). Minimizing this under a budget on the per-run cost yields, for
-each scheme, an exponent theta with error = O(budget^(-theta)) -- the
-effective order -- together with the optimal growth relations between M,
-N and K. Which regime applies is decided by four ordered conditions on
-g = gamma*rho_A and q; ties on a boundary are assigned to the earlier row
-(the exponent formulas agree there, so the choice is unobservable).
+resolutions (N, K, M) behaves like N^(-g) + K^(-a) + M^(-q), with
+g = gamma*rho_A, a = alpha*rho_Q and q the scheme's temporal order.
+Balancing the terms at an error e sets N = e^(-1/g), K = e^(-1/a) and
+M = e^(-1/q), and one run then costs
+
+    the step sweep  M N^nu K = e^(-S),  S = 1/q + nu/g + kappa/a,
+    the series      M^(2q) K = e^(-C),  C = 2 + kappa/a.
+
+nu is the highest power of N in the kind's per-step evaluations
+(`Scheme.evals`): 2 when a step evaluates the derivative b', else 1.
+kappa is 0 for finite-dimensional noise, whose K is fixed, and 1
+otherwise. The series term applies to the Milstein-type kinds, which
+draw their iterated integrals at depth M^(2q-1); C = 0 for the others.
+So the error is O(cost^(-theta)) with the effective order
+theta = 1 / max(S, C), and the growth relations between M, N and K
+follow. `classify` names the paper's four regimes, decided by ordered
+conditions on g and the Milstein order q; ties on a boundary are
+assigned to the earlier row (the exponent formulas agree there, so the
+choice is unobservable).
 
 All arithmetic is exact; floats appear nowhere, and integer resolutions
 are rounded from rational powers by exact integer comparison.
@@ -21,7 +33,7 @@ from typing import Optional, Tuple
 
 from .exactmath import ceil_power
 from .noise import choose_D1
-from .problems import ProblemSpec, temporal_order
+from .problems import ProblemSpec, _check_exponents, temporal_order
 from .schemes import REGISTRY, canonical_kind
 
 __all__ = ["PlanInput", "Classification", "Resolution", "classify",
@@ -44,14 +56,7 @@ class PlanInput:
         for name in ("gamma", "beta", "alpha", "rho_a", "rho_q"):
             object.__setattr__(self, name, Fraction(getattr(self, name)))
         object.__setattr__(self, "scheme", canonical_kind(self.scheme))
-        if not (0 <= self.beta < 1):
-            raise ValueError("beta must lie in [0,1)")
-        if self.gamma <= self.beta or self.gamma <= 0:
-            raise ValueError("gamma must exceed beta and be positive")
-        if self.alpha <= 0 or self.rho_a <= 0:
-            raise ValueError("alpha and rho_a must be positive")
-        if self.rho_q <= 1:
-            raise ValueError("rho_q must exceed 1")
+        _check_exponents(self.beta, self.gamma, self.alpha, self.rho_a, self.rho_q)
 
     @classmethod
     def from_problem(cls, problem: ProblemSpec, scheme: str = "DFM",
@@ -104,44 +109,20 @@ def classify(plan: PlanInput) -> Classification:
     return Classification(row=idx, label=label, optimal=optimal)
 
 
-def _balanced(g: Fraction, a: Fraction, q: Fraction) -> Fraction:
-    # g*a*q / ((a+g) q + a*g): cost dominated by the M N K sweep
-    return g * a * q / ((a + g) * q + a * g)
-
-
-def _mil_balanced(g: Fraction, a: Fraction, q: Fraction) -> Fraction:
-    # g*a*q / ((2a+g) q + a*g): cost dominated by the M N^2 K sweep
-    return g * a * q / ((2 * a + g) * q + a * g)
-
-
-def _series_capped(a: Fraction) -> Fraction:
-    # a / (2a + 1): cost dominated by the series-depth draws
-    return a / (2 * a + 1)
-
-
 def eoc_exponent(plan: PlanInput) -> Fraction:
-    """Exact effective order for the plan's scheme in its regime.
-
-    Bounded by 1/2 whenever the series integral simulator is involved; the
-    derivative-free scheme dominates the other schemes for every admissible
-    parameter set.
-    """
+    """Exact effective order theta = 1 / max(S, C) of the plan's scheme
+    (module docstring). It is at most 1/2 for every kind: C >= 2 for the
+    Milstein-type ones, and the Euler-type ones' q is at most 1/2. DFM's is
+    the largest of the four: nu = 1 makes its S no larger than MIL's, and
+    the Euler-type S exceeds both DFM's S and its C."""
     g = plan.gamma * plan.rho_a
     a = plan.alpha * plan.rho_q
-    q = plan.q
-    scheme = plan.scheme
-    milstein = REGISTRY[scheme].milstein
-    if plan.finite_dim_noise:
-        if not milstein:
-            return g * q / (g + q)
-        if scheme == "DFM":
-            return g * q / (g + q) if g * (2 * q - 1) <= q else Fraction(1, 2)
-        return g * q / (g + 2 * q) if g * (2 * q - 1) <= 2 * q else Fraction(1, 2)
-    if not milstein:
-        return _balanced(g, a, q)
-    if scheme == "DFM":
-        return _balanced(g, a, q) if g * (2 * q - 1) <= q else _series_capped(a)
-    return _mil_balanced(g, a, q) if g * (2 * q - 1) <= 2 * q else _series_capped(a)
+    scheme = REGISTRY[plan.scheme]
+    kappa = 0 if plan.finite_dim_noise else 1
+    nu = 2 if scheme.bprime_per_n2k else 1
+    sweep = 1 / plan.q + nu / g + kappa / a
+    series = 2 + kappa / a if scheme.milstein else 0
+    return 1 / max(sweep, series)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Exact integer rounding of rational powers: the package's one rounding rule.
+"""Exact integer rounding of rational powers, the package's one rounding
+rule, and its one integer check (`_check_integers`).
 
 Every planned integer is a ceiling of a scaled rational power: the
 resolutions ceil(N^(g/q)), the series depth ceil(M^(2q-1)) and the depth
@@ -41,3 +42,14 @@ def ceil_power(n: int, e: Rational, scale: int = 1) -> int:
         else:
             lo = mid + 1
     return lo
+
+
+def _check_integers(**fields) -> None:
+    """ValueError naming the first field that is not an integer (None: absent)."""
+    for name, value in fields.items():
+        if value is None:
+            continue
+        try:
+            index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None

@@ -70,14 +70,14 @@ import numpy as np
 
 from .cost import CostLedger, cost_formula, ledger_expected
 from .eoc import PlanInput, optimal_resolution
-from .exactmath import ceil_power
+from .exactmath import _check_integers, ceil_power
 from .noise import (_check_seed, alg1_iterated_batch, alg2_iterated_batch, choose_D1,
                     choose_D2, sample_increments_batch, substream)
 # imported only so that bench/tracer.py, which patches this name, keeps working
 from .noise import NoisePacket  # noqa: F401
 from .problems import ProblemSpec
-from .schemes import (REGISTRY, NonFiniteState, SchemeConfig, _check_integers,
-                      _check_resolution, canonical_kind, integrate)
+from .schemes import (REGISTRY, NonFiniteState, SchemeConfig, _check_resolution,
+                      canonical_kind, integrate)
 
 __all__ = [
     "ReferenceSpec", "LadderRow", "StudyConfig", "ReportRow", "StudyReport",
@@ -642,8 +642,7 @@ def _run_chunk(args):
     observed = np.zeros(lattice + 1, dtype=bool)
     for r in ctx.rows:
         observed[_observed_steps(ctx, r) * lattice // r.m] = True
-    ref_cfg = SchemeConfig(kind=ref.kind, n=ref.n, k=k_ref, m=lattice,
-                           horizon=problem.horizon)
+    ref_cfg = SchemeConfig(kind=ref.kind, n=ref.n, k=k_ref, m=lattice)
     ref_run = _Stepper(problem, ctx.seed, lo, ref_cfg, np.flatnonzero(observed))
     ref_states = np.empty((len(paths), ref_run.observed.size, ref.n))
 
@@ -652,8 +651,7 @@ def _run_chunk(args):
         ledger = CostLedger()
         # bill the draws a standalone run of this row would make
         ledger.charge_normals(row.m * ledger_expected(row.scheme, row.n, row.k, row.d).normals)
-        cfg = SchemeConfig(kind=row.scheme, n=row.n, k=row.k, m=row.m,
-                           horizon=problem.horizon)
+        cfg = SchemeConfig(kind=row.scheme, n=row.n, k=row.k, m=row.m)
         runs.append(_Stepper(problem, ctx.seed, lo, cfg, _observed_steps(ctx, row), ledger))
         sq_errors.append(np.empty((len(paths), runs[-1].observed.size)))
 
@@ -781,7 +779,7 @@ def estimate_sup_second_moment(problem: ProblemSpec, kind: str, n: int, k: int,
     """Monte Carlo estimate of max over grid points of E |Y_step|^2 in the
     fractional norm of order delta, Milstein-type kinds sampling their
     series at the D1 depth of m."""
-    cfg = SchemeConfig(kind=kind, n=n, k=k, m=m, horizon=problem.horizon)
+    cfg = SchemeConfig(kind=kind, n=n, k=k, m=m)
     milstein = REGISTRY[cfg.kind].milstein
     d = choose_D1(m, problem.params.q_dfm) if milstein else None
     eta = problem.q_law.values(k)
@@ -791,12 +789,13 @@ def estimate_sup_second_moment(problem: ProblemSpec, kind: str, n: int, k: int,
     series_rngs = [substream(seed, 71, m, path, 2) for path in range(paths)]
     run = _Stepper(problem, seed, 0, cfg, np.arange(m + 1))
     block = _block_steps(paths, k * (k + 1 if milstein else 1))
+    h = problem.horizon / m
     acc = np.zeros(m + 1)
     for a in range(0, m, block):
         b = min(m, a + block)
-        db = _stacked(inc_rngs, lambda i, rng: sample_increments_batch(rng, b - a, k, cfg.h))
+        db = _stacked(inc_rngs, lambda i, rng: sample_increments_batch(rng, b - a, k, h))
         iq = _stacked(series_rngs, lambda i, rng: alg1_iterated_batch(
-            rng, db[i], cfg.h, d, eta)) if milstein else None
+            rng, db[i], h, d, eta)) if milstein else None
         i0, i1, states = run.advance(db, iq)
         # path by path, as the sum over paths has always been added
         for traj in states:

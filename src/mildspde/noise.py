@@ -70,7 +70,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactmath import ceil_power
+from .exactmath import _check_integers, ceil_power
 
 __all__ = [
     "NoisePacket",
@@ -227,8 +227,10 @@ def _series_blocks(rng: np.random.Generator, s: int, k: int,
                z[:, d * k: 2 * d * k].reshape(hi - lo, d, k), z[:, 2 * d * k:])
 
 
-def _check_batch(delta_beta, h: float, d: int, eta):
-    if d < 1:
+def _check_batch(delta_beta, h: float, depths: Sequence[int], eta):
+    for d in depths:
+        _check_integers(D=d)
+    if min(depths, default=0) < 1:
         raise ValueError("truncation depth must be >= 1")
     if not 0 < h < math.inf:
         raise ValueError(f"step length must be positive and finite, got {h}")
@@ -266,7 +268,7 @@ def alg1_iterated_batch(rng: np.random.Generator, delta_beta: np.ndarray,
     Beyond the result, the call holds one block of draws and one (rows, k,
     k) scratch array (module docstring).
     """
-    db, eta = _check_batch(delta_beta, h, d, eta)
+    db, eta = _check_batch(delta_beta, h, (d,), eta)
     s, k = db.shape
     scale = np.outer(np.sqrt(eta), np.sqrt(eta))
     out = np.empty((s, k, k))
@@ -292,7 +294,7 @@ def alg2_iterated_batch(rng: np.random.Generator, delta_beta: np.ndarray,
     drawn from the same generator state. Beyond the result, the call holds
     one block of draws and one (rows, k, k) scratch array.
     """
-    db, eta = _check_batch(delta_beta, h, d, eta)
+    db, eta = _check_batch(delta_beta, h, (d,), eta)
     s, k = db.shape
     weights_x, upper_i, upper_j, a_d = _alg2_constants(k, d)
     scale = np.outer(np.sqrt(eta), np.sqrt(eta))
@@ -328,8 +330,8 @@ def alg1_iterated_nested(rng: np.random.Generator, delta_beta: np.ndarray,
     (s, k, k) array for the (s, k) increments delta_beta. It draws what
     `alg1_iterated_batch` draws at the largest depth D, which it equals to
     rounding, and depth d finishes each row's first d terms with c_d."""
-    depths = sorted({int(d) for d in d_values})
-    db, eta = _check_batch(delta_beta, h, min(depths, default=0), eta)
+    db, eta = _check_batch(delta_beta, h, d_values, eta)
+    depths = sorted({index(d) for d in d_values})
     s, k = db.shape
     scale = np.outer(np.sqrt(eta), np.sqrt(eta))
     tail = {d: _tail_scale(d) for d in depths}

@@ -60,6 +60,22 @@ def temporal_order(gamma: Fraction, beta: Fraction, milstein: bool) -> Fraction:
     return q if milstein else min(Fraction(1, 2), q)
 
 
+def _check_exponents(beta, gamma, alpha, rho_a, rho_q) -> None:
+    """ValueError unless 0 <= beta < 1, gamma > beta, alpha > 0, rho_a > 0
+    and rho_q > 1: the exponents the planner and a problem both need."""
+    if not (0 <= beta < 1):
+        raise ValueError("beta must lie in [0,1)")
+    if gamma <= beta:
+        # q = min(2(gamma-beta), gamma) would vanish
+        raise ValueError("gamma must exceed beta and be positive")
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    if rho_a <= 0:
+        raise ValueError("rho_a must be positive")
+    if rho_q <= 1:
+        raise ValueError("rho_q must exceed 1 for a trace-class covariance")
+
+
 @dataclass(frozen=True)
 class RegularityParams:
     """Regularity exponents of a problem, kept as exact rationals.
@@ -79,22 +95,12 @@ class RegularityParams:
     def __post_init__(self):
         for name in ("beta", "gamma", "delta", "alpha", "rho_a", "rho_q"):
             object.__setattr__(self, name, _frac(getattr(self, name)))
-        beta, gamma, delta = self.beta, self.gamma, self.delta
-        if not (0 <= beta < 1):
-            raise ValueError("beta must lie in [0,1)")
+        _check_exponents(self.beta, self.gamma, self.alpha, self.rho_a, self.rho_q)
+        delta = self.delta
         if not (0 < delta <= Fraction(1, 2)):
             raise ValueError("delta must lie in (0,1/2]")
-        if not (max(beta, delta) <= gamma <= delta + Fraction(1, 2)):
+        if not (delta <= self.gamma <= delta + Fraction(1, 2)):
             raise ValueError("gamma must lie in [max(beta,delta), delta+1/2]")
-        if gamma <= beta:
-            # q = min(2(gamma-beta), gamma) would vanish
-            raise ValueError("gamma must exceed beta and be positive")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.rho_q <= 1:
-            raise ValueError("rho_q must exceed 1 for a trace-class covariance")
-        if self.rho_a <= 0:
-            raise ValueError("rho_a must be positive")
 
     @property
     def q_dfm(self) -> Fraction:

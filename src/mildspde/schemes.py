@@ -44,13 +44,12 @@ hundred steps; a non-finite path stops the integration with
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from operator import index
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from .exactmath import _check_integers
 from .problems import ProblemSpec
 
 __all__ = ["Scheme", "REGISTRY", "KINDS", "MILSTEIN_KINDS", "canonical_kind",
@@ -146,17 +145,6 @@ def canonical_kind(kind: str) -> str:
     return upper
 
 
-def _check_integers(**fields) -> None:
-    """ValueError naming the first field that is not an integer (None: absent)."""
-    for name, value in fields.items():
-        if value is None:
-            continue
-        try:
-            index(value)
-        except TypeError:
-            raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
 def _check_resolution(role: str, kind: str, n, k, m) -> str:
     """The canonical kind; ValueError naming the role ("row", ...) unless
     N, K and M are integers with 1 <= K <= N and M >= 1."""
@@ -169,23 +157,17 @@ def _check_resolution(role: str, kind: str, n, k, m) -> str:
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Scheme kind plus the discretization triple (N, K, M) on [0, T]."""
+    """Scheme kind plus the discretization triple (N, K, M); the M steps
+    span the problem's horizon."""
 
     kind: str
     n: int
     k: int
     m: int
-    horizon: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "kind",
                            _check_resolution("scheme", self.kind, self.n, self.k, self.m))
-        if not 0 < self.horizon < math.inf:
-            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
-
-    @property
-    def h(self) -> float:
-        return self.horizon / self.m
 
 
 # --- trajectory integration -------------------------------------------------
@@ -225,11 +207,11 @@ def integrate(config: SchemeConfig, problem: ProblemSpec, db: np.ndarray,
     (default: every step 0..s), stepped from the projected initial value or
     from the state y0.
 
-    db holds (s, k) standard Brownian increments on the uniform grid, iq the
-    (s, k, k) covariance-scaled iterated integrals that the Milstein-type
-    kinds require and the Euler-type ones refuse. From the initial value s
-    is the grid's m; from y0, the call continues a trajectory by any s <= m
-    of its steps, and step 0 is y0. With a leading path axis on both, P
+    db holds (s, k) standard Brownian increments on the uniform grid of step
+    h = problem.horizon / m, iq the (s, k, k) covariance-scaled iterated
+    integrals that the Milstein-type kinds require and the Euler-type ones
+    refuse. From the initial value s is the grid's m; from y0, the call
+    continues a trajectory by any s <= m of its steps, and step 0 is y0. With a leading path axis on both, P
     paths are stepped together as one (P, n) state, and each path's result
     equals, bit for bit, an unbatched call on its own noise. y0 is one (n,)
     state, or with a path axis (P, n) states or one (n,) state for every
@@ -244,7 +226,8 @@ def integrate(config: SchemeConfig, problem: ProblemSpec, db: np.ndarray,
     stepping stops at the first check that fails, under suppressed overflow
     and invalid-value warnings.
     """
-    n, k, m, h = config.n, config.k, config.m, config.h
+    n, k, m = config.n, config.k, config.m
+    h = problem.horizon / m
     scheme = REGISTRY[config.kind]
     db = np.ascontiguousarray(db, dtype=float)
     batched = db.ndim == 3

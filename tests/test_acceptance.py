@@ -124,8 +124,8 @@ def test_criterion_04_linear_b_degeneracy():
         for path in range(paths):
             db = sample_increments_batch(substream(40 + ex, path, 1), m, k, h)
             iq = alg1_iterated_batch(substream(40 + ex, path, 2), db, h, d, eta)
-            cfg_d = SchemeConfig("DFM", n=n, k=k, m=m, horizon=prob.horizon)
-            cfg_m = SchemeConfig("MIL", n=n, k=k, m=m, horizon=prob.horizon)
+            cfg_d = SchemeConfig("DFM", n=n, k=k, m=m)
+            cfg_m = SchemeConfig("MIL", n=n, k=k, m=m)
             td = integrate(cfg_d, prob, db, iq)
             tm = integrate(cfg_m, prob, db, iq)
             scale = np.maximum(np.abs(td), 1.0)

@@ -101,6 +101,22 @@ def test_eoc_loads_config(tmp_path, capsys):
     assert from_config == capsys.readouterr().out
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("beta", "1", "beta must lie in [0,1)"),
+    ("beta", "7/8", "gamma must exceed beta and be positive"),
+    ("alpha", "0", "alpha must be positive"),
+    ("rho_a", "-1", "rho_a must be positive"),
+    ("rho_q", "1", "rho_q must exceed 1 for a trace-class covariance")])
+def test_eoc_flags_and_config_reject_exponents_alike(key, value, message, tmp_path, capsys):
+    path = _write_config(tmp_path, dict(_EXAMPLE1_CONFIG, **{key: value}))
+    assert main(["eoc", "--config", path]) == 2
+    from_config = capsys.readouterr().err
+    flags = {"gamma": "7/8", "alpha": "9/4", key: value}
+    argv = [f"--{name.replace('_', '-')}={v}" for name, v in flags.items()]
+    assert main(["eoc", *argv]) == 2
+    assert capsys.readouterr().err == from_config == f"error: {message}\n"
+
+
 def test_eoc_without_parameters_exits_2(capsys):
     assert main(["eoc"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -162,12 +178,18 @@ def test_cost_config_wrong_type_exits_2(cfg, key, tmp_path, capsys):
     ["study", "--ladder", ",", "--paths", "2", "--ref-n", "4", "--ref-k", "2",
      "--ref-m", "64"],
     ["cost", "--ladder", ","],
-    ["eoc", "--example", "1", "--ladder", ","]])
+    ["eoc", "--example", "1", "--ladder", ","],
+    ["study", "--ladder", "2", "--schemes", ",", "--paths", "2", "--ref-n", "4",
+     "--ref-k", "2", "--ref-m", "64"],
+    ["cost", "--ladder", "2", "--schemes", ","]])
 def test_empty_ladder_exits_2(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error: --ladder needs at least one N" in captured.err
+    if "--schemes" in argv:
+        assert "error: --schemes needs at least one scheme" in captured.err
+    else:
+        assert "error: --ladder needs at least one N" in captured.err
 
 
 @pytest.mark.parametrize("args,flag", [(["--samples", "0"], "--samples"),

@@ -121,7 +121,7 @@ def test_instrumented_ledger_matches_expected_for_every_scheme():
         else:
             iq = None
             exp = ledger_expected(kind, n, k)
-        integrate(SchemeConfig(kind, n=n, k=k, m=m, horizon=prob.horizon), prob, db, iq,
+        integrate(SchemeConfig(kind, n=n, k=k, m=m), prob, db, iq,
                   ledger=led)
         got = (led.functional_evals_f, led.functional_evals_b,
                led.functional_evals_bprime, led.normal_draws)

@@ -99,6 +99,37 @@ def test_boundary_tie_assigned_to_lower_row_and_formulas_agree():
     balanced = g * a * q / ((a + g) * q + a * g)
     capped = a / (2 * a + 1)
     assert balanced == capped == eoc_exponent(plan)
+    # MIL's tie gamma rho_A (2q-1) == 2q: q = 3/4, gamma rho_A = 3
+    plan = replace(plan, rho_a=Fraction(4), scheme="MIL")
+    g = plan.gamma * plan.rho_a
+    assert g * (2 * q - 1) == 2 * q
+    assert classify(plan).row == 3
+    mil_balanced = g * a * q / ((2 * a + g) * q + a * g)
+    assert mil_balanced == capped == eoc_exponent(plan)
+    fd = replace(plan, finite_dim_noise=True)
+    assert g * q / (g + 2 * q) == Fraction(1, 2) == eoc_exponent(fd)
+
+
+def _named_exponent(plan):
+    """The effective order by the paper's named regime formulas: the
+    balanced M N K (DFM, EES, LIE) or M N^2 K (MIL) sweep until the
+    series caps it (test-local oracle)."""
+    g, a, q = plan.gamma * plan.rho_a, plan.alpha * plan.rho_q, plan.q
+    half = Fraction(1, 2)
+    if plan.finite_dim_noise:
+        if plan.scheme in ("EES", "LIE"):
+            return g * q / (g + q)
+        if plan.scheme == "DFM":
+            return g * q / (g + q) if g * (2 * q - 1) <= q else half
+        return g * q / (g + 2 * q) if g * (2 * q - 1) <= 2 * q else half
+    balanced = g * a * q / ((a + g) * q + a * g)
+    capped = a / (2 * a + 1)
+    if plan.scheme in ("EES", "LIE"):
+        return balanced
+    if plan.scheme == "DFM":
+        return balanced if g * (2 * q - 1) <= q else capped
+    mil_balanced = g * a * q / ((2 * a + g) * q + a * g)
+    return mil_balanced if g * (2 * q - 1) <= 2 * q else capped
 
 
 def test_random_sweep_invariants():
@@ -118,15 +149,18 @@ def test_random_sweep_invariants():
         alpha = Fraction(int(rng.integers(1, 49)), 12)
         rho_a = Fraction(int(rng.integers(1, 41)), 8)
         rho_q = 1 + Fraction(int(rng.integers(1, 41)), 12)
-        plans = {s: PlanInput(gamma=gamma, beta=beta, alpha=alpha, rho_a=rho_a,
-                              rho_q=rho_q, scheme=s) for s in ("DFM", "MIL", "EES")}
-        eocs = {s: eoc_exponent(p) for s, p in plans.items()}
-        assert eocs["DFM"] >= eocs["MIL"]
-        assert eocs["DFM"] >= eocs["EES"]
-        assert all(v <= half for v in eocs.values())
-        cls = classify(plans["DFM"])
-        if cls.row == 4:
-            assert eocs["DFM"] == eocs["MIL"]
+        for finite_dim in (False, True):
+            plans = {s: PlanInput(gamma=gamma, beta=beta, alpha=alpha, rho_a=rho_a,
+                                  rho_q=rho_q, scheme=s, finite_dim_noise=finite_dim)
+                     for s in ("DFM", "MIL", "EES", "LIE")}
+            eocs = {s: eoc_exponent(p) for s, p in plans.items()}
+            assert eocs == {s: _named_exponent(p) for s, p in plans.items()}
+            assert eocs["DFM"] >= eocs["MIL"]
+            assert eocs["DFM"] >= eocs["EES"] == eocs["LIE"]
+            assert all(v <= half for v in eocs.values())
+            cls = classify(plans["DFM"])
+            if cls.row == 4:
+                assert eocs["DFM"] == eocs["MIL"]
         checked += 1
 
 

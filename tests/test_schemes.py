@@ -27,8 +27,8 @@ class _FixedInitial:
 
 def _one_step(kind, prob, y, db, iq, h):
     """State after one step of `kind` from y: integrate with m = 1."""
-    cfg = SchemeConfig(kind, n=len(y), k=len(db), m=1, horizon=h)
-    start = replace(prob, initial=_FixedInitial(tuple(y)))
+    cfg = SchemeConfig(kind, n=len(y), k=len(db), m=1)
+    start = replace(prob, initial=_FixedInitial(tuple(y)), horizon=h)
     iq = None if iq is None else np.asarray(iq, dtype=float)[None]
     return integrate(cfg, start, np.asarray(db, dtype=float)[None], iq, at=[1])[0]
 
@@ -171,7 +171,7 @@ def test_integrate_single_step_matches_step():
     # each step of a trajectory is a one-step integrate from the previous state
     prob = make_example(1)
     m, h = 2, 0.5
-    cfg = SchemeConfig("DFM", n=4, k=2, m=m, horizon=1.0)
+    cfg = SchemeConfig("DFM", n=4, k=2, m=m)
     eta = prob.q_law.values(2)
     db = sample_increments_batch(substream(1, 1), m, 2, h)
     iq = alg1_iterated_batch(substream(1, 2), db, h, 2, eta)
@@ -184,7 +184,7 @@ def test_integrate_single_step_matches_step():
 def test_integrate_pure_heat_decay():
     prob = _zero_noise_problem()
     m, n = 8, 5
-    cfg = SchemeConfig("EES", n=n, k=2, m=m, horizon=1.0)
+    cfg = SchemeConfig("EES", n=n, k=2, m=m)
     traj = integrate(cfg, prob, np.zeros((m, 2)))
     lam = prob.a_law.values(n)
     xi = prob.initial_coeffs(n)
@@ -195,7 +195,7 @@ def test_integrate_pure_heat_decay():
 
 def test_integrate_replay_bitwise():
     prob = make_example(2)
-    cfg = SchemeConfig("MIL", n=6, k=3, m=12, horizon=1.0)
+    cfg = SchemeConfig("MIL", n=6, k=3, m=12)
     eta = prob.q_law.values(3)
 
     def run():
@@ -208,7 +208,7 @@ def test_integrate_replay_bitwise():
 
 def test_integrate_at_selects_steps_of_the_trajectory():
     prob = make_example(1)
-    cfg = SchemeConfig("LIE", n=4, k=2, m=8, horizon=1.0)
+    cfg = SchemeConfig("LIE", n=4, k=2, m=8)
     db = sample_increments_batch(substream(3, 1), 8, 2, 1 / 8)
     traj = integrate(cfg, prob, db)
     assert traj.shape == (9, 4)
@@ -220,21 +220,21 @@ def test_integrate_at_selects_steps_of_the_trajectory():
 @pytest.mark.parametrize("at", [[4, 2], [2, 2], [], [-1, 3], [3, 9], [[1, 2]], [0.5, 2]])
 def test_integrate_rejects_bad_at(at):
     prob = make_example(1)
-    cfg = SchemeConfig("LIE", n=4, k=2, m=8, horizon=1.0)
+    cfg = SchemeConfig("LIE", n=4, k=2, m=8)
     with pytest.raises(ValueError, match="at must be"):
         integrate(cfg, prob, np.zeros((8, 2)), at=at)
 
 
 def test_integrate_rejects_short_noise():
     prob = make_example(1)
-    cfg = SchemeConfig("EES", n=4, k=2, m=8, horizon=1.0)
+    cfg = SchemeConfig("EES", n=4, k=2, m=8)
     with pytest.raises(ValueError):
         integrate(cfg, prob, np.zeros((3, 2)))
     with pytest.raises(ValueError):
         integrate(cfg, prob, np.zeros((8, 3)))                     # wrong K
     with pytest.raises(ValueError):
         integrate(cfg, prob, np.zeros((8, 2)), np.zeros((8, 2, 2)))  # Euler takes no iq
-    mil = SchemeConfig("MIL", n=4, k=2, m=8, horizon=1.0)
+    mil = SchemeConfig("MIL", n=4, k=2, m=8)
     with pytest.raises(ValueError):
         integrate(mil, prob, np.zeros((8, 2)))                     # iq missing
     with pytest.raises(ValueError):
@@ -275,7 +275,7 @@ def test_integrate_continues_from_y0(kind, batched):
 
 def test_integrate_rejects_bad_y0():
     prob = make_example(1)
-    cfg = SchemeConfig("EES", n=4, k=2, m=8, horizon=1.0)
+    cfg = SchemeConfig("EES", n=4, k=2, m=8)
     y0 = np.ones(4)
     for bad in (np.ones(5), np.ones((2, 4)), np.array([1.0, np.nan, 0.0, 0.0]),
                 np.array([np.inf, 0.0, 0.0, 0.0])):
@@ -364,11 +364,12 @@ def test_forwarding_diffusion_runs_every_kind_with_one_derivative_call_per_step(
     forwarding = _ForwardingDiffusion(prob.diffusion)
     cfg = SchemeConfig(kind, n=16, k=16, m=8)
     rng = np.random.default_rng(4)
-    db = rng.standard_normal((3, cfg.m, cfg.k)) * math.sqrt(cfg.h)
+    h = prob.horizon / cfg.m
+    db = rng.standard_normal((3, cfg.m, cfg.k)) * math.sqrt(h)
     iq = None
     if kind in MILSTEIN_KINDS:
         eta = prob.q_law.values(cfg.k)
-        iq = np.stack([alg1_iterated_batch(substream(4, p), db[p], cfg.h, 4, eta)
+        iq = np.stack([alg1_iterated_batch(substream(4, p), db[p], h, 4, eta)
                        for p in range(3)])
     got = integrate(cfg, replace(prob, diffusion=forwarding), db, iq)
     np.testing.assert_array_equal(got, integrate(cfg, prob, db, iq))

@@ -9,7 +9,8 @@ import pytest
 
 from mildspde.harness import (LadderRow, ReferenceSpec, ReportRow, StudyConfig,
                               StudyReport, measure_order, paper_reference)
-from mildspde.noise import alg1_iterated_batch, alg1_iterated_nested, substream
+from mildspde.noise import (alg1_iterated_batch, alg1_iterated_nested, alg2_iterated_batch,
+                            substream)
 from mildspde.problems import make_example, make_problem_from_config
 from mildspde.schemes import SchemeConfig
 
@@ -93,6 +94,13 @@ def _rejects():
                                  "a problem config must be a JSON object, got list"),
     }
     db, eta = np.zeros((3, 2)), np.ones(2)
+    depth = {
+        "batch-D=2.5": lambda: alg1_iterated_batch(substream(0, 0), db, 0.1, 2.5, eta),
+        "alg2-D=2.5": lambda: alg2_iterated_batch(substream(0, 0), db, 0.1, 2.5, eta),
+        "nested-D=2.5": lambda: alg1_iterated_nested(substream(0, 0), db, 0.1, [2.5, 3], eta),
+    }
+    for name, build in depth.items():
+        cases[name] = (build, "D must be an integer, got 2.5")
     for name, sample in _samplers().items():
         for h in (0.0, -0.1, np.inf, np.nan):
             cases[f"{name}-h={h}"] = (lambda sample=sample, h=h: sample(db, h, eta),
