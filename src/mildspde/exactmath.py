@@ -45,11 +45,14 @@ def ceil_power(n: int, e: Rational, scale: int = 1) -> int:
 
 
 def _check_integers(**fields) -> None:
-    """ValueError naming the first field that is not an integer (None: absent)."""
+    """ValueError naming the first field that is not an integer (None:
+    absent). A bool is not one, though `operator.index` takes it."""
     for name, value in fields.items():
         if value is None:
             continue
         try:
+            if isinstance(value, bool):
+                raise TypeError
             index(value)
         except TypeError:
             raise ValueError(f"{name} must be an integer, got {value!r}") from None

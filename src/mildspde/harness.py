@@ -40,12 +40,14 @@ rows at one M share its series, so billed draws are the cost a standalone
 run would pay, not the draws made.
 
 Paths run in chunks, one per worker: a pool of W workers maps chunks of
-ceil(paths / W) paths. Each path draws from its own (purpose, 0, path)
-substreams (the series of a Milstein grid of M steps from (purpose, 0,
-path, M)). A chunk walks the lattice in blocks of steps whose noise, over
-all its paths, stays within one fixed element budget (1 MB of float64),
-though a block takes at least 64 steps, so that many paths do not make
-the blocks short enough for per-call overheads to matter.
+ceil(paths / W) paths. The pool is imported only when W > 1, so a
+single-worker study never loads the multiprocessing stack (~2 MB RSS).
+Each path draws from its own (purpose, 0, path) substreams (the series
+of a Milstein grid of M steps from (purpose, 0, path, M)). A chunk walks
+the lattice in blocks of steps whose noise, over all its paths, stays
+within one fixed element budget (1 MB of float64), though a block takes
+at least 64 steps, so that many paths do not make the blocks short
+enough for per-call overheads to matter.
 Per block every generator draws its share, the reference and then every
 row continue their batched `integrate` calls from their last states
 (`y0`), each as far as its increments are complete, and only the observed
@@ -61,7 +63,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -541,6 +542,17 @@ def _stacked(rngs: Sequence[np.random.Generator], draw) -> np.ndarray:
     return out
 
 
+def _series(sampler, rngs: Sequence[np.random.Generator], db: np.ndarray, h: float,
+            d: int, eta: np.ndarray) -> np.ndarray:
+    """(P, s, k, k) iterated integrals of the (P, s, k) increments db: path
+    i's drawn by sampler from rngs[i], straight into its block of the
+    result."""
+    out = np.empty(db.shape + db.shape[-1:])
+    for i, rng in enumerate(rngs):
+        sampler(rng, np.ascontiguousarray(db[i]), h, d, eta, out=out[i])
+    return out
+
+
 def _observed_steps(ctx: _StudyContext, row: LadderRow) -> np.ndarray:
     """The steps of a row's grid that enter its error: M, or 0..M."""
     return np.arange(row.m + 1) if ctx.error_at == "all-grid" else np.array([row.m])
@@ -660,8 +672,8 @@ def _run_chunk(args):
     for a in range(0, lattice, block):
         b = min(lattice, a + block)
         db = _stacked(inc_rngs, lambda i, rng: sample_increments_batch(rng, b - a, k_ref, h_f))
-        ref_iq = None if ref_rngs is None else _stacked(
-            ref_rngs, lambda i, rng: alg2_iterated_batch(rng, db[i], h_f, ref.d, eta_ref))
+        ref_iq = None if ref_rngs is None else _series(
+            alg2_iterated_batch, ref_rngs, db, h_f, ref.d, eta_ref)
         i0, i1, states = ref_run.advance(db, ref_iq)
         ref_states[:, i0:i1] = states
         # each block's arrays go before the next block draws its own
@@ -684,9 +696,8 @@ def _run_chunk(args):
         del db
 
         # iterated integrals of every Milstein-type grid, from its own increments
-        iqs = {m: _stacked(rngs, lambda i, rng: alg1_iterated_batch(
-                   rng, np.ascontiguousarray(incs[m][i, :, :k]), problem.horizon / m,
-                   d, eta_ref[:k]))
+        iqs = {m: _series(alg1_iterated_batch, rngs, incs[m][:, :, :k], problem.horizon / m,
+                          d, eta_ref[:k])
                for m, (k, d, rngs) in series.items() if incs[m].shape[1]}
 
         for row, run, sq in zip(ctx.rows, runs, sq_errors):
@@ -735,6 +746,7 @@ def run_study(config: StudyConfig) -> StudyReport:
     if config.workers == 1:
         results = [_run_chunk(task) for task in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor   # only here (module docstring)
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             results = list(pool.map(_run_chunk, tasks))
 
@@ -780,6 +792,9 @@ def estimate_sup_second_moment(problem: ProblemSpec, kind: str, n: int, k: int,
     fractional norm of order delta, Milstein-type kinds sampling their
     series at the D1 depth of m."""
     cfg = SchemeConfig(kind=kind, n=n, k=k, m=m)
+    _check_integers(paths=paths)
+    if paths < 1:
+        raise ValueError(f"paths must be >= 1, got {paths}")
     milstein = REGISTRY[cfg.kind].milstein
     d = choose_D1(m, problem.params.q_dfm) if milstein else None
     eta = problem.q_law.values(k)
@@ -794,8 +809,7 @@ def estimate_sup_second_moment(problem: ProblemSpec, kind: str, n: int, k: int,
     for a in range(0, m, block):
         b = min(m, a + block)
         db = _stacked(inc_rngs, lambda i, rng: sample_increments_batch(rng, b - a, k, h))
-        iq = _stacked(series_rngs, lambda i, rng: alg1_iterated_batch(
-            rng, db[i], h, d, eta)) if milstein else None
+        iq = _series(alg1_iterated_batch, series_rngs, db, h, d, eta) if milstein else None
         i0, i1, states = run.advance(db, iq)
         # path by path, as the sum over paths has always been added
         for traj in states:

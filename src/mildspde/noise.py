@@ -49,10 +49,13 @@ one reused buffer of at most 2^18 normals (2 MB, cache-sized; one row if
 a row is larger) and 2^18 / K^2 rows, X is weighted in place, and the
 halves are contracted as views. Algorithm 1 shifts Y by sqrt(2/h) db in
 place; Algorithm 2 adds the shift's share, (sum_r x_r) c^T, as one outer
-product. Every sampler finishes each block in place into its output with
+product. Every sampler finishes each block in place into its output
+(which the batch samplers take from the caller as `out`, if given) with
 reused (rows, K, K) scratch, so its peak memory is the output plus about
 two blocks (three for the nested one), and the block size cannot change
-a result.
+a result. Smaller blocks (2^16) held 1.5 MB less per call and read the
+same in one process, but slowed a study running two workers at once
+(criterion 7, BENCH_18.json).
 `alg1_iterated_nested` draws what `alg1_iterated_batch` draws at the
 largest depth and finishes every depth from the running sum of each
 row's leading terms. Constants that depend only on (K, D), the X weights
@@ -66,7 +69,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Rational
 from operator import index
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -88,23 +91,26 @@ __all__ = [
 _TWO_PI = 2.0 * np.pi
 
 
-def _check_seed(seed) -> None:
-    """ValueError naming the seed unless it is a non-negative integer."""
+def _check_seed(seed, name: str = "seed") -> None:
+    """ValueError naming the seed (or the named key) unless it is a
+    non-negative integer; a bool is not one."""
     try:
-        valid = index(seed) >= 0
+        valid = not isinstance(seed, bool) and index(seed) >= 0
     except TypeError:
         valid = False
     if not valid:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+        raise ValueError(f"{name} must be a non-negative integer, got {seed!r}")
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
     """SeedSequence-keyed SFC64 substream for (seed, key...), independent of
     every other key. SFC64 is the fastest of numpy's generators at standard
-    normals, which dominate the cost of deep series. The seed must be a
-    non-negative integer."""
+    normals, which dominate the cost of deep series. The seed and every key
+    must be non-negative integers."""
     _check_seed(seed)
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(int(k) for k in key))
+    for i, k in enumerate(key):
+        _check_seed(k, f"substream key {i}")
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(index(k) for k in key))
     return np.random.Generator(np.random.SFC64(ss))
 
 
@@ -228,6 +234,8 @@ def _series_blocks(rng: np.random.Generator, s: int, k: int,
 
 
 def _check_batch(delta_beta, h: float, depths: Sequence[int], eta):
+    """The (s, k) increments and the k eigenvalues as float arrays, or a
+    ValueError naming what is wrong."""
     for d in depths:
         _check_integers(D=d)
     if min(depths, default=0) < 1:
@@ -241,7 +249,24 @@ def _check_batch(delta_beta, h: float, depths: Sequence[int], eta):
     eta = np.asarray(eta, dtype=float)
     if eta.shape != (k,):
         raise ValueError("eta length does not match increment count")
+    # a negative or NaN eigenvalue would only show as NaN integrals
+    if not np.all((eta >= 0.0) & (eta < math.inf)):
+        raise ValueError(f"eta must be finite and non-negative, got {eta}")
     return db, eta
+
+
+def _output(out: Optional[np.ndarray], s: int, k: int) -> np.ndarray:
+    """A new (s, k, k) result array, or out if it is one a sampler can fill
+    in place: C-contiguous, writable float64 of that shape."""
+    if out is None:
+        return np.empty((s, k, k))
+    if not (isinstance(out, np.ndarray) and out.shape == (s, k, k)
+            and out.dtype == np.float64 and out.flags.c_contiguous and out.flags.writeable):
+        desc = (f"{out.dtype} array of shape {out.shape}" if isinstance(out, np.ndarray)
+                else type(out).__name__)
+        raise ValueError(f"out must be a writable C-contiguous float64 array of shape "
+                         f"{(s, k, k)}, got {desc}")
+    return out
 
 
 def _finish(o: np.ndarray, db: np.ndarray, h: float, scale: np.ndarray,
@@ -259,19 +284,21 @@ def _finish(o: np.ndarray, db: np.ndarray, h: float, scale: np.ndarray,
 
 
 def alg1_iterated_batch(rng: np.random.Generator, delta_beta: np.ndarray,
-                        h: float, d: int, eta: np.ndarray, ledger=None) -> np.ndarray:
+                        h: float, d: int, eta: np.ndarray, ledger=None, *,
+                        out: Optional[np.ndarray] = None) -> np.ndarray:
     """Vectorized iterated-integral sampling for a batch of steps.
 
-    delta_beta has shape (s, k); the result has shape (s, k, k). Consumes
-    exactly 2*d*k normals per row, drawn in row order, so the first rows of
-    a batch equal a shorter batch drawn from the same generator state.
-    Beyond the result, the call holds one block of draws and one (rows, k,
-    k) scratch array (module docstring).
+    delta_beta has shape (s, k); the result has shape (s, k, k), written
+    into out when given (a C-contiguous float64 array of that shape, which
+    is returned). Consumes exactly 2*d*k normals per row, drawn in row
+    order, so the first rows of a batch equal a shorter batch drawn from
+    the same generator state. Beyond the result, the call holds one block
+    of draws and one (rows, k, k) scratch array (module docstring).
     """
     db, eta = _check_batch(delta_beta, h, (d,), eta)
     s, k = db.shape
     scale = np.outer(np.sqrt(eta), np.sqrt(eta))
-    out = np.empty((s, k, k))
+    out = _output(out, s, k)
     shift = math.sqrt(2.0 / h)
     area = None
     for lo, hi, x, y, _ in _series_blocks(rng, s, k, _alg1_constants(k, d), ledger):
@@ -284,11 +311,13 @@ def alg1_iterated_batch(rng: np.random.Generator, delta_beta: np.ndarray,
 
 
 def alg2_iterated_batch(rng: np.random.Generator, delta_beta: np.ndarray,
-                        h: float, d: int, eta: np.ndarray, ledger=None) -> np.ndarray:
+                        h: float, d: int, eta: np.ndarray, ledger=None, *,
+                        out: Optional[np.ndarray] = None) -> np.ndarray:
     """Algorithm 2: the series of Algorithm 1 with plain 1/r weights, plus
     a Gaussian approximation of its tail (module docstring).
 
-    delta_beta has shape (s, k); the result has shape (s, k, k). Consumes
+    delta_beta has shape (s, k); the result has shape (s, k, k), written
+    into out when given, as in `alg1_iterated_batch`. Consumes
     exactly 2*d*k + k*(k-1)/2 normals per row (X, Y, then the tail's),
     drawn in row order, so the first rows of a batch equal a shorter batch
     drawn from the same generator state. Beyond the result, the call holds
@@ -298,7 +327,7 @@ def alg2_iterated_batch(rng: np.random.Generator, delta_beta: np.ndarray,
     s, k = db.shape
     weights_x, upper_i, upper_j, a_d = _alg2_constants(k, d)
     scale = np.outer(np.sqrt(eta), np.sqrt(eta))
-    out = np.empty((s, k, k))
+    out = _output(out, s, k)
     work = None
     for lo, hi, x, y, g in _series_blocks(rng, s, k, weights_x, ledger, extra=upper_i.size):
         o = out[lo:hi]

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
@@ -593,3 +596,26 @@ def test_non_finite_path_is_reported(workers):
         with pytest.raises(ValueError,
                            match="non-finite state: seed 3, path 0, scheme LIE"):
             run_study(cfg)
+
+
+def test_single_worker_study_never_loads_the_process_pool():
+    # the pool and multiprocessing cost ~2 MB RSS; only a study with more
+    # than one worker imports them
+    import mildspde
+    code = """
+import sys
+import mildspde
+from mildspde.harness import LadderRow, ReferenceSpec, StudyConfig, run_study
+from mildspde.problems import make_example
+pool = ("multiprocessing", "concurrent.futures.process")
+assert not any(name in sys.modules for name in pool), "import"
+run_study(StudyConfig(problem=make_example(1), rows=(LadderRow("DFM", n=4, m=8, k=2, d=3),),
+                      reference=ReferenceSpec("DFM", n=4, k=2, m=16), paths=2, seed=0))
+assert not any(name in sys.modules for name in pool), "run_study"
+"""
+    src = os.path.dirname(os.path.dirname(mildspde.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -137,6 +137,22 @@ def test_substream_rejects_a_bad_seed_by_name(seed):
         substream(seed, 1)
 
 
+@pytest.mark.parametrize("sampler", [alg1_iterated_batch, alg2_iterated_batch])
+def test_out_is_filled_in_place_bit_for_bit(sampler):
+    # out= returns out itself, holding what the allocating call returns,
+    # also when out is one path's block of a larger array
+    k, d, h = 4, 6, 0.05
+    eta = np.arange(1.0, k + 1.0) ** -3.0
+    db = sample_increments_batch(substream(9, 1), 37, k, h)
+    expect = sampler(substream(9, 2), db, h, d, eta)
+    blocks = np.full((2,) + expect.shape, np.nan)
+    target = blocks[1]
+    got = sampler(substream(9, 2), db, h, d, eta, out=target)
+    assert got is target
+    assert np.array_equal(got, expect)
+    assert np.isnan(blocks[0]).all()
+
+
 def _alg1_all_rows_at_once(rng, db, h, d, eta, upto=None):
     # the series formula of the module docstring, every row in one draw of
     # d terms, of which the first `upto` (default all) are kept

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from mildspde.harness import (LadderRow, ReferenceSpec, ReportRow, StudyConfig,
-                              StudyReport, measure_order, paper_reference)
+                              StudyReport, estimate_sup_second_moment, measure_order,
+                              paper_reference)
 from mildspde.noise import (alg1_iterated_batch, alg1_iterated_nested, alg2_iterated_batch,
                             substream)
 from mildspde.problems import make_example, make_problem_from_config
@@ -35,10 +36,11 @@ _ORDERED = _report(("EES", 8, 0.4), ("EES", 16, 0.2), ("EES", 32, 0.1))
 
 
 def _samplers():
-    # both Algorithm 1 samplers, as (db, h, eta) -> result
+    # every sampler, as (db, h, eta) -> result
     return {
         "batch": lambda db, h, eta: alg1_iterated_batch(substream(0, 0), db, h, 3, eta),
         "nested": lambda db, h, eta: alg1_iterated_nested(substream(0, 0), db, h, [1, 3], eta),
+        "alg2": lambda db, h, eta: alg2_iterated_batch(substream(0, 0), db, h, 3, eta),
     }
 
 
@@ -67,6 +69,21 @@ def _rejects():
         "study-error-at": (lambda: _study(error_at="last"), "error_at must be"),
         "study-error-space": (lambda: _study(error_space="state"), "error_space must be"),
         "study-workers": (lambda: _study(workers=0), "worker count must be >= 1"),
+        "row-N=True": (lambda: LadderRow("EES", n=True, k=True, m=8),
+                       "N must be an integer, got True"),
+        "study-seed=True": (lambda: _study(seed=True),
+                            "seed must be a non-negative integer, got True"),
+        "study-workers=True": (lambda: _study(workers=True),
+                               "workers must be an integer, got True"),
+        "sup-moment-paths=0": (lambda: estimate_sup_second_moment(
+            make_example(1), "DFM", 4, 2, 8, paths=0, seed=1), "paths must be >= 1, got 0"),
+        "sup-moment-paths=2.5": (lambda: estimate_sup_second_moment(
+            make_example(1), "DFM", 4, 2, 8, paths=2.5, seed=1),
+                                 "paths must be an integer, got 2.5"),
+        "substream-key=2.5": (lambda: substream(1, 2.5),
+                              "substream key 0 must be a non-negative integer, got 2.5"),
+        "substream-key=-1": (lambda: substream(1, 0, -1),
+                             "substream key 1 must be a non-negative integer, got -1"),
         "paper-reference": (lambda: paper_reference(3), "published reference resolutions"),
         "order-axis": (lambda: measure_order(_ORDERED, axis="N"), "axis must be"),
         "order-mixed": (lambda: measure_order(_report(("EES", 8, 0.4), ("LIE", 16, 0.2),
@@ -109,6 +126,21 @@ def _rejects():
                                 "eta length does not match increment count")
         cases[f"{name}-1d"] = (lambda sample=sample: sample(np.zeros(2), 0.1, eta),
                                "delta_beta must have shape (s, k), got (2,)")
+        for bad in (-1.0, np.nan, np.inf):
+            cases[f"{name}-eta={bad}"] = (
+                lambda sample=sample, bad=bad: sample(db, 0.1, np.array([1.0, bad])),
+                "eta must be finite and non-negative")
+    for name, sampler in (("batch", alg1_iterated_batch), ("alg2", alg2_iterated_batch)):
+        for what, bad, got in (
+                ("shape", np.empty((3, 2, 3)), "float64 array of shape (3, 2, 3)"),
+                ("dtype", np.empty((3, 2, 2), dtype=np.float32), "float32 array of shape"),
+                ("strided", np.empty((3, 2, 4))[..., :2], "float64 array of shape (3, 2, 2)"),
+                ("list", [[0.0]], "list")):
+            cases[f"{name}-out-{what}"] = (
+                lambda sampler=sampler, bad=bad: sampler(substream(0, 0), db, 0.1, 3, eta,
+                                                         out=bad),
+                "out must be a writable C-contiguous float64 array of shape (3, 2, 2), "
+                f"got {got}")
     return cases
 
 
