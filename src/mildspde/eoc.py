@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .exactmath import ceil_power
+from .exactmath import _check_integers, ceil_power
 from .noise import choose_D1
 from .problems import ProblemSpec, _check_exponents, temporal_order
 from .schemes import REGISTRY, canonical_kind
@@ -147,8 +147,9 @@ def optimal_resolution(plan: PlanInput, anchor_n: int) -> Resolution:
     series depth follows the order-preserving rule for the Milstein-type
     schemes and is omitted for the Euler-type ones.
     """
+    _check_integers(anchor_n=anchor_n)
     if anchor_n < 1:
-        raise ValueError("anchor dimension must be >= 1")
+        raise ValueError(f"anchor_n must be >= 1, got {anchor_n}")
     g = plan.gamma * plan.rho_a
     a = plan.alpha * plan.rho_q
     q = plan.q

@@ -1,12 +1,15 @@
 """Monte Carlo convergence studies against coupled reference solutions.
 
 Per path, one Brownian lattice of the reference's M steps is generated and
-the reference scheme is integrated on it once. A ladder row whose M divides
-the reference M takes block sums of the lattice increments; any other row
-takes the increments of its grid values W(t_j), drawn by Brownian bridge
-between the neighbouring lattice points (grid times are exact rationals,
-so a time two rows share gets one value). Either way reference and rows
-share the driving path. Milstein-type rows additionally need iterated
+the reference scheme is integrated on it once. Every ladder row reads the
+path W at its grid points and steps on the differences W(t_j) - W(t_j-1).
+At a lattice point W is the running sum of the lattice increments; bridge
+points exist only off the lattice, where a row's M does not divide the
+reference M, and there W is drawn by Brownian bridge between the
+neighbouring lattice points (grid times are exact rationals, so a time two
+rows share gets one value). A row at the reference's own M steps on the
+drawn increments themselves. So reference and rows share the driving
+path. Milstein-type rows additionally need iterated
 integrals. A Milstein-type reference samples its own with Algorithm 2,
 whose error falls like 1/D rather than 1/sqrt(D), at its depth D (default:
 `choose_D2` of its K and of the D1 rule at its M, the depth whose error
@@ -324,22 +327,23 @@ _BLOCK_MIN_STEPS = 64
 
 @dataclass(frozen=True)
 class _BridgePlan:
-    """Where the rows whose M does not divide the lattice's L steps take
-    their grid values W(t_j) from.
+    """Where every row grid off the lattice's own L steps reads its grid
+    values W(t_j).
 
     Grid point j of a grid of m steps lies at the exact lattice position
-    j L / m = i + r / m (integers i, 0 <= r < m). Below 2^26 steps, the
-    float r / m is a faithful key for that rational: equal fractions round
-    to one float and distinct ones stay distinct and ordered. So a time two
-    grids share is one point. The points with r > 0 are drawn in sorted
-    time order: point p lies in lattice interval cell[p], a fraction f of
-    the way along it, and is a Brownian-bridge draw conditioned on the
-    previous point of that interval (f_prev, or its left end with
-    f_prev = 0) and on the interval's right end. weight is
-    (f - f_prev) / (1 - f_prev) and spread the bridge standard deviation
-    sqrt((f - f_prev)(1 - f) / (1 - f_prev)) in units of sqrt(lattice step).
-    index[m] holds the m + 1 grid points of m as indices into the lattice
-    points 0..L followed by the bridge points.
+    j L / m = i + r / m (integers i, 0 <= r < m). A point with r = 0 is
+    lattice point i; the others are bridge points, which exist only where
+    m does not divide L. Below 2^26 steps, the float r / m is a faithful
+    key for that rational: equal fractions round to one float and distinct
+    ones stay distinct and ordered. So a time two grids share is one point.
+    The bridge points are drawn in sorted time order: point p lies in
+    lattice interval cell[p], a fraction f of the way along it, and is a
+    Brownian-bridge draw conditioned on the previous point of that interval
+    (f_prev, or its left end with f_prev = 0) and on the interval's right
+    end. weight is (f - f_prev) / (1 - f_prev) and spread the bridge
+    standard deviation sqrt((f - f_prev)(1 - f) / (1 - f_prev)) in units of
+    sqrt(lattice step). index[m] holds the m + 1 grid points of m as
+    indices into the lattice points 0..L followed by the bridge points.
     """
 
     cell: np.ndarray
@@ -350,11 +354,15 @@ class _BridgePlan:
 
 
 def _bridge_plan(lattice: int, ms: Sequence[int]) -> _BridgePlan:
-    """Bridge points of the grids with step counts ms on an L-step lattice."""
-    if max(ms) >= 2**26:
-        raise ValueError(f"a bridged row needs M < 2^26, got M={max(ms)}")
-    den = np.concatenate([np.full(m + 1, m) for m in ms])
-    cell, r = np.divmod(np.concatenate([np.arange(m + 1) for m in ms]) * lattice, den)
+    """Grid points of the grids with step counts ms on an L-step lattice."""
+    steps = np.array(ms, dtype=np.int64)       # empty when every row is at M = L
+    den = np.repeat(steps, steps + 1)
+    # grid point j = 0..m of each grid m
+    j = np.arange(den.size) - np.repeat(np.cumsum(steps + 1) - (steps + 1), steps + 1)
+    cell, r = np.divmod(j * lattice, den)
+    bridged = den[r > 0]
+    if bridged.size and bridged.max() >= 2**26:
+        raise ValueError(f"a bridged row needs M < 2^26, got M={bridged.max()}")
     frac = r / den
     order = np.lexsort((frac, cell))
     c, f = cell[order], frac[order]
@@ -366,7 +374,7 @@ def _bridge_plan(lattice: int, ms: Sequence[int]) -> _BridgePlan:
     inner = r[first] > 0
     # bridge points are numbered after the L + 1 lattice points
     point = np.where(r > 0, (np.cumsum(inner) + lattice)[slot], cell)
-    index = dict(zip(ms, np.split(point, np.cumsum([m + 1 for m in ms])[:-1])))
+    index = dict(zip(ms, np.split(point, np.cumsum(steps + 1)[:-1])))
 
     pts = first[inner]
     p_cell, p_r, p_den = cell[pts], r[pts], den[pts]
@@ -410,10 +418,12 @@ class _StudyContext:
 
     `reference.d` is the depth that runs: for a Milstein-type reference
     left unset, `choose_D2` of its K and of the D1 rule at its M, which
-    its Algorithm 2 series then uses. `series` lists (m, k, d) for every
-    Milstein-type row M: the largest K and D of the rows at that M, with
-    which the grid samples its iterated integrals from its own increments
-    by Algorithm 1.
+    its Algorithm 2 series then uses. `bridge` places the grid points of
+    every row M but the reference's own: each such row reads W at its
+    points, and bridge points exist only off the lattice. `series` lists
+    (m, k, d) for every Milstein-type row M: the largest K and D of the
+    rows at that M, with which the grid samples its iterated integrals
+    from its own increments by Algorithm 1.
     """
 
     problem: ProblemSpec
@@ -422,24 +432,23 @@ class _StudyContext:
     seed: int
     error_at: str
     error_space: str
-    bridge: Optional[_BridgePlan]
+    bridge: _BridgePlan
     series: Tuple[Tuple[int, int, int], ...]
 
     def elems_per_step(self) -> int:
         """Noise elements one path holds per lattice step of a block,
         rounded up: its lattice increments, the reference's iterated
-        integrals when it is Milstein-type, the increments and iterated
-        integrals of every Milstein-type grid and, when rows are bridged,
-        the bridge normals, the W values and each bridged grid's
-        increments."""
+        integrals when it is Milstein-type, the bridge normals, W at the
+        lattice and bridge points, the increments of every grid off the
+        lattice's own M, and the increments and iterated integrals of every
+        Milstein-type grid."""
         lattice, k = self.reference.m, self.reference.k
         elems = lattice * k
         if REGISTRY[self.reference.kind].milstein:
             elems += lattice * k**2
-        if self.bridge is not None:
-            points = self.bridge.cell.size
-            # z draws, then W at the lattice and bridge points, then increments
-            elems += (points + lattice + 1 + points + sum(self.bridge.index)) * k
+        points = self.bridge.cell.size
+        # z draws, then W at the lattice and bridge points, then increments
+        elems += (points + lattice + 1 + points + sum(self.bridge.index)) * k
         elems += sum(m * (k + k**2) for m, k, _ in self.series)
         return -(-elems // lattice)
 
@@ -453,59 +462,18 @@ def _study_context(config: "StudyConfig") -> _StudyContext:
     for m in sorted({r.m for r in milstein}):
         at_m = [r for r in milstein if r.m == m]
         series.append((m, max(r.k for r in at_m), max(r.d for r in at_m)))
-    bridged = sorted({r.m for r in config.rows if ref.m % r.m})
+    # a row at the lattice's own M steps on the drawn increments themselves
+    grids = sorted({r.m for r in config.rows} - {ref.m})
     return _StudyContext(problem=config.problem, reference=ref,
                          rows=config.rows, seed=config.seed,
                          error_at=config.error_at, error_space=config.error_space,
-                         bridge=_bridge_plan(ref.m, bridged) if bridged else None,
-                         series=tuple(series))
-
-
-def _aggregate(fine: np.ndarray, m_coarse: int) -> np.ndarray:
-    """(P, m_coarse, K) sums of each r consecutive steps of the
-    (P, m_coarse r, K) lattice increments, added left to right (a plain
-    sum adds pairwise when K = 1). The order is kept so that the rows'
-    increments keep their bytes."""
-    paths, lattice, k = fine.shape
-    blocks = fine.reshape(paths, m_coarse, lattice // m_coarse, k)
-    return np.ascontiguousarray(blocks.cumsum(axis=2)[:, :, -1])
-
-
-class _BlockSums:
-    """Increments of a grid whose step spans r lattice steps: their sums,
-    added left to right as `_aggregate` adds them. A grid step cut by a
-    block boundary carries its partial sum into the next block."""
-
-    def __init__(self, r: int):
-        self.r, self.partial, self.count = r, None, 0
-
-    def feed(self, fine: np.ndarray) -> np.ndarray:
-        """(P, j, K) increments of the j grid steps that the (P, s, K)
-        lattice increments of the next block complete."""
-        r, s = self.r, fine.shape[1]
-        head = r - self.count             # lattice steps that close the open grid step
-        if self.count:
-            # the partial sum goes first, so the sum still runs left to right
-            fine = np.concatenate([self.partial[:, None], fine], axis=1)
-            head += 1
-        if fine.shape[1] < head:
-            self.partial, self.count = fine.cumsum(axis=1)[:, -1], self.count + s
-            return fine[:, :0]
-        rest = fine[:, head:]
-        full = rest.shape[1] // r * r
-        self.count = rest.shape[1] - full
-        if self.count:
-            self.partial = rest[:, full:].cumsum(axis=1)[:, -1]
-        done = [fine[:, :head].cumsum(axis=1)[:, -1:]]
-        if full:
-            done.append(_aggregate(rest[:, :full], full // r))
-        return np.concatenate(done, axis=1)
+                         bridge=_bridge_plan(ref.m, grids), series=tuple(series))
 
 
 class _BridgedGrid:
-    """Increments of a grid off the lattice: differences of its W values,
-    taken from each block's lattice and bridge points. The last grid value
-    is carried into the next block."""
+    """Increments of a grid off the lattice's own M: differences of its W
+    values, read off each block's lattice and bridge points. The last grid
+    value is carried into the next block."""
 
     def __init__(self, points: np.ndarray, m: int, lattice: int, paths: int, k: int):
         self.points, self.m, self.lattice = points, m, lattice
@@ -608,14 +576,17 @@ def _sq_errors(ctx: _StudyContext, row: LadderRow, y: np.ndarray,
 def _run_chunk(args):
     """All rows on paths lo..hi-1, streamed over the lattice in blocks.
 
-    Each path draws its lattice increments (and bridge normals) from its
+    Each path draws its lattice increments and bridge normals from its
     own (purpose, 0, path) substreams, and a Milstein-type reference its
-    iterated integrals with Algorithm 2. Every row grid of M steps takes
-    its increments from the lattice: sums of lattice increments when M
-    divides the L lattice steps, differences of bridged W values otherwise.
-    Every Milstein-type grid, whatever the reference's kind, samples its
-    own iterated integrals from those with Algorithm 1, from the
-    (purpose, 0, path, M) substream.
+    iterated integrals with Algorithm 2. Every row reads W at its grid
+    points: a row grid of M steps takes the differences of W(t_j), which
+    is the running sum of the lattice increments at a lattice point and a
+    Brownian-bridge draw between the neighbouring lattice points
+    elsewhere; bridge points exist only where M does not divide the L
+    lattice steps. A row at M = L steps on the drawn increments
+    themselves, as the reference does. Every Milstein-type grid, whatever
+    the reference's kind, samples its own iterated integrals from its
+    increments with Algorithm 1, from the (purpose, 0, path, M) substream.
 
     A block is the next lattice steps whose noise over the chunk's paths
     stays within _BLOCK_ELEMS (`_StudyContext.elems_per_step`), or the
@@ -624,9 +595,9 @@ def _run_chunk(args):
     whole ones, so the blocks cannot change a report. Per block the
     reference, then every row, continues its batched integration as far
     as its increments are complete; a grid step cut by the block's end
-    waits for the next block as a partial sum, a bridged grid as its last
-    W value. Only observed states are kept: the reference's at every
-    lattice step a row observes, and each row's squared errors.
+    waits for the next block, which starts from the grid's last W value.
+    Only observed states are kept: the reference's at every lattice step
+    a row observes, and each row's squared errors.
     Returns per row the (hi-lo, observed steps) squared errors and the
     ledger total of one path.
     """
@@ -641,13 +612,11 @@ def _run_chunk(args):
     inc_rngs = [substream(ctx.seed, _PURPOSE_INCREMENTS, 0, p) for p in paths]
     ref_rngs = ([substream(ctx.seed, _PURPOSE_SERIES, 0, p) for p in paths]
                 if REGISTRY[ref.kind].milstein else None)
-    bridge_rngs = ([substream(ctx.seed, _PURPOSE_BRIDGE, 0, p) for p in paths]
-                   if bridge is not None else None)
+    bridge_rngs = [substream(ctx.seed, _PURPOSE_BRIDGE, 0, p) for p in paths]
     series = {m: (k, d, [substream(ctx.seed, _PURPOSE_SERIES, 0, p, m) for p in paths])
               for m, k, d in ctx.series}
-    sums = {m: _BlockSums(lattice // m) for m in {r.m for r in ctx.rows} if lattice % m == 0}
-    bridged = {m: _BridgedGrid(idx, m, lattice, len(paths), k_ref)
-               for m, idx in (bridge.index.items() if bridge is not None else ())}
+    grids = {m: _BridgedGrid(idx, m, lattice, len(paths), k_ref)
+             for m, idx in bridge.index.items()}
 
     # the reference is observed at every lattice step some row observes (a
     # mask, not np.unique, which imports numpy.ma: ~2 MB RSS per process)
@@ -679,21 +648,19 @@ def _run_chunk(args):
         # each block's arrays go before the next block draws its own
         del ref_iq, states
 
+        # W at the block's lattice points, then at its bridge points
+        first, end = (int(i) for i in np.searchsorted(bridge.cell, [a, b]))
+        w = np.empty((len(paths), b - a + 1 + end - first, k_ref))
+        w[:, 0] = w_start
+        w[:, 1: b - a + 1] = db
+        np.cumsum(w[:, : b - a + 1], axis=1, out=w[:, : b - a + 1])
+        w_start = w[:, b - a].copy()
+        _bridge_values(bridge, w, _stacked(bridge_rngs, lambda i, rng: (
+            sample_increments_batch(rng, end - first, k_ref, 1.0))), h_f, a)
         # the increments of the grid steps this block completes
-        incs = {m: grid.feed(db) for m, grid in sums.items()}
-        if bridge is not None:
-            first, end = (int(i) for i in np.searchsorted(bridge.cell, [a, b]))
-            w = np.empty((len(paths), b - a + 1 + end - first, k_ref))
-            w[:, 0] = w_start
-            w[:, 1: b - a + 1] = db
-            np.cumsum(w[:, : b - a + 1], axis=1, out=w[:, : b - a + 1])
-            w_start = w[:, b - a].copy()
-            if end > first:
-                _bridge_values(bridge, w, _stacked(bridge_rngs, lambda i, rng: (
-                    sample_increments_batch(rng, end - first, k_ref, 1.0))), h_f, a)
-            incs.update((m, grid.feed(w, a, b, first)) for m, grid in bridged.items())
-            del w
-        del db
+        incs = {m: grid.feed(w, a, b, first) for m, grid in grids.items()}
+        incs[lattice] = db                # a row at M = L steps on the drawn increments
+        del w, db
 
         # iterated integrals of every Milstein-type grid, from its own increments
         iqs = {m: _series(alg1_iterated_batch, rngs, incs[m][:, :, :k], problem.horizon / m,
@@ -723,10 +690,10 @@ def run_study(config: StudyConfig) -> StudyReport:
     """Run the Monte Carlo study and assemble the per-row report.
 
     The reference is integrated once per path, on its own M-step lattice.
-    A row whose M divides the reference M takes block sums of the lattice
-    increments; any other row takes the increments of its grid values
-    W(t_j), drawn by Brownian bridge between the neighbouring lattice
-    points, so every row and the reference share one driving path.
+    Every row reads that path's W at its grid points, drawn by Brownian
+    bridge between the neighbouring lattice points where a grid point is
+    off the lattice, so every row and the reference share one driving
+    path.
     """
     problem = config.problem
     ref = config.reference

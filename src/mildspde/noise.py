@@ -161,6 +161,9 @@ def _charge(ledger, n: int) -> None:
 def sample_increments_batch(rng: np.random.Generator, s: int, k: int, h: float,
                             ledger=None) -> np.ndarray:
     """(s, k) array of Normal(0, h) increments; s*k draws."""
+    _check_integers(s=s, k=k)
+    if s < 0 or k < 1:
+        raise ValueError(f"s must be >= 0 and k >= 1, got s={s}, k={k}")
     if not 0 < h < math.inf:
         raise ValueError(f"step length must be positive and finite, got {h}")
     _charge(ledger, s * k)
@@ -407,8 +410,9 @@ def chain_arrays(db: np.ndarray, iq: np.ndarray, eta: np.ndarray):
 def choose_D1(m: int, q: Rational) -> int:
     """Series depth maintaining the temporal order: ceil(m**(2q-1)), >= 1,
     for an exact rational q (`exactmath.ceil_power`)."""
+    _check_integers(m=m)
     if m < 1:
-        raise ValueError("step count must be >= 1")
+        raise ValueError(f"m must be >= 1, got {m}")
     return ceil_power(m, 2 * q - 1)
 
 
@@ -417,9 +421,10 @@ def choose_D2(k: int, d1: int) -> int:
     matches Algorithm 1's at depth d1: the bounds K(K-1) h^2 / (2 pi^2 D1)
     and 5 K^2 (K-1) h^2 / (24 pi^2 D2^2) are equal at D2^2 = 5 K D1 / 12.
     Returns ceil(sqrt(5 k d1 / 12)) in integer arithmetic."""
+    _check_integers(k=k, d1=d1)
     k, d1 = index(k), index(d1)
     if k < 1 or d1 < 1:
-        raise ValueError("direction count and depth must be >= 1")
+        raise ValueError(f"k and d1 must be >= 1, got k={k}, d1={d1}")
     # x >= sqrt(5 k d1 / 12)  <=>  x**2 >= ceil(5 k d1 / 12)
     return math.isqrt(-(-5 * k * d1 // 12) - 1) + 1
 

@@ -200,8 +200,9 @@ def test_chunk_size_spreads_paths_over_workers():
     assert _chunk_size(paths=6, workers=6) == 1
 
 
-def _bridged_grids(lattice, ms, paths, seed, k=2):
-    """Lattice increments and the bridged W of every grid in ms."""
+def _lattice_w(lattice, ms, paths, seed, k=2):
+    """Lattice increments, the plan of the grids in ms and W at the lattice
+    points 0..L followed by the bridge points."""
     from mildspde.harness import _bridge_plan, _bridge_values
     rng = np.random.default_rng(seed)
     h = 1.0 / lattice
@@ -210,6 +211,12 @@ def _bridged_grids(lattice, ms, paths, seed, k=2):
     w = np.zeros((paths, lattice + 1 + plan.cell.size, k))
     np.cumsum(db, axis=1, out=w[:, 1: lattice + 1])
     _bridge_values(plan, w, rng.standard_normal((paths, plan.cell.size, k)), h)
+    return db, plan, w
+
+
+def _bridged_grids(lattice, ms, paths, seed, k=2):
+    """Lattice increments and the bridged W of every grid in ms."""
+    db, plan, w = _lattice_w(lattice, ms, paths, seed, k)
     return db, {m: w[:, plan.index[m]] for m in ms}
 
 
@@ -259,25 +266,36 @@ def test_rows_off_the_lattice_fail_where_no_bridge_serves():
                 reference=mil, paths=3, seed=0)
 
 
-def test_coupling_aggregation_reproduces_endpoint():
-    # the block sums every row steps on add left to right, so they equal,
-    # bit for bit, the increments chain_arrays folds from the same steps
-    # (the order that keeps the rows' bytes); and they telescope to the
-    # lattice endpoint up to summation-order roundoff
-    from mildspde.harness import _aggregate
-    from mildspde.noise import chain_arrays, sample_increments_batch, substream
-    for paths, lattice, m, k in [(1, 4096, 64, 3), (2, 64, 16, 2), (3, 256, 8, 4),
-                                 (2, 1024, 1, 2), (1, 96, 32, 5), (2, 4096, 16, 1)]:
-        fine = np.stack([sample_increments_batch(substream(0, 1, p), lattice, k,
-                                                 1 / lattice) for p in range(paths)])
-        coarse = _aggregate(fine, m)
-        assert coarse.shape == (paths, m, k)
-        zeros = np.zeros((m, lattice // m, k, k))
-        for p in range(paths):
-            folded, _ = chain_arrays(fine[p].reshape(m, lattice // m, k), zeros, np.ones(k))
-            assert np.array_equal(coarse[p], folded)
-        np.testing.assert_allclose(coarse.sum(axis=1), fine.sum(axis=1),
-                                   rtol=1e-12, atol=1e-14)
+def test_every_grid_reads_its_increments_off_w():
+    # a row grid steps on the differences of W at its points, fed block by
+    # block as a study chunk feeds them: dividing (8, 16) and bridged (12,
+    # 24, 96) grids telescope to W(T), a dividing grid's equal the lattice
+    # block sums up to roundoff, and split blocks give one block's bytes
+    from mildspde.harness import _BridgedGrid
+    lattice, paths, k = 64, 3, 2
+    ms = [8, 12, 16, 24, 96]
+    db, plan, w = _lattice_w(lattice, ms, paths, seed=3, k=k)
+    assert plan.cell.size and not any(i > lattice for m in (8, 16) for i in plan.index[m])
+
+    def fed(m, cuts):
+        grid = _BridgedGrid(plan.index[m], m, lattice, paths, k)
+        parts = []
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            first, end = (int(i) for i in np.searchsorted(plan.cell, [a, b]))
+            block = np.concatenate([w[:, a: b + 1],
+                                    w[:, lattice + 1 + first: lattice + 1 + end]], axis=1)
+            parts.append(grid.feed(block, a, b, first))
+        return np.concatenate(parts, axis=1)
+
+    for m in ms:
+        inc = fed(m, [0, lattice])
+        assert inc.shape == (paths, m, k)
+        np.testing.assert_allclose(inc.sum(axis=1), w[:, lattice], rtol=0, atol=1e-14)
+        if lattice % m == 0:
+            sums = db.reshape(paths, m, lattice // m, k).sum(axis=2)
+            assert np.abs(inc - sums).max() <= 1e-12 * np.abs(sums).max()
+        for cuts in ([0, 1, 2, 3, 64], [0, 5, 37, 64], list(range(65))):
+            assert np.array_equal(fed(m, cuts), inc)
 
 
 def test_report_ledger_equals_steps_times_expected():
@@ -429,8 +447,8 @@ def test_euler_type_reference_study_is_unchanged():
 # those random numbers shows here (pinned with numpy 2.4 and its bundled
 # OpenBLAS)
 MIL_ALLGRID_EX3_SHA256 = (
-    "8fe3b00e4e1c8f281bc19fd8c22848e5de840dcca0fecc646428b2cbcd42be19",
-    "9a7e65d6023afe67bfd061b041c761373018ede29502b9010c1df68839eeee15",
+    "b001c607c8614031c9128ae3f75e85bee557ac94d8dab985f955c62df86c0c8e",
+    "80f47d05b59ce78600c09d0e4171353913c94223f70b40fb7ec47688cb3d8f93",
 )
 
 
@@ -451,11 +469,11 @@ def test_milstein_type_reference_study_is_pinned():
 # sha256 of the CSV and JSON of criterion 7's study at 4 paths (DFM
 # reference at M = 2^13, K = 16, seed 2027; bench/'s c7-dfm-ref). Its
 # reference samples Algorithm 2 on the lattice and its DFM rows Algorithm
-# 1 on their block sums, so any move of either series shows here (pinned
+# 1 on their increments of W, so any move of either series shows here (pinned
 # with numpy 2.4 and its bundled OpenBLAS)
 C7_DFM_REF_SHA256 = (
-    "1581c45aabfa2c6d119669878d94f0d96bb6a013daf4f15013eed25bee7d1471",
-    "594cbc342cd6c8c7699714edeac91cf075e78a7de013ab2efae37f75c65fc0a2",
+    "96c56776176e4271829015be845aae02163260186ee3e9295d1ff573c9da8a51",
+    "00b47b7af730bb4a251e774d1d9e810f6a63a7bf8d32e49521110ab812e0e70e",
 )
 
 
@@ -510,20 +528,27 @@ def test_chunk_noise_counts_the_bridge_arrays():
     # 64 increments, 8 bridge normals, 65 + 8 W values and 12 row increments
     from mildspde.harness import _study_context
     assert _study_context(cfg).elems_per_step() == -(-(64 + 8 + 73 + 12) * 2 // 64)
-    # a Milstein grid adds its increments and iterated integrals, m (k + k^2)
+    # a grid on the lattice has no bridge points, but still reads W: 64
+    # increments, 65 W values and 16 row increments; a Milstein grid adds
+    # its increments and iterated integrals, m (k + k^2)
     cfg = replace(cfg, rows=(LadderRow("DFM", n=4, m=16, k=2, d=8),))
-    assert _study_context(cfg).elems_per_step() == -(-(64 * 2 + 16 * (2 + 4)) // 64)
+    assert (_study_context(cfg).elems_per_step()
+            == -(-((64 + 65 + 16) * 2 + 16 * (2 + 4)) // 64))
     # a Milstein-type reference adds its own iterated integrals
     cfg = replace(cfg, reference=ReferenceSpec("MIL", n=8, k=2, m=64))
-    assert _study_context(cfg).elems_per_step() == 2 + 4 + -(-16 * (2 + 4) // 64)
+    assert _study_context(cfg).elems_per_step() == 2 + 4 + -(-((65 + 16) * 2 + 16 * (2 + 4)) // 64)
+    # a row at the reference's own M steps on the drawn increments: no W
+    # values are counted beyond the lattice's 65
+    cfg = replace(cfg, rows=(LadderRow("EES", n=4, m=64, k=2),))
+    assert _study_context(cfg).elems_per_step() == 2 + 4 + -(-65 * 2 // 64)
 
 
 def test_blocks_fill_the_element_budget_down_to_a_minimum():
     from mildspde.harness import _BLOCK_ELEMS, _BLOCK_MIN_STEPS, _block_steps
-    # c7-dfm-ref's 4 paths of 306 elements per step: 107 steps per block
-    assert _block_steps(4, 306) == _BLOCK_ELEMS // (4 * 306) == 107
+    # c7-dfm-ref's 4 paths of 324 elements per step: 101 steps per block
+    assert _block_steps(4, 324) == _BLOCK_ELEMS // (4 * 324) == 101
     # criterion 7's 100 paths per worker would get 4 steps: the minimum holds
-    assert _block_steps(100, 306) == _BLOCK_MIN_STEPS == 64
+    assert _block_steps(100, 324) == _BLOCK_MIN_STEPS == 64
 
 
 def test_config_validation():

@@ -3,6 +3,7 @@ what is wrong, never with a traceback from deeper down."""
 
 import re
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ import pytest
 from mildspde.harness import (LadderRow, ReferenceSpec, ReportRow, StudyConfig,
                               StudyReport, estimate_sup_second_moment, measure_order,
                               paper_reference)
+from mildspde.eoc import PlanInput, optimal_resolution
 from mildspde.noise import (alg1_iterated_batch, alg1_iterated_nested, alg2_iterated_batch,
-                            substream)
+                            choose_D1, choose_D2, sample_increments_batch, substream)
 from mildspde.problems import make_example, make_problem_from_config
 from mildspde.schemes import SchemeConfig
 
@@ -32,6 +34,7 @@ def _report(*rows):
         for scheme, m, error in rows), config_echo={})
 
 
+_PLAN = PlanInput.from_problem(make_example(1), "DFM")
 _ORDERED = _report(("EES", 8, 0.4), ("EES", 16, 0.2), ("EES", 32, 0.1))
 
 
@@ -84,6 +87,25 @@ def _rejects():
                               "substream key 0 must be a non-negative integer, got 2.5"),
         "substream-key=-1": (lambda: substream(1, 0, -1),
                              "substream key 1 must be a non-negative integer, got -1"),
+        "choose-D1-m=True": (lambda: choose_D1(True, Fraction(1)), "m must be an integer, got True"),
+        "choose-D1-m=0": (lambda: choose_D1(0, Fraction(1)), "m must be >= 1, got 0"),
+        "choose-D2-k=True": (lambda: choose_D2(True, 4), "k must be an integer, got True"),
+        "choose-D2-d1=True": (lambda: choose_D2(4, True), "d1 must be an integer, got True"),
+        "choose-D2-d1=0": (lambda: choose_D2(4, 0), "k and d1 must be >= 1, got k=4, d1=0"),
+        "resolution-anchor=True": (lambda: optimal_resolution(_PLAN, True),
+                                   "anchor_n must be an integer, got True"),
+        "resolution-anchor=2.0": (lambda: optimal_resolution(_PLAN, 2.0),
+                                  "anchor_n must be an integer, got 2.0"),
+        "resolution-anchor=0": (lambda: optimal_resolution(_PLAN, 0),
+                                "anchor_n must be >= 1, got 0"),
+        "increments-s=2.5": (lambda: sample_increments_batch(substream(0, 0), 2.5, 2, 0.1),
+                             "s must be an integer, got 2.5"),
+        "increments-s=True": (lambda: sample_increments_batch(substream(0, 0), True, 2, 0.1),
+                              "s must be an integer, got True"),
+        "increments-s=-1": (lambda: sample_increments_batch(substream(0, 0), -1, 2, 0.1),
+                            "s must be >= 0 and k >= 1, got s=-1, k=2"),
+        "increments-k=0": (lambda: sample_increments_batch(substream(0, 0), 3, 0, 0.1),
+                           "s must be >= 0 and k >= 1, got s=3, k=0"),
         "paper-reference": (lambda: paper_reference(3), "published reference resolutions"),
         "order-axis": (lambda: measure_order(_ORDERED, axis="N"), "axis must be"),
         "order-mixed": (lambda: measure_order(_report(("EES", 8, 0.4), ("LIE", 16, 0.2),
