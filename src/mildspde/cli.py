@@ -26,7 +26,10 @@ from .schemes import KINDS, canonical_kind
 
 
 def _parse_ladder(text: str):
-    values = [int(tok) for tok in text.split(",") if tok]
+    try:
+        values = [int(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise ValueError(f"--ladder takes comma-separated integers, got {text!r}") from None
     if not values:
         raise ValueError(f"--ladder needs at least one N, got {text!r}")
     return values

@@ -33,7 +33,7 @@ from typing import Optional, Tuple
 
 from .exactmath import _check_integers, ceil_power
 from .noise import choose_D1
-from .problems import ProblemSpec, _check_exponents, temporal_order
+from .problems import ProblemSpec, _check_exponents, _rational, temporal_order
 from .schemes import REGISTRY, canonical_kind
 
 __all__ = ["PlanInput", "Classification", "Resolution", "classify",
@@ -54,7 +54,7 @@ class PlanInput:
 
     def __post_init__(self):
         for name in ("gamma", "beta", "alpha", "rho_a", "rho_q"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            object.__setattr__(self, name, _rational(name, getattr(self, name)))
         object.__setattr__(self, "scheme", canonical_kind(self.scheme))
         _check_exponents(self.beta, self.gamma, self.alpha, self.rho_a, self.rho_q)
 

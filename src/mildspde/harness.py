@@ -45,18 +45,16 @@ run would pay, not the draws made.
 Paths run in chunks, one per worker: a pool of W workers maps chunks of
 ceil(paths / W) paths. The pool is imported only when W > 1, so a
 single-worker study never loads the multiprocessing stack (~2 MB RSS).
-Each path draws from its own (purpose, 0, path) substreams (the series
-of a Milstein grid of M steps from (purpose, 0, path, M)). A chunk walks
-the lattice in blocks of steps whose noise, over all its paths, stays
-within one fixed element budget (1 MB of float64), though a block takes
-at least 64 steps, so that many paths do not make the blocks short
-enough for per-call overheads to matter.
-Per block every generator draws its share, the reference and then every
-row continue their batched `integrate` calls from their last states
-(`y0`), each as far as its increments are complete, and only the observed
-states are kept. Split draws equal whole ones, and batched and
-single-path integration agree bit for bit, so the blocks, the chunking
-and the worker count cannot change a report.
+One `_NoiseFeed` makes all of a chunk's noise, block by block: each path
+draws from its own (purpose, 0, path) substreams (the series of a
+Milstein grid of M steps from (purpose, 0, path, M)), and a block is the
+next lattice steps whose noise over the chunk's paths fits 1 MB of
+float64, or 64 steps if that is more. Per block the reference and then
+every row continue their batched `integrate` calls from their last states
+(`y0`), and only the observed states are kept. Split draws equal whole
+ones, and batched and single-path integration agree bit for bit, so the
+blocks, the chunking and the worker count cannot change a report.
+`estimate_sup_second_moment` steps one scheme on a feed of its own.
 
 A reference or row state that turns non-finite stops its integration and
 raises ValueError naming the seed, path and scheme.
@@ -157,6 +155,7 @@ def plan_rows(problem: ProblemSpec, schemes: Sequence[str],
 
 def paper_reference(example_id: int) -> ReferenceSpec:
     """Published reference resolutions for the shipped examples (full tier)."""
+    _check_integers(example_id=example_id)
     if example_id == 1:
         return ReferenceSpec("LIE", n=64, k=ceil_power(2, Fraction(14, 9)),
                              m=ceil_power(2, Fraction(35, 2)))
@@ -413,17 +412,12 @@ def _bridge_values(plan: _BridgePlan, w: np.ndarray, z: np.ndarray, h: float,
 @dataclass(frozen=True)
 class _StudyContext:
     """Everything one worker needs to run all rows on a chunk of paths,
-    which it streams over the lattice in blocks sized by `elems_per_step`.
-    Must stay picklable.
-
-    `reference.d` is the depth that runs: for a Milstein-type reference
-    left unset, `choose_D2` of its K and of the D1 rule at its M, which
-    its Algorithm 2 series then uses. `bridge` places the grid points of
-    every row M but the reference's own: each such row reads W at its
-    points, and bridge points exist only off the lattice. `series` lists
-    (m, k, d) for every Milstein-type row M: the largest K and D of the
-    rows at that M, with which the grid samples its iterated integrals
-    from its own increments by Algorithm 1.
+    which it streams over the lattice in the blocks of their `feed`. Must
+    stay picklable. `reference.d` is the depth that runs (for a
+    Milstein-type reference left unset, `choose_D2` of its K and of the D1
+    rule at its M). `bridge` places the grid points of every row M but the
+    reference's own; `series` lists (m, k, d) for every Milstein-type row
+    M: the largest K and D of its rows.
     """
 
     problem: ProblemSpec
@@ -435,22 +429,21 @@ class _StudyContext:
     bridge: _BridgePlan
     series: Tuple[Tuple[int, int, int], ...]
 
-    def elems_per_step(self) -> int:
-        """Noise elements one path holds per lattice step of a block,
-        rounded up: its lattice increments, the reference's iterated
-        integrals when it is Milstein-type, the bridge normals, W at the
-        lattice and bridge points, the increments of every grid off the
-        lattice's own M, and the increments and iterated integrals of every
-        Milstein-type grid."""
-        lattice, k = self.reference.m, self.reference.k
-        elems = lattice * k
-        if REGISTRY[self.reference.kind].milstein:
-            elems += lattice * k**2
-        points = self.bridge.cell.size
-        # z draws, then W at the lattice and bridge points, then increments
-        elems += (points + lattice + 1 + points + sum(self.bridge.index)) * k
-        elems += sum(m * (k + k**2) for m, k, _ in self.series)
-        return -(-elems // lattice)
+    def feed(self, lo: int, hi: int) -> "_NoiseFeed":
+        """The noise of paths lo..hi-1: each path draws from its own
+        (purpose, 0, path) substreams, the series of a Milstein grid of M
+        steps from (purpose, 0, path, M)."""
+        ref = self.reference
+
+        def streams(purpose, *m):
+            return [substream(self.seed, purpose, 0, p, *m) for p in range(lo, hi)]
+
+        increments = streams(_PURPOSE_INCREMENTS)
+        ref_series = ((alg2_iterated_batch, ref.d, streams(_PURPOSE_SERIES))
+                      if REGISTRY[ref.kind].milstein else None)
+        return _NoiseFeed(self.problem.horizon, ref.m, self.problem.q_law.values(ref.k),
+                          increments, ref_series, (self.bridge, streams(_PURPOSE_BRIDGE)),
+                          [(m, k, d, streams(_PURPOSE_SERIES, m)) for m, k, d in self.series])
 
 
 def _study_context(config: "StudyConfig") -> _StudyContext:
@@ -470,44 +463,10 @@ def _study_context(config: "StudyConfig") -> _StudyContext:
                          bridge=_bridge_plan(ref.m, grids), series=tuple(series))
 
 
-class _BridgedGrid:
-    """Increments of a grid off the lattice's own M: differences of its W
-    values, read off each block's lattice and bridge points. The last grid
-    value is carried into the next block."""
-
-    def __init__(self, points: np.ndarray, m: int, lattice: int, paths: int, k: int):
-        self.points, self.m, self.lattice = points, m, lattice
-        self.done, self.last = 0, np.zeros((paths, k))
-
-    def feed(self, w: np.ndarray, a: int, b: int, first: int) -> np.ndarray:
-        """(P, j, K) increments of the grid steps that end by lattice step
-        b, from the block's W values w: lattice points a..b, then the
-        bridge points numbered from `first` on (`_bridge_values`)."""
-        upto = b * self.m // self.lattice
-        pts = self.points[self.done + 1: upto + 1]
-        local = np.where(pts <= self.lattice, pts - a,
-                         pts - (self.lattice + 1) - first + (b - a + 1))
-        vals = np.concatenate([self.last[:, None], w[:, local]], axis=1)
-        self.done, self.last = upto, vals[:, -1]
-        return np.diff(vals, axis=1)
-
-
 def _block_steps(paths: int, elems_per_step: int) -> int:
     """Lattice steps per block of a chunk of paths, each holding
     elems_per_step noise elements per step."""
     return max(_BLOCK_MIN_STEPS, _BLOCK_ELEMS // (paths * elems_per_step))
-
-
-def _stacked(rngs: Sequence[np.random.Generator], draw) -> np.ndarray:
-    """(P, ...) array of draw(i, rng) over the paths' generators, filled
-    in place so that the per-path arrays are not held twice."""
-    out = None
-    for i, rng in enumerate(rngs):
-        x = draw(i, rng)
-        if out is None:
-            out = np.empty((len(rngs),) + x.shape)
-        out[i] = x
-    return out
 
 
 def _series(sampler, rngs: Sequence[np.random.Generator], db: np.ndarray, h: float,
@@ -519,6 +478,99 @@ def _series(sampler, rngs: Sequence[np.random.Generator], db: np.ndarray, h: flo
     for i, rng in enumerate(rngs):
         sampler(rng, np.ascontiguousarray(db[i]), h, d, eta, out=out[i])
     return out
+
+
+class _NoiseFeed:
+    """Each block's noise for a set of paths (module docstring). Every path
+    draws from its own generators, which keep their place from block to
+    block, so the blocks cannot change a draw.
+
+    The L-step lattice takes K = eta.size increments per step from `rngs`
+    and, with `lattice_series` (sampler, depth, generators), their iterated
+    integrals. With `bridge` (a `_BridgePlan` and its generators) every
+    grid of the plan reads W at its points; a grid step cut by a block's
+    end waits for the next block, which starts from the grid's last W
+    value (`done`, `last`). Each Milstein-type grid in `series`, (m, k, d,
+    generators), samples its series from its increments by Algorithm 1.
+    """
+
+    def __init__(self, horizon: float, lattice: int, eta: np.ndarray,
+                 rngs: Sequence[np.random.Generator], lattice_series=None,
+                 bridge: Optional[Tuple[_BridgePlan, Sequence]] = None,
+                 series: Sequence[Tuple[int, int, int, Sequence]] = ()):
+        self.horizon, self.lattice, self.eta, self.rngs = horizon, lattice, eta, rngs
+        self.lattice_series, self.series = lattice_series, series
+        self.plan, self.bridge_rngs = bridge or (None, None)
+        self.h = horizon / lattice
+        self.w_start = np.zeros((len(rngs), eta.size))   # W at the next block's start
+        self.done = dict.fromkeys(self.plan.index if self.plan else (), 0)
+        self.last = {m: self.w_start for m in self.done}
+
+    def _increments(self, rngs, s: int, h: float) -> np.ndarray:
+        """(P, s, K) increments of step length h, path i's drawn from rngs[i]
+        straight into its block of the result."""
+        out = np.empty((len(rngs), s, self.eta.size))
+        for i, rng in enumerate(rngs):
+            out[i] = sample_increments_batch(rng, s, self.eta.size, h)
+        return out
+
+    def elems_per_step(self) -> int:
+        """Noise elements one path holds per lattice step of a block,
+        rounded up: its lattice increments and their iterated integrals;
+        with a bridge plan also the bridge normals, W at the lattice and
+        bridge points, the increments of every grid off the lattice's own
+        M, and the increments and iterated integrals of every Milstein-type
+        grid."""
+        lattice, k = self.lattice, self.eta.size
+        elems = lattice * (k + k**2 if self.lattice_series else k)
+        if self.plan is not None:
+            points = self.plan.cell.size
+            # z draws, then W at the lattice and bridge points, then increments
+            elems += (points + lattice + 1 + points + sum(self.plan.index)) * k
+        elems += sum(m * (k + k**2) for m, k, _, _ in self.series)
+        return -(-elems // lattice)
+
+    def spans(self) -> List[Tuple[int, int]]:
+        """The (a, b) lattice steps a..b-1 of every block (`_block_steps`)."""
+        block = _block_steps(len(self.rngs), self.elems_per_step())
+        return [(a, min(self.lattice, a + block)) for a in range(0, self.lattice, block)]
+
+    def lattice_noise(self, a: int, b: int):
+        """(P, b - a, K) increments of lattice steps a..b-1 and, with a
+        lattice series, their (P, b - a, K, K) iterated integrals, else
+        None."""
+        db = self._increments(self.rngs, b - a, self.h)
+        if self.lattice_series is None:
+            return db, None
+        sampler, d, rngs = self.lattice_series
+        return db, _series(sampler, rngs, db, self.h, d, self.eta)
+
+    def grid_noise(self, db: np.ndarray, a: int, b: int):
+        """({M: increments}, {M: iterated integrals}) of the grid steps that
+        end by lattice step b, given the increments db of steps a..b-1: a
+        grid at the lattice's own M steps on db itself."""
+        plan, lattice, (paths, s, k) = self.plan, self.lattice, db.shape
+        # W at the block's lattice points, then at its bridge points
+        first, end = (int(i) for i in np.searchsorted(plan.cell, [a, b]))
+        w = np.empty((paths, s + 1 + end - first, k))
+        w[:, 0] = self.w_start
+        w[:, 1: s + 1] = db
+        np.cumsum(w[:, : s + 1], axis=1, out=w[:, : s + 1])
+        self.w_start = w[:, s].copy()
+        _bridge_values(plan, w, self._increments(self.bridge_rngs, end - first, 1.0), self.h, a)
+        incs = {lattice: db}
+        for m, points in plan.index.items():
+            upto = b * m // lattice
+            pts = points[self.done[m] + 1: upto + 1]
+            local = np.where(pts <= lattice, pts - a, pts - (lattice + 1) - first + s + 1)
+            vals = np.concatenate([self.last[m][:, None], w[:, local]], axis=1)
+            self.done[m], self.last[m] = upto, vals[:, -1]
+            incs[m] = np.diff(vals, axis=1)
+        del w
+        iqs = {m: _series(alg1_iterated_batch, rngs, incs[m][:, :, :k], self.horizon / m,
+                          d, self.eta[:k])
+               for m, k, d, rngs in self.series if incs[m].shape[1]}
+        return incs, iqs
 
 
 def _observed_steps(ctx: _StudyContext, row: LadderRow) -> np.ndarray:
@@ -574,58 +626,30 @@ def _sq_errors(ctx: _StudyContext, row: LadderRow, y: np.ndarray,
 
 
 def _run_chunk(args):
-    """All rows on paths lo..hi-1, streamed over the lattice in blocks.
+    """All rows on paths lo..hi-1, streamed over the lattice in the blocks
+    of their noise feed (`_StudyContext.feed`).
 
-    Each path draws its lattice increments and bridge normals from its
-    own (purpose, 0, path) substreams, and a Milstein-type reference its
-    iterated integrals with Algorithm 2. Every row reads W at its grid
-    points: a row grid of M steps takes the differences of W(t_j), which
-    is the running sum of the lattice increments at a lattice point and a
-    Brownian-bridge draw between the neighbouring lattice points
-    elsewhere; bridge points exist only where M does not divide the L
-    lattice steps. A row at M = L steps on the drawn increments
-    themselves, as the reference does. Every Milstein-type grid, whatever
-    the reference's kind, samples its own iterated integrals from its
-    increments with Algorithm 1, from the (purpose, 0, path, M) substream.
-
-    A block is the next lattice steps whose noise over the chunk's paths
-    stays within _BLOCK_ELEMS (`_StudyContext.elems_per_step`), or the
-    next _BLOCK_MIN_STEPS if that is more (`_block_steps`). Every
-    generator draws its block's share in turn, and split draws equal
-    whole ones, so the blocks cannot change a report. Per block the
-    reference, then every row, continues its batched integration as far
-    as its increments are complete; a grid step cut by the block's end
-    waits for the next block, which starts from the grid's last W value.
-    Only observed states are kept: the reference's at every lattice step
-    a row observes, and each row's squared errors.
+    Per block the reference steps on the lattice noise and lets its
+    series go before the grids' noise is made; then every row continues
+    its batched integration from its last states as far as its grid's
+    increments are complete. Only observed states are kept: the
+    reference's at every lattice step a row observes, and each row's
+    squared errors.
     Returns per row the (hi-lo, observed steps) squared errors and the
     ledger total of one path.
     """
     ctx, lo, hi = args
-    problem, ref, bridge = ctx.problem, ctx.reference, ctx.bridge
-    lattice, k_ref = ref.m, ref.k
-    h_f = problem.horizon / lattice
-    eta_ref = problem.q_law.values(k_ref)
-    paths = range(lo, hi)
-
-    # each path's substreams, kept across blocks
-    inc_rngs = [substream(ctx.seed, _PURPOSE_INCREMENTS, 0, p) for p in paths]
-    ref_rngs = ([substream(ctx.seed, _PURPOSE_SERIES, 0, p) for p in paths]
-                if REGISTRY[ref.kind].milstein else None)
-    bridge_rngs = [substream(ctx.seed, _PURPOSE_BRIDGE, 0, p) for p in paths]
-    series = {m: (k, d, [substream(ctx.seed, _PURPOSE_SERIES, 0, p, m) for p in paths])
-              for m, k, d in ctx.series}
-    grids = {m: _BridgedGrid(idx, m, lattice, len(paths), k_ref)
-             for m, idx in bridge.index.items()}
+    problem, ref, lattice = ctx.problem, ctx.reference, ctx.reference.m
+    feed = ctx.feed(lo, hi)
 
     # the reference is observed at every lattice step some row observes (a
     # mask, not np.unique, which imports numpy.ma: ~2 MB RSS per process)
     observed = np.zeros(lattice + 1, dtype=bool)
     for r in ctx.rows:
         observed[_observed_steps(ctx, r) * lattice // r.m] = True
-    ref_cfg = SchemeConfig(kind=ref.kind, n=ref.n, k=k_ref, m=lattice)
+    ref_cfg = SchemeConfig(kind=ref.kind, n=ref.n, k=ref.k, m=lattice)
     ref_run = _Stepper(problem, ctx.seed, lo, ref_cfg, np.flatnonzero(observed))
-    ref_states = np.empty((len(paths), ref_run.observed.size, ref.n))
+    ref_states = np.empty((hi - lo, ref_run.observed.size, ref.n))
 
     runs, sq_errors = [], []
     for row in ctx.rows:
@@ -634,39 +658,14 @@ def _run_chunk(args):
         ledger.charge_normals(row.m * ledger_expected(row.scheme, row.n, row.k, row.d).normals)
         cfg = SchemeConfig(kind=row.scheme, n=row.n, k=row.k, m=row.m)
         runs.append(_Stepper(problem, ctx.seed, lo, cfg, _observed_steps(ctx, row), ledger))
-        sq_errors.append(np.empty((len(paths), runs[-1].observed.size)))
+        sq_errors.append(np.empty((hi - lo, runs[-1].observed.size)))
 
-    block = _block_steps(len(paths), ctx.elems_per_step())
-    w_start = np.zeros((len(paths), k_ref))          # W at the block's first lattice point
-    for a in range(0, lattice, block):
-        b = min(lattice, a + block)
-        db = _stacked(inc_rngs, lambda i, rng: sample_increments_batch(rng, b - a, k_ref, h_f))
-        ref_iq = None if ref_rngs is None else _series(
-            alg2_iterated_batch, ref_rngs, db, h_f, ref.d, eta_ref)
+    for a, b in feed.spans():
+        db, ref_iq = feed.lattice_noise(a, b)
         i0, i1, states = ref_run.advance(db, ref_iq)
         ref_states[:, i0:i1] = states
-        # each block's arrays go before the next block draws its own
         del ref_iq, states
-
-        # W at the block's lattice points, then at its bridge points
-        first, end = (int(i) for i in np.searchsorted(bridge.cell, [a, b]))
-        w = np.empty((len(paths), b - a + 1 + end - first, k_ref))
-        w[:, 0] = w_start
-        w[:, 1: b - a + 1] = db
-        np.cumsum(w[:, : b - a + 1], axis=1, out=w[:, : b - a + 1])
-        w_start = w[:, b - a].copy()
-        _bridge_values(bridge, w, _stacked(bridge_rngs, lambda i, rng: (
-            sample_increments_batch(rng, end - first, k_ref, 1.0))), h_f, a)
-        # the increments of the grid steps this block completes
-        incs = {m: grid.feed(w, a, b, first) for m, grid in grids.items()}
-        incs[lattice] = db                # a row at M = L steps on the drawn increments
-        del w, db
-
-        # iterated integrals of every Milstein-type grid, from its own increments
-        iqs = {m: _series(alg1_iterated_batch, rngs, incs[m][:, :, :k], problem.horizon / m,
-                          d, eta_ref[:k])
-               for m, (k, d, rngs) in series.items() if incs[m].shape[1]}
-
+        incs, iqs = feed.grid_noise(db, a, b)
         for row, run, sq in zip(ctx.rows, runs, sq_errors):
             inc = incs[row.m]
             if not inc.shape[1]:
@@ -677,7 +676,8 @@ def _run_chunk(args):
             # fancy indexing copies, so the reference states stay as they are
             at = np.searchsorted(ref_run.observed, run.observed[i0:i1] * lattice // row.m)
             sq[:, i0:i1] = _sq_errors(ctx, row, y, ref_states[:, at])
-        del incs, iqs
+        # each block's arrays go before the next block draws its own
+        del db, incs, iqs
     return sq_errors, [run.ledger.total() for run in runs]
 
 
@@ -687,14 +687,8 @@ def _chunk_size(paths: int, workers: int) -> int:
 
 
 def run_study(config: StudyConfig) -> StudyReport:
-    """Run the Monte Carlo study and assemble the per-row report.
-
-    The reference is integrated once per path, on its own M-step lattice.
-    Every row reads that path's W at its grid points, drawn by Brownian
-    bridge between the neighbouring lattice points where a grid point is
-    off the lattice, so every row and the reference share one driving
-    path.
-    """
+    """Run the Monte Carlo study and assemble the per-row report. The
+    reference and every row share each path's W (module docstring)."""
     problem = config.problem
     ref = config.reference
     q_milstein = problem.params.q_dfm
@@ -757,27 +751,25 @@ def estimate_sup_second_moment(problem: ProblemSpec, kind: str, n: int, k: int,
                                m: int, paths: int, seed: int) -> float:
     """Monte Carlo estimate of max over grid points of E |Y_step|^2 in the
     fractional norm of order delta, Milstein-type kinds sampling their
-    series at the D1 depth of m."""
+    series at the D1 depth of m. Path i draws its increments from the
+    substream (71, m, i, 1) and its series from (71, m, i, 2); all paths
+    step at once, in the blocks of one noise feed."""
     cfg = SchemeConfig(kind=kind, n=n, k=k, m=m)
     _check_integers(paths=paths)
     if paths < 1:
         raise ValueError(f"paths must be >= 1, got {paths}")
-    milstein = REGISTRY[cfg.kind].milstein
-    d = choose_D1(m, problem.params.q_dfm) if milstein else None
-    eta = problem.q_law.values(k)
-    weights = problem.a_law.values(n) ** (2.0 * float(problem.params.delta))
-    # all paths at once, streamed in blocks of steps as a study chunk is
-    inc_rngs = [substream(seed, 71, m, path, 1) for path in range(paths)]
-    series_rngs = [substream(seed, 71, m, path, 2) for path in range(paths)]
+
+    def streams(purpose):
+        return [substream(seed, 71, m, path, purpose) for path in range(paths)]
+
+    series = ((alg1_iterated_batch, choose_D1(m, problem.params.q_dfm), streams(2))
+              if REGISTRY[cfg.kind].milstein else None)
+    feed = _NoiseFeed(problem.horizon, m, problem.q_law.values(k), streams(1), series)
     run = _Stepper(problem, seed, 0, cfg, np.arange(m + 1))
-    block = _block_steps(paths, k * (k + 1 if milstein else 1))
-    h = problem.horizon / m
+    weights = problem.a_law.values(n) ** (2.0 * float(problem.params.delta))
     acc = np.zeros(m + 1)
-    for a in range(0, m, block):
-        b = min(m, a + block)
-        db = _stacked(inc_rngs, lambda i, rng: sample_increments_batch(rng, b - a, k, h))
-        iq = _series(alg1_iterated_batch, series_rngs, db, h, d, eta) if milstein else None
-        i0, i1, states = run.advance(db, iq)
+    for a, b in feed.spans():
+        i0, i1, states = run.advance(*feed.lattice_noise(a, b))
         # path by path, as the sum over paths has always been added
         for traj in states:
             acc[i0:i1] += (traj**2 * weights[None, :]).sum(axis=1)

@@ -26,6 +26,7 @@ from typing import Union
 
 import numpy as np
 
+from .exactmath import _check_integers
 from .spectral import EigenLaw
 
 __all__ = [
@@ -315,9 +316,11 @@ def make_example(example_id: int) -> ProblemSpec:
     (rho_q=3) and unit horizon, the defaults of `make_problem_from_config`.
     """
     try:
+        _check_integers(example_id=example_id)
         cfg = _EXAMPLES[example_id]
-    except (KeyError, TypeError):
-        raise ValueError(f"unknown example id {example_id!r} (expected 1, 2 or 3)") from None
+    except (KeyError, ValueError):
+        raise ValueError(f"unknown example id {example_id!r} "
+                         "(example_id must be 1, 2 or 3)") from None
     return make_problem_from_config(cfg)
 
 
@@ -328,14 +331,14 @@ _CONFIG_DEFAULTS = {"beta": 0, "rho_a": 2, "drift": "affine", "s": None, "r": No
                     "initial": "zero", "horizon": 1.0, "a_scale": 0.01, "name": "custom"}
 
 
-def _config_number(key: str, value) -> Fraction:
-    """value as a finite exact rational; ValueError naming the key if not."""
+def _rational(name: str, value) -> Fraction:
+    """value as a finite exact rational; ValueError naming it if not."""
     try:
         x = _frac(value)
         float(x)
         return x
     except (TypeError, ValueError, ArithmeticError):
-        raise ValueError(f"config key {key} has an invalid value {value!r}") from None
+        raise ValueError(f"{name} has an invalid value {value!r}") from None
 
 
 def make_problem_from_config(cfg: dict) -> ProblemSpec:
@@ -361,7 +364,7 @@ def make_problem_from_config(cfg: dict) -> ProblemSpec:
     if missing:
         raise ValueError(f"missing config key(s) {', '.join(missing)}; accepted: {accepted}")
     cfg = {**_CONFIG_DEFAULTS, **cfg}
-    num = {key: _config_number(key, cfg[key])
+    num = {key: _rational(f"config key {key}", cfg[key])
            for key in required + ("beta", "rho_a", "horizon", "a_scale")}
     params = RegularityParams(**{key: num[key] for key in
                                  ("beta", "gamma", "delta", "alpha", "rho_a", "rho_q")})
@@ -376,7 +379,7 @@ def make_problem_from_config(cfg: dict) -> ProblemSpec:
     if initial_cfg == "zero":
         initial = ZeroInitial()
     elif isinstance(initial_cfg, dict) and set(initial_cfg) == {"power"}:
-        initial = PowerLawInitial(float(_config_number("initial.power", initial_cfg["power"])))
+        initial = PowerLawInitial(float(_rational("config key initial.power", initial_cfg["power"])))
     else:
         raise ValueError(f"unknown initial-value law {initial_cfg!r}")
     return ProblemSpec(

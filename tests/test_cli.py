@@ -192,6 +192,22 @@ def test_empty_ladder_exits_2(argv, capsys):
         assert "error: --ladder needs at least one N" in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["eoc", "--gamma", "1/0", "--alpha", "9/4"], "gamma has an invalid value '1/0'"),
+    (["eoc", "--gamma", "7/8", "--alpha", "x"], "alpha has an invalid value 'x'"),
+    (["eoc", "--gamma", "7/8", "--alpha", "9/4", "--rho-q", "inf"],
+     "rho_q has an invalid value 'inf'"),
+    (["study", "--ladder", "2,x", "--paths", "2"],
+     "--ladder takes comma-separated integers, got '2,x'"),
+    (["cost", "--ladder", "2.5"], "--ladder takes comma-separated integers, got '2.5'")])
+def test_malformed_numbers_are_named(argv, message, capsys):
+    # the flag or field at fault is named; no traceback escapes main
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("args,flag", [(["--samples", "0"], "--samples"),
                                        (["--samples", "1"], "--samples"),
                                        (["--k", "0"], "--k")])

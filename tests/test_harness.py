@@ -12,8 +12,8 @@ import pytest
 
 from mildspde.cost import cost_formula, ledger_expected
 from mildspde.harness import (LadderRow, ReferenceSpec, StudyConfig, StudyReport,
-                              estimate_ms_error, fit_loglog, measure_order,
-                              paper_reference, plan_rows, run_study)
+                              estimate_ms_error, estimate_sup_second_moment, fit_loglog,
+                              measure_order, paper_reference, plan_rows, run_study)
 from mildspde.noise import choose_D1, choose_D2
 from mildspde.problems import (ProblemSpec, PowerLawInitial, ZeroDiffusion,
                                ZeroDrift, make_example)
@@ -153,7 +153,7 @@ def test_reports_are_independent_of_the_block_size(monkeypatch, ref_kind, error_
     cfg = StudyConfig(problem=prob, rows=rows, reference=ref, paths=5, seed=11,
                       error_at=error_at)
     default = run_study(cfg)
-    per_step = harness._study_context(cfg).elems_per_step()
+    per_step = harness._study_context(cfg).feed(0, cfg.paths).elems_per_step()
     monkeypatch.setattr(harness, "_BLOCK_MIN_STEPS", 1)
     for steps in (1, 3, 5, 37):
         monkeypatch.setattr(harness, "_BLOCK_ELEMS", steps * cfg.paths * per_step)
@@ -266,36 +266,48 @@ def test_rows_off_the_lattice_fail_where_no_bridge_serves():
                 reference=mil, paths=3, seed=0)
 
 
+def _fed(lattice, ms, cuts, paths=3, k=2, seed=3):
+    """Every grid's increments (the lattice's own included) and the series
+    of the Milstein grid M = 16, fed through the blocks between the cuts
+    from one set of per-path generators; and the feed."""
+    from mildspde.harness import _NoiseFeed, _bridge_plan
+    from mildspde.noise import substream
+
+    def streams(purpose, *m):
+        return [substream(seed, purpose, p, *m) for p in range(paths)]
+
+    feed = _NoiseFeed(1.0, lattice, np.arange(1.0, k + 1) ** -3, streams(1),
+                      bridge=(_bridge_plan(lattice, ms), streams(2)),
+                      series=[(16, k, 4, streams(3, 16))])
+    parts = [feed.grid_noise(feed.lattice_noise(a, b)[0], a, b)
+             for a, b in zip(cuts[:-1], cuts[1:])]
+    incs = {m: np.concatenate([inc[m] for inc, _ in parts], axis=1) for m in parts[0][0]}
+    return incs, np.concatenate([iq[16] for _, iq in parts if 16 in iq], axis=1), feed
+
+
 def test_every_grid_reads_its_increments_off_w():
     # a row grid steps on the differences of W at its points, fed block by
-    # block as a study chunk feeds them: dividing (8, 16) and bridged (12,
-    # 24, 96) grids telescope to W(T), a dividing grid's equal the lattice
-    # block sums up to roundoff, and split blocks give one block's bytes
-    from mildspde.harness import _BridgedGrid
+    # block: dividing (8, 16) and bridged (12, 24, 96) grids telescope to
+    # W(T), a dividing grid's equal the lattice block sums up to roundoff,
+    # and blocks of 1, 2, 3, 5, 37 or every step give one block's bytes
     lattice, paths, k = 64, 3, 2
     ms = [8, 12, 16, 24, 96]
-    db, plan, w = _lattice_w(lattice, ms, paths, seed=3, k=k)
+    incs, iq, feed = _fed(lattice, ms, [0, lattice])
+    plan, db = feed.plan, incs[lattice]
     assert plan.cell.size and not any(i > lattice for m in (8, 16) for i in plan.index[m])
-
-    def fed(m, cuts):
-        grid = _BridgedGrid(plan.index[m], m, lattice, paths, k)
-        parts = []
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            first, end = (int(i) for i in np.searchsorted(plan.cell, [a, b]))
-            block = np.concatenate([w[:, a: b + 1],
-                                    w[:, lattice + 1 + first: lattice + 1 + end]], axis=1)
-            parts.append(grid.feed(block, a, b, first))
-        return np.concatenate(parts, axis=1)
-
+    assert db.shape == (paths, lattice, k) and iq.shape == (paths, 16, k, k)
     for m in ms:
-        inc = fed(m, [0, lattice])
+        inc = incs[m]
         assert inc.shape == (paths, m, k)
-        np.testing.assert_allclose(inc.sum(axis=1), w[:, lattice], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(inc.sum(axis=1), feed.w_start, rtol=0, atol=1e-14)
         if lattice % m == 0:
             sums = db.reshape(paths, m, lattice // m, k).sum(axis=2)
             assert np.abs(inc - sums).max() <= 1e-12 * np.abs(sums).max()
-        for cuts in ([0, 1, 2, 3, 64], [0, 5, 37, 64], list(range(65))):
-            assert np.array_equal(fed(m, cuts), inc)
+    for cuts in ([0, 1, 3, 6, 11, 48, 64], list(range(65))):
+        split, split_iq, _ = _fed(lattice, ms, cuts)
+        assert split.keys() == incs.keys()
+        assert all(np.array_equal(split[m], incs[m]) for m in incs)
+        assert np.array_equal(split_iq, iq)
 
 
 def test_report_ledger_equals_steps_times_expected():
@@ -491,6 +503,31 @@ def test_dfm_reference_study_is_pinned():
     assert got == C7_DFM_REF_SHA256
 
 
+@pytest.mark.parametrize("kind, k, expected", [
+    ("DFM", 8, "0.12598022979119858"),    # two blocks of 64 and 36 steps
+    ("LIE", 3, "0.09726894820672624"),    # one block
+])
+def test_sup_second_moment_is_pinned(kind, k, expected):
+    got = estimate_sup_second_moment(make_example(1), kind, n=8, k=k, m=100,
+                                     paths=40, seed=90)
+    assert repr(got) == expected
+
+
+@pytest.mark.parametrize("kind", ["DFM", "EES"])
+def test_sup_second_moment_is_independent_of_the_block_size(monkeypatch, kind):
+    # blocks of 1, 3, 7 and 40 steps cut the series of a Milstein-type kind
+    import mildspde.harness as harness
+    prob = make_example(1)
+    default = estimate_sup_second_moment(prob, kind, n=8, k=4, m=40, paths=5, seed=7)
+    per_step = 4 + 16 if kind == "DFM" else 4
+    monkeypatch.setattr(harness, "_BLOCK_MIN_STEPS", 1)
+    for steps in (1, 3, 7, 40):
+        monkeypatch.setattr(harness, "_BLOCK_ELEMS", steps * 5 * per_step)
+        assert harness._block_steps(5, per_step) == steps
+        assert estimate_sup_second_moment(prob, kind, n=8, k=4, m=40, paths=5,
+                                          seed=7) == default
+
+
 def test_euler_type_reference_takes_no_series_depth():
     with pytest.raises(ValueError, match="takes no series depth"):
         ReferenceSpec("LIE", n=8, k=2, m=64, d=5)
@@ -527,20 +564,24 @@ def test_chunk_noise_counts_the_bridge_arrays():
     # j * 64 / 12 is off the lattice for the 8 grid points j not divisible by 3:
     # 64 increments, 8 bridge normals, 65 + 8 W values and 12 row increments
     from mildspde.harness import _study_context
-    assert _study_context(cfg).elems_per_step() == -(-(64 + 8 + 73 + 12) * 2 // 64)
+
+    def per_step(cfg):
+        return _study_context(cfg).feed(0, cfg.paths).elems_per_step()
+
+    assert per_step(cfg) == -(-(64 + 8 + 73 + 12) * 2 // 64)
     # a grid on the lattice has no bridge points, but still reads W: 64
     # increments, 65 W values and 16 row increments; a Milstein grid adds
     # its increments and iterated integrals, m (k + k^2)
     cfg = replace(cfg, rows=(LadderRow("DFM", n=4, m=16, k=2, d=8),))
-    assert (_study_context(cfg).elems_per_step()
+    assert (per_step(cfg)
             == -(-((64 + 65 + 16) * 2 + 16 * (2 + 4)) // 64))
     # a Milstein-type reference adds its own iterated integrals
     cfg = replace(cfg, reference=ReferenceSpec("MIL", n=8, k=2, m=64))
-    assert _study_context(cfg).elems_per_step() == 2 + 4 + -(-((65 + 16) * 2 + 16 * (2 + 4)) // 64)
+    assert per_step(cfg) == 2 + 4 + -(-((65 + 16) * 2 + 16 * (2 + 4)) // 64)
     # a row at the reference's own M steps on the drawn increments: no W
     # values are counted beyond the lattice's 65
     cfg = replace(cfg, rows=(LadderRow("EES", n=4, m=64, k=2),))
-    assert _study_context(cfg).elems_per_step() == 2 + 4 + -(-65 * 2 // 64)
+    assert per_step(cfg) == 2 + 4 + -(-65 * 2 // 64)
 
 
 def test_blocks_fill_the_element_budget_down_to_a_minimum():

@@ -107,6 +107,18 @@ def _rejects():
         "increments-k=0": (lambda: sample_increments_batch(substream(0, 0), 3, 0, 0.1),
                            "s must be >= 0 and k >= 1, got s=3, k=0"),
         "paper-reference": (lambda: paper_reference(3), "published reference resolutions"),
+        "paper-reference=True": (lambda: paper_reference(True),
+                                 "example_id must be an integer, got True"),
+        "paper-reference=2.0": (lambda: paper_reference(2.0),
+                                "example_id must be an integer, got 2.0"),
+        "example=True": (lambda: make_example(True),
+                         "unknown example id True (example_id must be 1, 2 or 3)"),
+        "example=1.0": (lambda: make_example(1.0),
+                        "unknown example id 1.0 (example_id must be 1, 2 or 3)"),
+        "plan-gamma=1/0": (lambda: PlanInput(gamma="1/0", beta=0, alpha=1, rho_a=2, rho_q=3),
+                           "gamma has an invalid value '1/0'"),
+        "plan-alpha=x": (lambda: PlanInput(gamma=1, beta=0, alpha="x", rho_a=2, rho_q=3),
+                         "alpha has an invalid value 'x'"),
         "order-axis": (lambda: measure_order(_ORDERED, axis="N"), "axis must be"),
         "order-mixed": (lambda: measure_order(_report(("EES", 8, 0.4), ("LIE", 16, 0.2),
                                                       ("EES", 32, 0.1))),
