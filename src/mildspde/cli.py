@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -66,11 +67,11 @@ def _cmd_study(args) -> int:
                          allow_big=args.allow_big)
     report = run_study(config)
     if args.out:
-        report.write_csv(args.out)
+        Path(args.out).write_text(report.csv_text())
     else:
         sys.stdout.write(report.csv_text())
     if args.json:
-        report.write_json(args.json)
+        Path(args.json).write_text(report.json_text())
     return 0
 
 
@@ -119,12 +120,23 @@ def _cmd_cost(args) -> int:
     return 0
 
 
+# largest float64 array noise-test may ask for (64 MB): the (samples, K, K)
+# iterated integrals, or the 2 D K series normals of one sample
+_NOISE_TEST_ELEMS = 2**23
+
+
 def _cmd_noise_test(args) -> int:
     k, d, h = args.k, args.d, args.h
     if args.samples < 2:
         raise ValueError("--samples must be >= 2 (moment checks need a sample variance)")
     if k < 1:
         raise ValueError("--k must be >= 1")
+    if args.samples * k * k > _NOISE_TEST_ELEMS:
+        raise ValueError(f"--samples x --k^2 = {args.samples * k * k} exceeds the "
+                         f"{_NOISE_TEST_ELEMS} elements noise-test holds at once")
+    if 2 * d * k > _NOISE_TEST_ELEMS:
+        raise ValueError(f"2 x --d x --k = {2 * d * k} series normals per sample exceeds "
+                         f"the {_NOISE_TEST_ELEMS} elements noise-test holds at once")
     if not np.isfinite(args.rho_q):
         raise ValueError(f"--rho-q must be finite, got {args.rho_q}")
     eta = np.arange(1.0, k + 1.0) ** -args.rho_q

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from numbers import Rational
 from typing import Optional
 
-from .exactmath import ceil_power
+from .exactmath import _check_integers, ceil_power
 from .schemes import REGISTRY, canonical_kind
 
 __all__ = ["CostLedger", "StepCounts", "cost_formula", "ledger_expected"]
@@ -59,11 +59,10 @@ class CostLedger:
     def charge_unit(self, n: int) -> None:
         self.unit_ops += n
 
-    def total(self, c: int = 1) -> int:
-        """Model cost: functional evaluations at cost c each plus draws."""
-        funcs = (self.functional_evals_f + self.functional_evals_b
-                 + self.functional_evals_bprime)
-        return c * funcs + self.normal_draws
+    def total(self) -> int:
+        """Model cost: functional evaluations plus draws, each at unit cost."""
+        return (self.functional_evals_f + self.functional_evals_b
+                + self.functional_evals_bprime + self.normal_draws)
 
 
 @dataclass(frozen=True)
@@ -75,8 +74,8 @@ class StepCounts:
     bprime: int
     normals: int
 
-    def total(self, c: int = 1) -> int:
-        return c * (self.f + self.b + self.bprime) + self.normals
+    def total(self) -> int:
+        return self.f + self.b + self.bprime + self.normals
 
 
 def cost_formula(kind: str, n: int, k: int, m: int,
@@ -89,6 +88,7 @@ def cost_formula(kind: str, n: int, k: int, m: int,
     term 2 M K M^(2q-1), decided exactly by `exactmath.ceil_power`.
     """
     scheme = REGISTRY[canonical_kind(kind)]
+    _check_integers(N=n, K=k, M=m)
     if min(n, k, m) < 1:
         raise ValueError("resolutions must be positive")
     base = m * sum(scheme.evals(n, k)) + m * k
@@ -107,6 +107,9 @@ def ledger_expected(kind: str, n: int, k: int, d: Optional[int] = None) -> StepC
     draw only the K increments.
     """
     scheme = REGISTRY[canonical_kind(kind)]
+    _check_integers(N=n, K=k, D=d)
+    if min(n, k) < 1:
+        raise ValueError("resolutions must be positive")
     normals = k
     if scheme.milstein:
         if d is None or d < 1:

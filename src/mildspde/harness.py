@@ -45,11 +45,13 @@ run would pay, not the draws made.
 Paths run in chunks, one per worker: a pool of W workers maps chunks of
 ceil(paths / W) paths. The pool is imported only when W > 1, so a
 single-worker study never loads the multiprocessing stack (~2 MB RSS).
-One `_NoiseFeed` makes all of a chunk's noise, block by block: each path
-draws from its own (purpose, 0, path) substreams (the series of a
-Milstein grid of M steps from (purpose, 0, path, M)), and a block is the
-next lattice steps whose noise over the chunk's paths fits 1 MB of
-float64, or 64 steps if that is more. Per block the reference and then
+A worker receives the `StudyConfig` itself and its chunk's path range,
+and `_study_feed` builds from them the one `_NoiseFeed` that makes all of
+the chunk's noise, block by block: each path draws from its own
+(purpose, 0, path) substreams (the series of a Milstein grid of M steps
+from (purpose, 0, path, M)), and a block is the next lattice steps whose
+noise over the chunk's paths fits 1 MB of float64, or 64 steps if that
+is more. Per block the reference and then
 every row continue their batched `integrate` calls from their last states
 (`y0`), and only the observed states are kept. Split draws equal whole
 ones, and batched and single-path integration agree bit for bit, so the
@@ -233,27 +235,13 @@ class StudyReport:
                          f"{r.cost_ledger},{float(r.error)!r},{float(r.std)!r},{r.paths}")
         return "\n".join(lines) + "\n"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "config": self.config_echo,
-            "rows": [
-                {"scheme": r.scheme, "N": r.n, "M": r.m, "K": r.k, "D": r.d,
+    def json_text(self) -> str:
+        rows = [{"scheme": r.scheme, "N": r.n, "M": r.m, "K": r.k, "D": r.d,
                  "cost_formula": r.cost_formula, "cost_ledger": r.cost_ledger,
                  "error": float(r.error), "std": float(r.std), "paths": r.paths}
-                for r in self.rows
-            ],
-        }
-
-    def json_text(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
-
-    def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.csv_text())
-
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.json_text())
+                for r in self.rows]
+        return json.dumps({"config": self.config_echo, "rows": rows},
+                          indent=2, sort_keys=True) + "\n"
 
 
 def estimate_ms_error(per_path_sq_errors) -> Tuple[float, float]:
@@ -409,58 +397,14 @@ def _bridge_values(plan: _BridgePlan, w: np.ndarray, z: np.ndarray, h: float,
                           + (math.sqrt(h) * plan.spread[first + sel])[:, None] * z[:, sel])
 
 
-@dataclass(frozen=True)
-class _StudyContext:
-    """Everything one worker needs to run all rows on a chunk of paths,
-    which it streams over the lattice in the blocks of their `feed`. Must
-    stay picklable. `reference.d` is the depth that runs (for a
-    Milstein-type reference left unset, `choose_D2` of its K and of the D1
-    rule at its M). `bridge` places the grid points of every row M but the
-    reference's own; `series` lists (m, k, d) for every Milstein-type row
-    M: the largest K and D of its rows.
-    """
-
-    problem: ProblemSpec
-    reference: ReferenceSpec
-    rows: Tuple[LadderRow, ...]
-    seed: int
-    error_at: str
-    error_space: str
-    bridge: _BridgePlan
-    series: Tuple[Tuple[int, int, int], ...]
-
-    def feed(self, lo: int, hi: int) -> "_NoiseFeed":
-        """The noise of paths lo..hi-1: each path draws from its own
-        (purpose, 0, path) substreams, the series of a Milstein grid of M
-        steps from (purpose, 0, path, M)."""
-        ref = self.reference
-
-        def streams(purpose, *m):
-            return [substream(self.seed, purpose, 0, p, *m) for p in range(lo, hi)]
-
-        increments = streams(_PURPOSE_INCREMENTS)
-        ref_series = ((alg2_iterated_batch, ref.d, streams(_PURPOSE_SERIES))
-                      if REGISTRY[ref.kind].milstein else None)
-        return _NoiseFeed(self.problem.horizon, ref.m, self.problem.q_law.values(ref.k),
-                          increments, ref_series, (self.bridge, streams(_PURPOSE_BRIDGE)),
-                          [(m, k, d, streams(_PURPOSE_SERIES, m)) for m, k, d in self.series])
-
-
-def _study_context(config: "StudyConfig") -> _StudyContext:
+def _reference(config: StudyConfig) -> ReferenceSpec:
+    """The reference that runs: a Milstein-type one left without a depth
+    takes `choose_D2` of its K and of the D1 rule at its M. Resolved per
+    call, so it follows `replace(config, problem=...)`."""
     ref = config.reference
     if REGISTRY[ref.kind].milstein and ref.d is None:
         ref = replace(ref, d=choose_D2(ref.k, choose_D1(ref.m, config.problem.params.q_dfm)))
-    milstein = [r for r in config.rows if REGISTRY[r.scheme].milstein]
-    series = []
-    for m in sorted({r.m for r in milstein}):
-        at_m = [r for r in milstein if r.m == m]
-        series.append((m, max(r.k for r in at_m), max(r.d for r in at_m)))
-    # a row at the lattice's own M steps on the drawn increments themselves
-    grids = sorted({r.m for r in config.rows} - {ref.m})
-    return _StudyContext(problem=config.problem, reference=ref,
-                         rows=config.rows, seed=config.seed,
-                         error_at=config.error_at, error_space=config.error_space,
-                         bridge=_bridge_plan(ref.m, grids), series=tuple(series))
+    return ref
 
 
 def _block_steps(paths: int, elems_per_step: int) -> int:
@@ -573,9 +517,34 @@ class _NoiseFeed:
         return incs, iqs
 
 
-def _observed_steps(ctx: _StudyContext, row: LadderRow) -> np.ndarray:
+def _study_feed(config: StudyConfig, lo: int, hi: int) -> _NoiseFeed:
+    """The noise of a study's paths lo..hi-1. Each path draws from its own
+    (purpose, 0, path) substreams, the series of a Milstein grid of M steps
+    from (purpose, 0, path, M) at the largest K and D of that M's rows. The
+    bridge plan places the grid points of every row M but the lattice's
+    own: a row at that M steps on the drawn increments themselves."""
+    ref = _reference(config)
+
+    def streams(purpose, *m):
+        return [substream(config.seed, purpose, 0, p, *m) for p in range(lo, hi)]
+
+    increments = streams(_PURPOSE_INCREMENTS)
+    ref_series = ((alg2_iterated_batch, ref.d, streams(_PURPOSE_SERIES))
+                  if REGISTRY[ref.kind].milstein else None)
+    bridge = _bridge_plan(ref.m, sorted({r.m for r in config.rows} - {ref.m}))
+    milstein = [r for r in config.rows if REGISTRY[r.scheme].milstein]
+    series = []
+    for m in sorted({r.m for r in milstein}):
+        at_m = [r for r in milstein if r.m == m]
+        series.append((m, max(r.k for r in at_m), max(r.d for r in at_m),
+                       streams(_PURPOSE_SERIES, m)))
+    return _NoiseFeed(config.problem.horizon, ref.m, config.problem.q_law.values(ref.k),
+                      increments, ref_series, (bridge, streams(_PURPOSE_BRIDGE)), series)
+
+
+def _observed_steps(config: StudyConfig, row: LadderRow) -> np.ndarray:
     """The steps of a row's grid that enter its error: M, or 0..M."""
-    return np.arange(row.m + 1) if ctx.error_at == "all-grid" else np.array([row.m])
+    return np.arange(row.m + 1) if config.error_at == "all-grid" else np.array([row.m])
 
 
 class _Stepper:
@@ -611,12 +580,12 @@ class _Stepper:
         return i0, i1, out[:, : i1 - i0]
 
 
-def _sq_errors(ctx: _StudyContext, row: LadderRow, y: np.ndarray,
+def _sq_errors(config: StudyConfig, row: LadderRow, y: np.ndarray,
                ref: np.ndarray) -> np.ndarray:
     """(P, steps) squared errors of a row's (P, steps, N) states y against
     the (P, steps, N_ref) reference states ref at the same times, which
     it may overwrite."""
-    if ctx.error_space == "row":
+    if config.error_space == "row":
         diff = ref[..., : row.n] - y
     else:
         diff = ref
@@ -627,7 +596,7 @@ def _sq_errors(ctx: _StudyContext, row: LadderRow, y: np.ndarray,
 
 def _run_chunk(args):
     """All rows on paths lo..hi-1, streamed over the lattice in the blocks
-    of their noise feed (`_StudyContext.feed`).
+    of their noise feed (`_study_feed`).
 
     Per block the reference steps on the lattice noise and lets its
     series go before the grids' noise is made; then every row continues
@@ -638,26 +607,26 @@ def _run_chunk(args):
     Returns per row the (hi-lo, observed steps) squared errors and the
     ledger total of one path.
     """
-    ctx, lo, hi = args
-    problem, ref, lattice = ctx.problem, ctx.reference, ctx.reference.m
-    feed = ctx.feed(lo, hi)
+    config, lo, hi = args
+    problem, ref, lattice = config.problem, config.reference, config.reference.m
+    feed = _study_feed(config, lo, hi)
 
     # the reference is observed at every lattice step some row observes (a
     # mask, not np.unique, which imports numpy.ma: ~2 MB RSS per process)
     observed = np.zeros(lattice + 1, dtype=bool)
-    for r in ctx.rows:
-        observed[_observed_steps(ctx, r) * lattice // r.m] = True
+    for r in config.rows:
+        observed[_observed_steps(config, r) * lattice // r.m] = True
     ref_cfg = SchemeConfig(kind=ref.kind, n=ref.n, k=ref.k, m=lattice)
-    ref_run = _Stepper(problem, ctx.seed, lo, ref_cfg, np.flatnonzero(observed))
+    ref_run = _Stepper(problem, config.seed, lo, ref_cfg, np.flatnonzero(observed))
     ref_states = np.empty((hi - lo, ref_run.observed.size, ref.n))
 
     runs, sq_errors = [], []
-    for row in ctx.rows:
+    for row in config.rows:
         ledger = CostLedger()
         # bill the draws a standalone run of this row would make
         ledger.charge_normals(row.m * ledger_expected(row.scheme, row.n, row.k, row.d).normals)
         cfg = SchemeConfig(kind=row.scheme, n=row.n, k=row.k, m=row.m)
-        runs.append(_Stepper(problem, ctx.seed, lo, cfg, _observed_steps(ctx, row), ledger))
+        runs.append(_Stepper(problem, config.seed, lo, cfg, _observed_steps(config, row), ledger))
         sq_errors.append(np.empty((hi - lo, runs[-1].observed.size)))
 
     for a, b in feed.spans():
@@ -666,7 +635,7 @@ def _run_chunk(args):
         ref_states[:, i0:i1] = states
         del ref_iq, states
         incs, iqs = feed.grid_noise(db, a, b)
-        for row, run, sq in zip(ctx.rows, runs, sq_errors):
+        for row, run, sq in zip(config.rows, runs, sq_errors):
             inc = incs[row.m]
             if not inc.shape[1]:
                 continue
@@ -675,7 +644,7 @@ def _run_chunk(args):
             i0, i1, y = run.advance(inc[:, :, : row.k], iq)
             # fancy indexing copies, so the reference states stay as they are
             at = np.searchsorted(ref_run.observed, run.observed[i0:i1] * lattice // row.m)
-            sq[:, i0:i1] = _sq_errors(ctx, row, y, ref_states[:, at])
+            sq[:, i0:i1] = _sq_errors(config, row, y, ref_states[:, at])
         # each block's arrays go before the next block draws its own
         del db, incs, iqs
     return sq_errors, [run.ledger.total() for run in runs]
@@ -700,9 +669,8 @@ def run_study(config: StudyConfig) -> StudyReport:
             f"study would take ~{total_steps:.2e} steps; pass allow_big=True "
             f"(--allow-big) to run it")
 
-    ctx = _study_context(config)
     size = _chunk_size(config.paths, config.workers)
-    tasks = [(ctx, lo, min(lo + size, config.paths))
+    tasks = [(config, lo, min(lo + size, config.paths))
              for lo in range(0, config.paths, size)]
     if config.workers == 1:
         results = [_run_chunk(task) for task in tasks]
@@ -735,7 +703,7 @@ def run_study(config: StudyConfig) -> StudyReport:
         # the depth and sampler that ran: D is None for Euler-type kinds,
         # which draw no series and so carry no "series" key
         "reference": {"kind": ref.kind, "N": ref.n, "K": ref.k, "M": ref.m,
-                      "D": ctx.reference.d,
+                      "D": _reference(config).d,
                       **({"series": "alg2"} if REGISTRY[ref.kind].milstein else {})},
         "rows": [{"scheme": r.scheme, "N": r.n, "M": r.m, "K": r.k, "D": r.d}
                  for r in config.rows],

@@ -4,7 +4,8 @@ Criteria 1-7, 9 and 10 form the fast tier and always run (the suite takes
 around two minutes on two cores; criterion 7 dominates). Criterion 8
 re-runs the published error tables at full resolution and 500 paths; it
 takes about 2 minutes on two cores and only runs when MILDSPDE_FULL_TIER=1
-is set.
+is set. One more test, with no simulation, reads the paper's ordering of
+the schemes off criterion 8's published tables.
 """
 
 import math
@@ -202,25 +203,28 @@ def test_criterion_07_temporal_order():
              f"err(DFM,2^9)={dfm_at[512]:.3e} err(EES,2^9)={ees_at[512]:.3e}")
 
 
+# criterion 8's published tables: (N, error, std) per example and scheme
+_PUBLISHED_ERRORS = {
+    1: {"DFM": [(2, 3.77e-2, 2.38e-3), (4, 2.95e-2, 1.25e-3),
+                (8, 1.81e-2, 5.33e-4), (16, 6.84e-3, 8.63e-5)],
+        "MIL": [(2, 3.78e-2, 2.30e-3), (4, 2.95e-2, 1.25e-3),
+                (8, 1.81e-2, 5.15e-4), (16, 6.84e-3, 8.31e-5)],
+        "EES": [(2, 2.65e-2, 2.46e-3), (4, 3.06e-2, 1.41e-3),
+                (8, 1.83e-2, 5.11e-4), (16, 6.81e-3, 1.15e-4)]},
+    2: {"DFM": [(2, 4.42e-2, 4.10e-3), (4, 3.56e-2, 2.08e-3),
+                (8, 2.13e-2, 8.73e-4), (16, 8.66e-3, 5.30e-4)],
+        "MIL": [(2, 4.43e-2, 4.16e-3), (4, 3.56e-2, 2.08e-3),
+                (8, 2.13e-2, 8.61e-4), (16, 8.66e-3, 5.33e-4)],
+        "EES": [(2, 3.48e-2, 4.07e-3), (4, 3.70e-2, 1.43e-3),
+                (8, 2.22e-2, 9.95e-4), (16, 9.07e-3, 5.73e-4)]},
+}
+
+
 @pytest.mark.skipif(not os.environ.get("MILDSPDE_FULL_TIER"),
                     reason="full tier is opt-in (~2 min on 2 cores): set MILDSPDE_FULL_TIER=1")
 def test_criterion_08_published_error_tables():
-    published = {
-        1: {"DFM": [(2, 3.77e-2, 2.38e-3), (4, 2.95e-2, 1.25e-3),
-                    (8, 1.81e-2, 5.33e-4), (16, 6.84e-3, 8.63e-5)],
-            "MIL": [(2, 3.78e-2, 2.30e-3), (4, 2.95e-2, 1.25e-3),
-                    (8, 1.81e-2, 5.15e-4), (16, 6.84e-3, 8.31e-5)],
-            "EES": [(2, 2.65e-2, 2.46e-3), (4, 3.06e-2, 1.41e-3),
-                    (8, 1.83e-2, 5.11e-4), (16, 6.81e-3, 1.15e-4)]},
-        2: {"DFM": [(2, 4.42e-2, 4.10e-3), (4, 3.56e-2, 2.08e-3),
-                    (8, 2.13e-2, 8.73e-4), (16, 8.66e-3, 5.30e-4)],
-            "MIL": [(2, 4.43e-2, 4.16e-3), (4, 3.56e-2, 2.08e-3),
-                    (8, 2.13e-2, 8.61e-4), (16, 8.66e-3, 5.33e-4)],
-            "EES": [(2, 3.48e-2, 4.07e-3), (4, 3.70e-2, 1.43e-3),
-                    (8, 2.22e-2, 9.95e-4), (16, 9.07e-3, 5.73e-4)]},
-    }
     failures = []
-    for ex, table in published.items():
+    for ex, table in _PUBLISHED_ERRORS.items():
         prob = make_example(ex)
         rows = plan_rows(prob, ["DFM", "MIL", "EES"], [2, 4, 8, 16])
         cfg = StudyConfig(problem=prob, rows=tuple(rows),
@@ -235,6 +239,25 @@ def test_criterion_08_published_error_tables():
                     failures.append((ex, scheme, n, row.error, err, band))
     _verdict(8, "published error tables (full tier, 500 paths)",
              not failures, str(failures))
+
+
+def test_published_tables_rank_dfm_steepest():
+    # the paper's headline ordering read off its own tables, no simulation:
+    # the published errors against the planned costs (criterion 1's
+    # integers), one log-log slope per scheme; only the order is checked
+    for ex, table in _PUBLISHED_ERRORS.items():
+        prob = make_example(ex)
+        slope = {}
+        for scheme, entries in table.items():
+            plan = PlanInput.from_problem(prob, scheme)
+            costs = []
+            for n, _, _ in entries:
+                res = optimal_resolution(plan, n)
+                costs.append(cost_formula(scheme, n, res.k, res.m, prob.params.q_dfm))
+            slope[scheme] = fit_loglog(costs, [err for _, err, _ in entries]).slope
+        print(f"\nexample {ex} slopes: "
+              + ", ".join(f"{s} {v:.3f}" for s, v in slope.items()))
+        assert slope["DFM"] <= slope["MIL"] and slope["DFM"] <= slope["EES"], (ex, slope)
 
 
 def test_criterion_09_moment_boundedness():

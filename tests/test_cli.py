@@ -208,9 +208,14 @@ def test_malformed_numbers_are_named(argv, message, capsys):
     assert captured.err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("args,flag", [(["--samples", "0"], "--samples"),
-                                       (["--samples", "1"], "--samples"),
-                                       (["--k", "0"], "--k")])
+@pytest.mark.parametrize("args,flag", [
+    (["--samples", "0"], "--samples"),
+    (["--samples", "1"], "--samples"),
+    (["--k", "0"], "--k"),
+    # oversized: each would ask numpy for gigabytes, so it is refused first
+    (["--samples", "10", "--k", "100000000000"], "--k"),
+    (["--samples", "100000000"], "--samples"),
+    (["--samples", "10", "--d", "100000000000"], "--d")])
 def test_noise_test_rejects_degenerate_sizes(args, flag, capsys):
     assert main(["noise-test", *args]) == 2
     captured = capsys.readouterr()

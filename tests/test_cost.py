@@ -132,4 +132,3 @@ def test_ledger_total():
     # unit_ops (55) is information only and never enters the total
     led = CostLedger(11, 22, 33, 44, 55)
     assert led.total() == (11 + 22 + 33) + 44
-    assert led.total(c=2) == 2 * (11 + 22 + 33) + 44

@@ -153,7 +153,7 @@ def test_reports_are_independent_of_the_block_size(monkeypatch, ref_kind, error_
     cfg = StudyConfig(problem=prob, rows=rows, reference=ref, paths=5, seed=11,
                       error_at=error_at)
     default = run_study(cfg)
-    per_step = harness._study_context(cfg).feed(0, cfg.paths).elems_per_step()
+    per_step = harness._study_feed(cfg, 0, cfg.paths).elems_per_step()
     monkeypatch.setattr(harness, "_BLOCK_MIN_STEPS", 1)
     for steps in (1, 3, 5, 37):
         monkeypatch.setattr(harness, "_BLOCK_ELEMS", steps * cfg.paths * per_step)
@@ -563,10 +563,10 @@ def test_chunk_noise_counts_the_bridge_arrays():
                       reference=ref, paths=3, seed=0)
     # j * 64 / 12 is off the lattice for the 8 grid points j not divisible by 3:
     # 64 increments, 8 bridge normals, 65 + 8 W values and 12 row increments
-    from mildspde.harness import _study_context
+    from mildspde.harness import _study_feed
 
     def per_step(cfg):
-        return _study_context(cfg).feed(0, cfg.paths).elems_per_step()
+        return _study_feed(cfg, 0, cfg.paths).elems_per_step()
 
     assert per_step(cfg) == -(-(64 + 8 + 73 + 12) * 2 // 64)
     # a grid on the lattice has no bridge points, but still reads W: 64

@@ -11,6 +11,7 @@ import pytest
 from mildspde.harness import (LadderRow, ReferenceSpec, ReportRow, StudyConfig,
                               StudyReport, estimate_sup_second_moment, measure_order,
                               paper_reference)
+from mildspde.cost import cost_formula, ledger_expected
 from mildspde.eoc import PlanInput, optimal_resolution
 from mildspde.noise import (alg1_iterated_batch, alg1_iterated_nested, alg2_iterated_batch,
                             choose_D1, choose_D2, sample_increments_batch, substream)
@@ -106,6 +107,17 @@ def _rejects():
                             "s must be >= 0 and k >= 1, got s=-1, k=2"),
         "increments-k=0": (lambda: sample_increments_batch(substream(0, 0), 3, 0, 0.1),
                            "s must be >= 0 and k >= 1, got s=3, k=0"),
+        "cost-N=2.5": (lambda: cost_formula("EES", 2.5, 2, 4), "N must be an integer, got 2.5"),
+        "cost-N=True": (lambda: cost_formula("EES", True, 1, 4),
+                        "N must be an integer, got True"),
+        "cost-M=8.0": (lambda: cost_formula("DFM", 4, 2, 8.0, Fraction(7, 8)),
+                       "M must be an integer, got 8.0"),
+        "cost-K=0": (lambda: cost_formula("EES", 4, 0, 4), "resolutions must be positive"),
+        "ledger-D=2.5": (lambda: ledger_expected("DFM", 4, 2, 2.5),
+                         "D must be an integer, got 2.5"),
+        "ledger-K=True": (lambda: ledger_expected("EES", 4, True),
+                          "K must be an integer, got True"),
+        "ledger-N=0": (lambda: ledger_expected("EES", 0, 1), "resolutions must be positive"),
         "paper-reference": (lambda: paper_reference(3), "published reference resolutions"),
         "paper-reference=True": (lambda: paper_reference(True),
                                  "example_id must be an integer, got True"),
