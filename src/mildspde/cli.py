@@ -123,6 +123,9 @@ def _cmd_cost(args) -> int:
 # largest float64 array noise-test may ask for (64 MB): the (samples, K, K)
 # iterated integrals, or the 2 D K series normals of one sample
 _NOISE_TEST_ELEMS = 2**23
+# most (i, j) entries its report may list (K = 64): each is a dict of five
+# statistics, so K^2 of them bound the JSON it prints
+_NOISE_TEST_ENTRIES = 2**12
 
 
 def _cmd_noise_test(args) -> int:
@@ -131,6 +134,9 @@ def _cmd_noise_test(args) -> int:
         raise ValueError("--samples must be >= 2 (moment checks need a sample variance)")
     if k < 1:
         raise ValueError("--k must be >= 1")
+    if k * k > _NOISE_TEST_ENTRIES:
+        raise ValueError(f"--k = {k} gives {k * k} report entries, more than the "
+                         f"{_NOISE_TEST_ENTRIES} noise-test lists")
     if args.samples * k * k > _NOISE_TEST_ELEMS:
         raise ValueError(f"--samples x --k^2 = {args.samples * k * k} exceeds the "
                          f"{_NOISE_TEST_ELEMS} elements noise-test holds at once")

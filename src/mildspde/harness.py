@@ -6,12 +6,14 @@ path W at its grid points and steps on the differences W(t_j) - W(t_j-1).
 At a lattice point W is the running sum of the lattice increments; bridge
 points exist only off the lattice, where a row's M does not divide the
 reference M, and there W is drawn by Brownian bridge between the
-neighbouring lattice points (grid times are exact rationals, so a time two
-rows share gets one value). A row at the reference's own M steps on the
-drawn increments themselves. So reference and rows share the driving
-path. Milstein-type rows additionally need iterated
-integrals. A Milstein-type reference samples its own with Algorithm 2,
-whose error falls like 1/D rather than 1/sqrt(D), at its depth D (default:
+neighbouring lattice points from normals of that M's own substream, so a
+row's noise does not depend on the other rows. A row's M may not exceed
+the reference M, so no lattice step holds two points of one grid. A row
+at the reference's own M steps on the drawn increments themselves. So
+reference and rows share the driving path. Milstein-type rows
+additionally need iterated integrals. A Milstein-type reference samples
+its own with Algorithm 2, whose error falls like 1/D rather than
+1/sqrt(D), at its depth D (default:
 `choose_D2` of its K and of the D1 rule at its M, the depth whose error
 bound matches Algorithm 1's there), and uses them only itself. Whatever
 the reference's kind, every Milstein-type M samples its own from its
@@ -48,10 +50,10 @@ single-worker study never loads the multiprocessing stack (~2 MB RSS).
 A worker receives the `StudyConfig` itself and its chunk's path range,
 and `_study_feed` builds from them the one `_NoiseFeed` that makes all of
 the chunk's noise, block by block: each path draws from its own
-(purpose, 0, path) substreams (the series of a Milstein grid of M steps
-from (purpose, 0, path, M)), and a block is the next lattice steps whose
-noise over the chunk's paths fits 1 MB of float64, or 64 steps if that
-is more. Per block the reference and then
+(purpose, 0, path) substreams (the series and the bridge normals of a
+grid of M steps from (purpose, 0, path, M)), and a block is the next
+lattice steps whose noise over the chunk's paths fits 1 MB of float64,
+or 64 steps if that is more. Per block the reference and then
 every row continue their batched `integrate` calls from their last states
 (`y0`), and only the observed states are kept. Split draws equal whole
 ones, and batched and single-path integration agree bit for bit, so the
@@ -68,7 +70,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,7 +95,8 @@ __all__ = [
 _PURPOSE_INCREMENTS = 11
 _PURPOSE_SERIES = 12
 _PURPOSE_BRIDGE = 13
-# largest steps-per-path x paths a study runs without allow_big
+# largest reference M x paths a study runs without allow_big (no row M
+# exceeds the reference M)
 _GUARDRAIL_STEPS = 2**33
 
 
@@ -199,6 +202,11 @@ class StudyConfig:
                 raise ValueError(f"row N={row.n} exceeds reference N={ref.n}")
             if row.k > ref.k:
                 raise ValueError(f"row K={row.k} exceeds reference K={ref.k}")
+            if row.m > ref.m:
+                raise ValueError(f"row M={row.m} exceeds reference M={ref.m}")
+            if row.m * ref.m >= 2**63:
+                raise ValueError(f"row M={row.m} times reference M={ref.m} must stay "
+                                 f"below 2^63, where grid positions are int64")
             if ref.m % row.m == 0:
                 continue
             if self.error_at == "all-grid":
@@ -312,91 +320,6 @@ _BLOCK_ELEMS = 2**17
 _BLOCK_MIN_STEPS = 64
 
 
-@dataclass(frozen=True)
-class _BridgePlan:
-    """Where every row grid off the lattice's own L steps reads its grid
-    values W(t_j).
-
-    Grid point j of a grid of m steps lies at the exact lattice position
-    j L / m = i + r / m (integers i, 0 <= r < m). A point with r = 0 is
-    lattice point i; the others are bridge points, which exist only where
-    m does not divide L. Below 2^26 steps, the float r / m is a faithful
-    key for that rational: equal fractions round to one float and distinct
-    ones stay distinct and ordered. So a time two grids share is one point.
-    The bridge points are drawn in sorted time order: point p lies in
-    lattice interval cell[p], a fraction f of the way along it, and is a
-    Brownian-bridge draw conditioned on the previous point of that interval
-    (f_prev, or its left end with f_prev = 0) and on the interval's right
-    end. weight is (f - f_prev) / (1 - f_prev) and spread the bridge
-    standard deviation sqrt((f - f_prev)(1 - f) / (1 - f_prev)) in units of
-    sqrt(lattice step). index[m] holds the m + 1 grid points of m as
-    indices into the lattice points 0..L followed by the bridge points.
-    """
-
-    cell: np.ndarray
-    rank: np.ndarray               # earlier points in the same interval
-    weight: np.ndarray
-    spread: np.ndarray
-    index: Dict[int, np.ndarray]
-
-
-def _bridge_plan(lattice: int, ms: Sequence[int]) -> _BridgePlan:
-    """Grid points of the grids with step counts ms on an L-step lattice."""
-    steps = np.array(ms, dtype=np.int64)       # empty when every row is at M = L
-    den = np.repeat(steps, steps + 1)
-    # grid point j = 0..m of each grid m
-    j = np.arange(den.size) - np.repeat(np.cumsum(steps + 1) - (steps + 1), steps + 1)
-    cell, r = np.divmod(j * lattice, den)
-    bridged = den[r > 0]
-    if bridged.size and bridged.max() >= 2**26:
-        raise ValueError(f"a bridged row needs M < 2^26, got M={bridged.max()}")
-    frac = r / den
-    order = np.lexsort((frac, cell))
-    c, f = cell[order], frac[order]
-    new = np.ones(order.size, dtype=bool)
-    new[1:] = (c[1:] != c[:-1]) | (f[1:] != f[:-1])
-    slot = np.empty(order.size, dtype=np.int64)
-    slot[order] = np.cumsum(new) - 1
-    first = order[new]                       # one entry per distinct time
-    inner = r[first] > 0
-    # bridge points are numbered after the L + 1 lattice points
-    point = np.where(r > 0, (np.cumsum(inner) + lattice)[slot], cell)
-    index = dict(zip(ms, np.split(point, np.cumsum(steps + 1)[:-1])))
-
-    pts = first[inner]
-    p_cell, p_r, p_den = cell[pts], r[pts], den[pts]
-    starts = np.ones(p_cell.size, dtype=bool)
-    starts[1:] = p_cell[1:] != p_cell[:-1]
-    pos = np.arange(p_cell.size)
-    rank = pos - np.maximum.accumulate(np.where(starts, pos, 0))
-    # previous point of the interval as r' / m', or its left end 0 / 1
-    r_prev = np.where(starts, 0, np.roll(p_r, 1))
-    den_prev = np.where(starts, 1, np.roll(p_den, 1))
-    weight = (p_r * den_prev - r_prev * p_den) / (p_den * (den_prev - r_prev))
-    spread = np.sqrt(weight * (p_den - p_r) / p_den)
-    return _BridgePlan(cell=p_cell, rank=rank, weight=weight, spread=spread,
-                       index=index)
-
-
-def _bridge_values(plan: _BridgePlan, w: np.ndarray, z: np.ndarray, h: float,
-                   a: int = 0) -> None:
-    """Fill in the bridge points of the lattice cells a..a+s-1.
-
-    w is (P, s + 1 + n, K): W at the lattice points a..a+s, then room for
-    the n bridge points of those cells, which this draws from the (P, n, K)
-    standard normals z."""
-    first = int(np.searchsorted(plan.cell, a))
-    n = z.shape[1]
-    lattice_w, bridge = w[:, : w.shape[1] - n], w[:, w.shape[1] - n:]
-    rank = plan.rank[first: first + n]
-    for r in range(int(rank.max(initial=-1)) + 1):
-        sel = np.flatnonzero(rank == r)
-        cell = plan.cell[first + sel] - a
-        left = lattice_w[:, cell] if r == 0 else bridge[:, sel - 1]
-        bridge[:, sel] = (left + plan.weight[first + sel, None] * (lattice_w[:, cell + 1] - left)
-                          + (math.sqrt(h) * plan.spread[first + sel])[:, None] * z[:, sel])
-
-
 def _reference(config: StudyConfig) -> ReferenceSpec:
     """The reference that runs: a Milstein-type one left without a depth
     takes `choose_D2` of its K and of the D1 rule at its M. Resolved per
@@ -431,24 +354,29 @@ class _NoiseFeed:
 
     The L-step lattice takes K = eta.size increments per step from `rngs`
     and, with `lattice_series` (sampler, depth, generators), their iterated
-    integrals. With `bridge` (a `_BridgePlan` and its generators) every
-    grid of the plan reads W at its points; a grid step cut by a block's
-    end waits for the next block, which starts from the grid's last W
-    value (`done`, `last`). Each Milstein-type grid in `series`, (m, k, d,
-    generators), samples its series from its increments by Algorithm 1.
+    integrals. Every grid in `grids`, (M, generators or None) with M < L,
+    reads W at its points j, which lie at lattice position
+    j L / M = c + f (integers c >= 0, 0 <= f < 1): W(c) where f = 0, else
+    the Brownian-bridge draw W(c) + f (W(c+1) - W(c)) + sqrt(h f (1 - f)) z
+    with z from the grid's own generators (None for a grid that divides
+    L). Its points lie at least one lattice step apart, so no lattice step
+    holds two of them, and given W on the lattice the draws are independent
+    and exact. A grid step cut by a block's end waits for the next block,
+    which starts from the grid's last W value (`done`, `last`). Each
+    Milstein-type grid in `series`, (m, k, d, generators), samples its
+    series from its increments by Algorithm 1.
     """
 
     def __init__(self, horizon: float, lattice: int, eta: np.ndarray,
                  rngs: Sequence[np.random.Generator], lattice_series=None,
-                 bridge: Optional[Tuple[_BridgePlan, Sequence]] = None,
+                 grids: Sequence[Tuple[int, Optional[Sequence]]] = (),
                  series: Sequence[Tuple[int, int, int, Sequence]] = ()):
         self.horizon, self.lattice, self.eta, self.rngs = horizon, lattice, eta, rngs
-        self.lattice_series, self.series = lattice_series, series
-        self.plan, self.bridge_rngs = bridge or (None, None)
+        self.lattice_series, self.grids, self.series = lattice_series, grids, series
         self.h = horizon / lattice
         self.w_start = np.zeros((len(rngs), eta.size))   # W at the next block's start
-        self.done = dict.fromkeys(self.plan.index if self.plan else (), 0)
-        self.last = {m: self.w_start for m in self.done}
+        self.done = {m: 0 for m, _ in grids}
+        self.last = {m: self.w_start for m, _ in grids}
 
     def _increments(self, rngs, s: int, h: float) -> np.ndarray:
         """(P, s, K) increments of step length h, path i's drawn from rngs[i]
@@ -460,17 +388,13 @@ class _NoiseFeed:
 
     def elems_per_step(self) -> int:
         """Noise elements one path holds per lattice step of a block,
-        rounded up: its lattice increments and their iterated integrals;
-        with a bridge plan also the bridge normals, W at the lattice and
-        bridge points, the increments of every grid off the lattice's own
-        M, and the increments and iterated integrals of every Milstein-type
-        grid."""
+        rounded up: its lattice increments and their iterated integrals, W
+        at the lattice points, per grid its M - gcd(M, L) bridge normals, M
+        values of W and M increments, and the increments and iterated
+        integrals of every Milstein-type grid."""
         lattice, k = self.lattice, self.eta.size
-        elems = lattice * (k + k**2 if self.lattice_series else k)
-        if self.plan is not None:
-            points = self.plan.cell.size
-            # z draws, then W at the lattice and bridge points, then increments
-            elems += (points + lattice + 1 + points + sum(self.plan.index)) * k
+        elems = lattice * (k + k**2 if self.lattice_series else k) + (lattice + 1) * k
+        elems += sum(3 * m - math.gcd(m, lattice) for m, _ in self.grids) * k
         elems += sum(m * (k + k**2) for m, k, _, _ in self.series)
         return -(-elems // lattice)
 
@@ -493,21 +417,27 @@ class _NoiseFeed:
         """({M: increments}, {M: iterated integrals}) of the grid steps that
         end by lattice step b, given the increments db of steps a..b-1: a
         grid at the lattice's own M steps on db itself."""
-        plan, lattice, (paths, s, k) = self.plan, self.lattice, db.shape
-        # W at the block's lattice points, then at its bridge points
-        first, end = (int(i) for i in np.searchsorted(plan.cell, [a, b]))
-        w = np.empty((paths, s + 1 + end - first, k))
+        lattice, (paths, s, k) = self.lattice, db.shape
+        w = np.empty((paths, s + 1, k))        # W at the lattice points a..b
         w[:, 0] = self.w_start
-        w[:, 1: s + 1] = db
-        np.cumsum(w[:, : s + 1], axis=1, out=w[:, : s + 1])
+        w[:, 1:] = db
+        np.cumsum(w, axis=1, out=w)
         self.w_start = w[:, s].copy()
-        _bridge_values(plan, w, self._increments(self.bridge_rngs, end - first, 1.0), self.h, a)
         incs = {lattice: db}
-        for m, points in plan.index.items():
+        for m, rngs in self.grids:
             upto = b * m // lattice
-            pts = points[self.done[m] + 1: upto + 1]
-            local = np.where(pts <= lattice, pts - a, pts - (lattice + 1) - first + s + 1)
-            vals = np.concatenate([self.last[m][:, None], w[:, local]], axis=1)
+            # j L < 2^63 for j <= M (StudyConfig), so the int64 cells are exact
+            cell, r = np.divmod(np.arange(self.done[m] + 1, upto + 1) * lattice, m)
+            vals = np.empty((paths, cell.size + 1, k))
+            vals[:, 0] = self.last[m]
+            vals[:, 1:] = w[:, cell - a]
+            off = np.flatnonzero(r)
+            if off.size:
+                f, c = r[off] / m, cell[off] - a
+                left = w[:, c]
+                vals[:, off + 1] = (left + f[:, None] * (w[:, c + 1] - left)
+                                    + np.sqrt(self.h * f * (1 - f))[:, None]
+                                    * self._increments(rngs, off.size, 1.0))
             self.done[m], self.last[m] = upto, vals[:, -1]
             incs[m] = np.diff(vals, axis=1)
         del w
@@ -520,9 +450,11 @@ class _NoiseFeed:
 def _study_feed(config: StudyConfig, lo: int, hi: int) -> _NoiseFeed:
     """The noise of a study's paths lo..hi-1. Each path draws from its own
     (purpose, 0, path) substreams, the series of a Milstein grid of M steps
-    from (purpose, 0, path, M) at the largest K and D of that M's rows. The
-    bridge plan places the grid points of every row M but the lattice's
-    own: a row at that M steps on the drawn increments themselves."""
+    from (purpose, 0, path, M) at the largest K and D of that M's rows, and
+    the bridge points of a grid of M steps that does not divide the
+    reference M from (purpose, 0, path, M). Every row M but the lattice's
+    own is a grid: a row at that M steps on the drawn increments
+    themselves."""
     ref = _reference(config)
 
     def streams(purpose, *m):
@@ -531,7 +463,8 @@ def _study_feed(config: StudyConfig, lo: int, hi: int) -> _NoiseFeed:
     increments = streams(_PURPOSE_INCREMENTS)
     ref_series = ((alg2_iterated_batch, ref.d, streams(_PURPOSE_SERIES))
                   if REGISTRY[ref.kind].milstein else None)
-    bridge = _bridge_plan(ref.m, sorted({r.m for r in config.rows} - {ref.m}))
+    grids = [(m, streams(_PURPOSE_BRIDGE, m) if ref.m % m else None)
+             for m in sorted({r.m for r in config.rows} - {ref.m})]
     milstein = [r for r in config.rows if REGISTRY[r.scheme].milstein]
     series = []
     for m in sorted({r.m for r in milstein}):
@@ -539,7 +472,7 @@ def _study_feed(config: StudyConfig, lo: int, hi: int) -> _NoiseFeed:
         series.append((m, max(r.k for r in at_m), max(r.d for r in at_m),
                        streams(_PURPOSE_SERIES, m)))
     return _NoiseFeed(config.problem.horizon, ref.m, config.problem.q_law.values(ref.k),
-                      increments, ref_series, (bridge, streams(_PURPOSE_BRIDGE)), series)
+                      increments, ref_series, grids, series)
 
 
 def _observed_steps(config: StudyConfig, row: LadderRow) -> np.ndarray:
@@ -662,8 +595,7 @@ def run_study(config: StudyConfig) -> StudyReport:
     ref = config.reference
     q_milstein = problem.params.q_dfm
 
-    # a bridged row may take more steps per path than the reference
-    total_steps = config.paths * max([ref.m] + [r.m for r in config.rows])
+    total_steps = config.paths * ref.m
     if total_steps > _GUARDRAIL_STEPS and not config.allow_big:
         raise ValueError(
             f"study would take ~{total_steps:.2e} steps; pass allow_big=True "

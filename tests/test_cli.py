@@ -215,7 +215,10 @@ def test_malformed_numbers_are_named(argv, message, capsys):
     # oversized: each would ask numpy for gigabytes, so it is refused first
     (["--samples", "10", "--k", "100000000000"], "--k"),
     (["--samples", "100000000"], "--samples"),
-    (["--samples", "10", "--d", "100000000000"], "--d")])
+    (["--samples", "10", "--d", "100000000000"], "--d"),
+    # within the element cap, but its report would list 2048^2 entries (~1 GB)
+    (["--samples", "2", "--k", "2048"], "--k"),
+    (["--samples", "2", "--k", "65"], "--k")])
 def test_noise_test_rejects_degenerate_sizes(args, flag, capsys):
     assert main(["noise-test", *args]) == 2
     captured = capsys.readouterr()

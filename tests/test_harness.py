@@ -201,48 +201,50 @@ def test_chunk_size_spreads_paths_over_workers():
 
 
 def _lattice_w(lattice, ms, paths, seed, k=2):
-    """Lattice increments, the plan of the grids in ms and W at the lattice
-    points 0..L followed by the bridge points."""
-    from mildspde.harness import _bridge_plan, _bridge_values
-    rng = np.random.default_rng(seed)
-    h = 1.0 / lattice
-    plan = _bridge_plan(lattice, ms)
-    db = math.sqrt(h) * rng.standard_normal((paths, lattice, k))
-    w = np.zeros((paths, lattice + 1 + plan.cell.size, k))
-    np.cumsum(db, axis=1, out=w[:, 1: lattice + 1])
-    _bridge_values(plan, w, rng.standard_normal((paths, plan.cell.size, k)), h)
-    return db, plan, w
+    """W at the lattice points 0..L and the increments of every grid in ms
+    that one feed reads off that W in one block, every path drawing from
+    one generator."""
+    from mildspde.harness import _NoiseFeed
+    rngs = [np.random.default_rng(seed)] * paths
+    feed = _NoiseFeed(1.0, lattice, np.ones(k), rngs,
+                      grids=[(m, None if lattice % m == 0 else rngs) for m in ms])
+    db = feed.lattice_noise(0, lattice)[0]
+    incs = feed.grid_noise(db, 0, lattice)[0]
+    return np.concatenate([np.zeros((paths, 1, k)), np.cumsum(db, axis=1)], axis=1), incs
 
 
 def _bridged_grids(lattice, ms, paths, seed, k=2):
-    """Lattice increments and the bridged W of every grid in ms."""
-    db, plan, w = _lattice_w(lattice, ms, paths, seed, k)
-    return db, {m: w[:, plan.index[m]] for m in ms}
+    """W at the lattice points 0..L and at the points 0..M of every grid in
+    ms."""
+    w, incs = _lattice_w(lattice, ms, paths, seed, k)
+    return w, {m: np.concatenate([w[:, :1], np.cumsum(incs[m], axis=1)], axis=1) for m in ms}
 
 
 def test_bridge_increments_sum_to_lattice_increments():
-    db, grids = _bridged_grids(64, [12, 24, 96], paths=3, seed=1)
-    lattice_w = np.cumsum(db, axis=1)
+    lattice_w, grids = _bridged_grids(64, [12, 24, 96], paths=3, seed=1)
     for m, w in grids.items():
         inc = np.diff(w, axis=1)
         # grid point j of m is lattice point 64 j / m when 3 divides j
         for j in range(3, m + 1, 3):
-            np.testing.assert_allclose(inc[:, :j].sum(axis=1),
-                                       lattice_w[:, 64 * j // m - 1],
+            np.testing.assert_allclose(inc[:, :j].sum(axis=1), lattice_w[:, 64 * j // m],
                                        rtol=0, atol=1e-14)
-    # a time two grids share is one point: bit-equal values
-    assert np.array_equal(grids[12], grids[24][:, ::2])
-    assert np.array_equal(grids[24], grids[96][:, ::4])
 
 
 def test_bridge_values_have_brownian_covariance():
-    # W(s) at every grid time of M = 3, 5 and 7 on a 4-step lattice:
-    # Cov(W(s), W(t)) = min(s, t)
-    _, grids = _bridged_grids(4, [3, 5, 7], paths=40_000, seed=2, k=1)
-    times = np.concatenate([np.arange(1, m) / m for m in grids])
-    w = np.concatenate([g[:, 1:-1, 0] for g in grids.values()], axis=1)
+    # W(s) at every inner grid time of M = 3, 5 and 7 on an 8-step lattice,
+    # all bridged: Cov(W(s), W(t)) = min(s, t) within each grid, and across
+    # grids for times in different lattice steps (two grids' draws in one
+    # step are independent given the lattice)
+    ms = [3, 5, 7]
+    _, grids = _bridged_grids(8, ms, paths=40_000, seed=2, k=1)
+    times = np.concatenate([np.arange(1, m) / m for m in ms])
+    grid = np.concatenate([np.full(m - 1, m) for m in ms])
+    cell = np.floor(8 * times)
+    w = np.concatenate([grids[m][:, 1:-1, 0] for m in ms], axis=1)
     cov = w.T @ w / w.shape[0]
-    np.testing.assert_allclose(cov, np.minimum.outer(times, times), atol=0.02)
+    coupled = np.equal.outer(grid, grid) | np.not_equal.outer(cell, cell)
+    np.testing.assert_allclose(cov[coupled], np.minimum.outer(times, times)[coupled],
+                               atol=0.02)
     assert np.abs(w.mean(axis=0)).max() < 0.02
 
 
@@ -270,15 +272,15 @@ def _fed(lattice, ms, cuts, paths=3, k=2, seed=3):
     """Every grid's increments (the lattice's own included) and the series
     of the Milstein grid M = 16, fed through the blocks between the cuts
     from one set of per-path generators; and the feed."""
-    from mildspde.harness import _NoiseFeed, _bridge_plan
+    from mildspde.harness import _NoiseFeed
     from mildspde.noise import substream
 
     def streams(purpose, *m):
         return [substream(seed, purpose, p, *m) for p in range(paths)]
 
+    grids = [(m, None if lattice % m == 0 else streams(2, m)) for m in ms]
     feed = _NoiseFeed(1.0, lattice, np.arange(1.0, k + 1) ** -3, streams(1),
-                      bridge=(_bridge_plan(lattice, ms), streams(2)),
-                      series=[(16, k, 4, streams(3, 16))])
+                      grids=grids, series=[(16, k, 4, streams(3, 16))])
     parts = [feed.grid_noise(feed.lattice_noise(a, b)[0], a, b)
              for a, b in zip(cuts[:-1], cuts[1:])]
     incs = {m: np.concatenate([inc[m] for inc, _ in parts], axis=1) for m in parts[0][0]}
@@ -293,8 +295,7 @@ def test_every_grid_reads_its_increments_off_w():
     lattice, paths, k = 64, 3, 2
     ms = [8, 12, 16, 24, 96]
     incs, iq, feed = _fed(lattice, ms, [0, lattice])
-    plan, db = feed.plan, incs[lattice]
-    assert plan.cell.size and not any(i > lattice for m in (8, 16) for i in plan.index[m])
+    db = incs[lattice]
     assert db.shape == (paths, lattice, k) and iq.shape == (paths, 16, k, k)
     for m in ms:
         inc = incs[m]
@@ -380,6 +381,18 @@ def test_incompatible_row_is_bridged():
     assert 0 < both.rows[1].error < math.inf
 
 
+def test_bridged_row_is_independent_of_other_bridged_rows():
+    # 12 and 24 do not divide 64: each grid draws its bridge points from its
+    # own substream, so the EES row keeps its bytes next to the DFM row
+    prob = make_example(1)
+    ref = ReferenceSpec("LIE", n=8, k=2, m=64)
+    ees = LadderRow("EES", n=4, m=12, k=2)
+    cfg = StudyConfig(problem=prob, rows=(ees,), reference=ref, paths=4, seed=9)
+    alone = run_study(cfg)
+    both = run_study(replace(cfg, rows=(ees, LadderRow("DFM", n=4, m=24, k=2, d=4))))
+    assert both.rows[0] == alone.rows[0]
+
+
 # one reference of each kind: every Milstein-type M samples its own series
 # under either
 REFERENCE_KINDS = pytest.mark.parametrize("ref_kind", ["LIE", "DFM"])
@@ -435,10 +448,12 @@ def test_json_echo_gives_the_reference_depth_that_ran():
 # sha256 of the CSV and JSON of the full-tier example 2 study (LIE
 # reference, 6 paths, seed 8002). Its rows sample Algorithm 1 under an
 # Euler-type reference, so the Milstein-type reference's sampler must not
-# move these bytes (pinned with numpy 2.4 and its bundled OpenBLAS)
+# move these bytes; no row M divides the reference M = 18391, so every row
+# reads bridge points from its own M's substream (pinned with numpy 2.4
+# and its bundled OpenBLAS)
 FULLTIER_EX2_SHA256 = (
-    "b49dd03bfbc8dd05fabaec30f7455cacb804adc23a3ff82c105621e0184492d1",
-    "10023315ebd375885f694a4b3d4ef0cb427a9f1eba44b4ce5f896beb087e3a98",
+    "3d2606ebae2183fc395bdb10333588d34288f5c63fad4974012d7210db60cb78",
+    "d907b884224661c5d44a7c63095dcc7653d25b0bd6d72c2cc9c2f459e2cba0d4",
 )
 
 
@@ -545,39 +560,30 @@ def test_guardrail_rejects_oversized_study():
                               paths=10_000_000, seed=0))
 
 
-def test_guardrail_counts_a_bridged_row_finer_than_the_reference():
-    prob = make_example(1)
-    ref = ReferenceSpec("LIE", n=8, k=2, m=64)
-    fine_row = LadderRow("EES", n=4, m=3_000_001, k=2)     # bridged, M > reference M
-    # 3000 paths x 3 000 001 steps exceeds 2^33: rejected before any draw
-    with pytest.raises(ValueError, match="steps"):
-        run_study(StudyConfig(problem=prob, rows=(fine_row,), reference=ref,
-                              paths=3000, seed=0))
-
-
 def test_chunk_noise_counts_the_bridge_arrays():
     # per lattice step, rounded up: the block rule's count of one path's noise
     prob = make_example(1)
     ref = ReferenceSpec("LIE", n=8, k=2, m=64)
     cfg = StudyConfig(problem=prob, rows=(LadderRow("EES", n=4, m=12, k=2),),
                       reference=ref, paths=3, seed=0)
-    # j * 64 / 12 is off the lattice for the 8 grid points j not divisible by 3:
-    # 64 increments, 8 bridge normals, 65 + 8 W values and 12 row increments
+    # j * 64 / 12 is off the lattice for the 12 - gcd(12, 64) = 8 grid points
+    # j not divisible by 3: 64 increments, 65 W values at the lattice points,
+    # then the grid's 8 bridge normals, 12 W values and 12 increments
     from mildspde.harness import _study_feed
 
     def per_step(cfg):
         return _study_feed(cfg, 0, cfg.paths).elems_per_step()
 
-    assert per_step(cfg) == -(-(64 + 8 + 73 + 12) * 2 // 64)
+    assert per_step(cfg) == -(-(64 + 65 + 8 + 12 + 12) * 2 // 64)
     # a grid on the lattice has no bridge points, but still reads W: 64
-    # increments, 65 W values and 16 row increments; a Milstein grid adds
-    # its increments and iterated integrals, m (k + k^2)
+    # increments, 65 W values, 16 grid W values and 16 row increments; a
+    # Milstein grid adds its increments and iterated integrals, m (k + k^2)
     cfg = replace(cfg, rows=(LadderRow("DFM", n=4, m=16, k=2, d=8),))
     assert (per_step(cfg)
-            == -(-((64 + 65 + 16) * 2 + 16 * (2 + 4)) // 64))
+            == -(-((64 + 65 + 16 + 16) * 2 + 16 * (2 + 4)) // 64))
     # a Milstein-type reference adds its own iterated integrals
     cfg = replace(cfg, reference=ReferenceSpec("MIL", n=8, k=2, m=64))
-    assert per_step(cfg) == 2 + 4 + -(-((65 + 16) * 2 + 16 * (2 + 4)) // 64)
+    assert per_step(cfg) == 2 + 4 + -(-((65 + 16 + 16) * 2 + 16 * (2 + 4)) // 64)
     # a row at the reference's own M steps on the drawn increments: no W
     # values are counted beyond the lattice's 65
     cfg = replace(cfg, rows=(LadderRow("EES", n=4, m=64, k=2),))

@@ -73,6 +73,13 @@ def _rejects():
         "study-error-at": (lambda: _study(error_at="last"), "error_at must be"),
         "study-error-space": (lambda: _study(error_space="state"), "error_space must be"),
         "study-workers": (lambda: _study(workers=0), "worker count must be >= 1"),
+        # a row finer than the reference would put two of its points in one
+        # lattice step; it is refused before any draw
+        "study-row-M>reference-M": (lambda: _study(rows=(LadderRow("EES", n=4, m=65, k=2),)),
+                                    "row M=65 exceeds reference M=64"),
+        "study-M-overflow": (lambda: _study(rows=(LadderRow("EES", n=4, m=2**32, k=2),),
+                                            reference=ReferenceSpec("LIE", n=8, k=2, m=2**32)),
+                             f"row M={2**32} times reference M={2**32} must stay below 2^63"),
         "row-N=True": (lambda: LadderRow("EES", n=True, k=True, m=8),
                        "N must be an integer, got True"),
         "study-seed=True": (lambda: _study(seed=True),
