@@ -60,6 +60,20 @@ ones, and batched and single-path integration agree bit for bit, so the
 blocks, the chunking and the worker count cannot change a report.
 `estimate_sup_second_moment` steps one scheme on a feed of its own.
 
+Every normal a feed's lattice series (the reference's Algorithm 2, the
+estimator's Algorithm 1) will draw is known before its first block. So
+when the process may use more CPUs than the study has workers (the
+estimator counts as one) and one path's series of one block is large
+enough to pay for it (`_AHEAD_MIN_NORMALS`), a second thread draws those
+normals ahead (`_SeriesDraws`): block by block, a chunk of rows at a
+time, each path's from its own generator, into two slots that split the
+one buffer an inline sampler uses, while the sampler draws a chunk itself
+when the thread has not got to it. Otherwise each path's sampler draws
+its own, inline. The thread calls nothing but `standard_normal` and is
+joined when the chunk or the estimate returns or raises. Every generator
+still draws its normals in order, so the thread cannot change a report
+either.
+
 A reference or row state that turns non-finite stops its integration and
 raises ValueError naming the seed, path and scheme.
 """
@@ -68,6 +82,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -77,8 +92,9 @@ import numpy as np
 from .cost import CostLedger, cost_formula, ledger_expected
 from .eoc import PlanInput, optimal_resolution
 from .exactmath import _check_integers, ceil_power
-from .noise import (_check_seed, alg1_iterated_batch, alg2_iterated_batch, choose_D1,
-                    choose_D2, sample_increments_batch, substream)
+from .noise import (_check_seed, _row_normals, _SeriesDraws, alg1_iterated_batch,
+                    alg2_iterated_batch, choose_D1, choose_D2, sample_increments_batch,
+                    substream)
 # imported only so that bench/tracer.py, which patches this name, keeps working
 from .noise import NoisePacket  # noqa: F401
 from .problems import ProblemSpec
@@ -315,9 +331,17 @@ def measure_order(report: StudyReport, axis: str = "M",
 # chunk's paths, holds at most this many elements (1 MB of float64) ...
 _BLOCK_ELEMS = 2**17
 # ... but at least this many steps: every block costs each path a few
-# generator calls of fixed overhead (~60 us for Algorithm 2 at K = 16), which
-# must stay small next to the block's draws when a chunk holds many paths
+# generator and sampler calls of fixed overhead (~60 us per Algorithm 2 call
+# at K = 16; a series drawn ahead makes two where one inline call fits),
+# which must stay small next to the block's draws when a chunk holds many
+# paths
 _BLOCK_MIN_STEPS = 64
+# a lattice series is drawn ahead only where one path's draws for one block
+# hold at least this many normals: split in two, each chunk then takes ~0.4 ms
+# to draw, several times the fixed cost of the extra sampler call the split
+# adds (mil-allgrid-ex3's 72 x 216 normals ran ~9% slower drawn ahead;
+# BENCH_24.json)
+_AHEAD_MIN_NORMALS = 2**16
 
 
 def _reference(config: StudyConfig) -> ReferenceSpec:
@@ -336,14 +360,27 @@ def _block_steps(paths: int, elems_per_step: int) -> int:
     return max(_BLOCK_MIN_STEPS, _BLOCK_ELEMS // (paths * elems_per_step))
 
 
-def _series(sampler, rngs: Sequence[np.random.Generator], db: np.ndarray, h: float,
-            d: int, eta: np.ndarray) -> np.ndarray:
-    """(P, s, k, k) iterated integrals of the (P, s, k) increments db: path
-    i's drawn by sampler from rngs[i], straight into its block of the
-    result."""
+def _cpu_count() -> int:
+    """CPUs this process may run on (the host's, where the platform cannot
+    say)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _series(sampler, rngs: Sequence, db: np.ndarray, h: float, d: int,
+            eta: np.ndarray, rows: Optional[int] = None) -> np.ndarray:
+    """(P, s, k, k) iterated integrals of the (P, s, k) increments db,
+    straight into their blocks of the result: `rows` steps at a time (all
+    s if None), each by every path i in turn, drawn by sampler from rngs[i]
+    (a generator, or the `_SeriesDraws` whose next chunk it is)."""
     out = np.empty(db.shape + db.shape[-1:])
-    for i, rng in enumerate(rngs):
-        sampler(rng, np.ascontiguousarray(db[i]), h, d, eta, out=out[i])
+    step = rows or db.shape[1]
+    for lo in range(0, db.shape[1], step):
+        for i, rng in enumerate(rngs):
+            sampler(rng, np.ascontiguousarray(db[i, lo:lo + step]), h, d, eta,
+                    out=out[i, lo:lo + step])
     return out
 
 
@@ -365,18 +402,40 @@ class _NoiseFeed:
     which starts from the grid's last W value (`done`, `last`). Each
     Milstein-type grid in `series`, (m, k, d, generators), samples its
     series from its increments by Algorithm 1.
+
+    Used as a context manager, the feed draws the lattice series' normals
+    ahead on a second thread (`_SeriesDraws`, over all its blocks) when the
+    process may use more CPUs than the `workers` running feeds at once and
+    one path's series of one block holds at least _AHEAD_MIN_NORMALS
+    normals, and joins that thread on leaving.
     """
 
     def __init__(self, horizon: float, lattice: int, eta: np.ndarray,
                  rngs: Sequence[np.random.Generator], lattice_series=None,
                  grids: Sequence[Tuple[int, Optional[Sequence]]] = (),
-                 series: Sequence[Tuple[int, int, int, Sequence]] = ()):
+                 series: Sequence[Tuple[int, int, int, Sequence]] = (), workers: int = 1):
         self.horizon, self.lattice, self.eta, self.rngs = horizon, lattice, eta, rngs
         self.lattice_series, self.grids, self.series = lattice_series, grids, series
         self.h = horizon / lattice
         self.w_start = np.zeros((len(rngs), eta.size))   # W at the next block's start
         self.done = {m: 0 for m, _ in grids}
         self.last = {m: self.w_start for m, _ in grids}
+        self.draws = None                # the lattice series' draw-ahead, if any
+        if lattice_series is not None and _cpu_count() > workers:
+            sampler, d, series_rngs = lattice_series
+            blocks = [b - a for a, b in self.spans()]
+            width = _row_normals(sampler, eta.size, d)
+            if blocks[0] * width >= _AHEAD_MIN_NORMALS:
+                self.draws = _SeriesDraws(series_rngs, blocks, width, eta.size)
+
+    def __enter__(self) -> "_NoiseFeed":
+        if self.draws is not None:
+            self.draws.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.draws is not None:
+            self.draws.close()
 
     def _increments(self, rngs, s: int, h: float) -> np.ndarray:
         """(P, s, K) increments of step length h, path i's drawn from rngs[i]
@@ -411,7 +470,10 @@ class _NoiseFeed:
         if self.lattice_series is None:
             return db, None
         sampler, d, rngs = self.lattice_series
-        return db, _series(sampler, rngs, db, self.h, d, self.eta)
+        if self.draws is None:
+            return db, _series(sampler, rngs, db, self.h, d, self.eta)
+        return db, _series(sampler, [self.draws] * len(rngs), db, self.h, d, self.eta,
+                           self.draws.rows)
 
     def grid_noise(self, db: np.ndarray, a: int, b: int):
         """({M: increments}, {M: iterated integrals}) of the grid steps that
@@ -472,7 +534,7 @@ def _study_feed(config: StudyConfig, lo: int, hi: int) -> _NoiseFeed:
         series.append((m, max(r.k for r in at_m), max(r.d for r in at_m),
                        streams(_PURPOSE_SERIES, m)))
     return _NoiseFeed(config.problem.horizon, ref.m, config.problem.q_law.values(ref.k),
-                      increments, ref_series, grids, series)
+                      increments, ref_series, grids, series, config.workers)
 
 
 def _observed_steps(config: StudyConfig, row: LadderRow) -> np.ndarray:
@@ -562,24 +624,25 @@ def _run_chunk(args):
         runs.append(_Stepper(problem, config.seed, lo, cfg, _observed_steps(config, row), ledger))
         sq_errors.append(np.empty((hi - lo, runs[-1].observed.size)))
 
-    for a, b in feed.spans():
-        db, ref_iq = feed.lattice_noise(a, b)
-        i0, i1, states = ref_run.advance(db, ref_iq)
-        ref_states[:, i0:i1] = states
-        del ref_iq, states
-        incs, iqs = feed.grid_noise(db, a, b)
-        for row, run, sq in zip(config.rows, runs, sq_errors):
-            inc = incs[row.m]
-            if not inc.shape[1]:
-                continue
-            iq = (iqs[row.m][:, :, : row.k, : row.k]
-                  if REGISTRY[row.scheme].milstein else None)
-            i0, i1, y = run.advance(inc[:, :, : row.k], iq)
-            # fancy indexing copies, so the reference states stay as they are
-            at = np.searchsorted(ref_run.observed, run.observed[i0:i1] * lattice // row.m)
-            sq[:, i0:i1] = _sq_errors(config, row, y, ref_states[:, at])
-        # each block's arrays go before the next block draws its own
-        del db, incs, iqs
+    with feed:
+        for a, b in feed.spans():
+            db, ref_iq = feed.lattice_noise(a, b)
+            i0, i1, states = ref_run.advance(db, ref_iq)
+            ref_states[:, i0:i1] = states
+            del ref_iq, states
+            incs, iqs = feed.grid_noise(db, a, b)
+            for row, run, sq in zip(config.rows, runs, sq_errors):
+                inc = incs[row.m]
+                if not inc.shape[1]:
+                    continue
+                iq = (iqs[row.m][:, :, : row.k, : row.k]
+                      if REGISTRY[row.scheme].milstein else None)
+                i0, i1, y = run.advance(inc[:, :, : row.k], iq)
+                # fancy indexing copies, so the reference states stay as they are
+                at = np.searchsorted(ref_run.observed, run.observed[i0:i1] * lattice // row.m)
+                sq[:, i0:i1] = _sq_errors(config, row, y, ref_states[:, at])
+            # each block's arrays go before the next block draws its own
+            del db, incs, iqs
     return sq_errors, [run.ledger.total() for run in runs]
 
 
@@ -664,13 +727,13 @@ def estimate_sup_second_moment(problem: ProblemSpec, kind: str, n: int, k: int,
 
     series = ((alg1_iterated_batch, choose_D1(m, problem.params.q_dfm), streams(2))
               if REGISTRY[cfg.kind].milstein else None)
-    feed = _NoiseFeed(problem.horizon, m, problem.q_law.values(k), streams(1), series)
     run = _Stepper(problem, seed, 0, cfg, np.arange(m + 1))
     weights = problem.a_law.values(n) ** (2.0 * float(problem.params.delta))
     acc = np.zeros(m + 1)
-    for a, b in feed.spans():
-        i0, i1, states = run.advance(*feed.lattice_noise(a, b))
-        # path by path, as the sum over paths has always been added
-        for traj in states:
-            acc[i0:i1] += (traj**2 * weights[None, :]).sum(axis=1)
+    with _NoiseFeed(problem.horizon, m, problem.q_law.values(k), streams(1), series) as feed:
+        for a, b in feed.spans():
+            i0, i1, states = run.advance(*feed.lattice_noise(a, b))
+            # path by path, as the sum over paths has always been added
+            for traj in states:
+                acc[i0:i1] += (traj**2 * weights[None, :]).sum(axis=1)
     return float((acc / paths).max())

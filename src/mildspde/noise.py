@@ -47,9 +47,13 @@ Both algorithms share one streamed core. Each row draws its X, its Y and
 (Algorithm 2) its tail normals contiguously; rows are drawn in order into
 one reused buffer of at most 2^18 normals (2 MB, cache-sized; one row if
 a row is larger) and 2^18 / K^2 rows, X is weighted in place, and the
-halves are contracted as views. Algorithm 1 shifts Y by sqrt(2/h) db in
-place; Algorithm 2 adds the shift's share, (sum_r x_r) c^T, as one outer
-product. Every sampler finishes each block in place into its output
+halves are contracted as views. A study's lattice series may pass a
+`_SeriesDraws` in place of the generator: it knows every draw the feed's
+calls will make, hands each call its rows from two slots that split that
+buffer's rows and that a second thread fills ahead, and keeps every
+generator's draws in order, so the numbers are the same. Algorithm 1
+shifts Y by sqrt(2/h) db in place; Algorithm 2 adds the shift's share,
+(sum_r x_r) c^T, as one outer product. Every sampler finishes each block in place into its output
 (which the batch samplers take from the caller as `out`, if given) with
 reused (rows, K, K) scratch, so its peak memory is the output plus about
 two blocks (three for the nested one), and the block size cannot change
@@ -65,6 +69,8 @@ and Algorithm 2's upper indices and a_D, are computed once, read-only.
 from __future__ import annotations
 
 import math
+import threading
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Rational
@@ -182,7 +188,8 @@ def _tail_scale(d: int) -> float:
     return math.sqrt(_S_INF / _partial_basel(d))
 
 
-# normals per block of the series draws (2 MB, fits a core's L2 cache)
+# normals per block of the series draws (2 MB, fits a core's L2 cache); a
+# series drawn ahead splits a block's rows over two slots
 _SERIES_BLOCK_NORMALS = 1 << 18
 
 
@@ -206,28 +213,179 @@ def _alg2_constants(k: int, d: int):
             _readonly(cols), math.sqrt(_S_INF - _partial_basel(d)))
 
 
-def _series_blocks(rng: np.random.Generator, s: int, k: int,
-                   weights_x: np.ndarray, ledger=None, extra: int = 0):
+def _buffer_rows(width: int, k: int) -> int:
+    """Rows of `width` normals in one block of the series draws: at most
+    _SERIES_BLOCK_NORMALS normals and _SERIES_BLOCK_NORMALS / k^2 rows, one
+    row if a row is larger."""
+    return max(1, _SERIES_BLOCK_NORMALS // max(width, k * k))
+
+
+def _row_normals(sampler, k: int, d: int) -> int:
+    """Series normals one row of `alg1_iterated_batch` or
+    `alg2_iterated_batch` (`sampler`) draws at k directions and depth d."""
+    return 2 * d * k + (k * (k - 1) // 2 if sampler is alg2_iterated_batch else 0)
+
+
+class _SeriesDraws:
+    """The series normals of a known sequence of sampler calls, drawn ahead
+    into two slots on a second thread.
+
+    Each row draws `width` normals. One buffer of `_own_draws` would hold
+    the rows of the longest block, up to `_buffer_rows`; the two slots
+    split those rows, so a chunk is at most `rows`, half of them rounded
+    up, and the slots together hold what the buffer would. Block
+    by block (`blocks` gives each block's rows), the rows of a block are
+    taken a chunk at a time, and each chunk of rows by every generator in
+    `rngs` in turn, one sampler call per chunk. So consecutive chunks come
+    from different generators unless there is only one. Chunk c is drawn
+    into slot c % 2 once chunk c - 2 is given back. Chunks are begun in
+    order, and none while its generator still draws the one before, so
+    each generator draws its rows in order. Split draws equal whole ones,
+    so every call gets the normals it would draw itself.
+
+    `take` hands out the next chunk, which stays valid until it is given
+    back. `start` runs the thread, which draws the chunks as their slots
+    come free; it calls nothing but `standard_normal`, which leaves the
+    interpreter lock to the caller while it fills a slot. When `take`
+    needs a chunk that is not drawn, it draws the next chunk that may be
+    begun itself (the one it needs, if the thread has not begun it) and
+    waits only when none may, so the two threads share the draws and
+    `take` works without the thread too. `close` stops and joins the
+    thread.
+    """
+
+    def __init__(self, rngs: Sequence[np.random.Generator], blocks: Sequence[int],
+                 width: int, k: int):
+        self.rngs, self.blocks, self.width = rngs, blocks, width
+        self.rows = max(1, -(-min(max(blocks, default=0), _buffer_rows(width, k)) // 2))
+        self.starts = [0]            # the first chunk of every block, then the count
+        for s in blocks:
+            self.starts.append(self.starts[-1] + len(rngs) * -(-s // self.rows))
+        self.count = self.starts[-1]
+        # with at most two chunks, each slot holds one chunk or none
+        rows = ([self._chunk(c)[1] if c < self.count else 0 for c in (0, 1)]
+                if self.count <= 2 else [self.rows] * 2)
+        self.slots = [np.empty((n, width)) for n in rows]
+        self.ready = [-1, -1]        # the chunk each slot holds, once drawn
+        self.begun = 0               # chunks whose drawing has begun
+        self.used = 0                # chunks handed out and given back
+        self.cond = threading.Condition()
+        self.thread = None
+        self.stop = False
+
+    def _chunk(self, c: int):
+        """(generator, rows) of chunk c."""
+        b = bisect_right(self.starts, c) - 1
+        part, path = divmod(c - self.starts[b], len(self.rngs))
+        return self.rngs[path], min(self.rows, self.blocks[b] - part * self.rows)
+
+    def _claim(self):
+        """Under the lock: begin the next chunk and return (c, generator,
+        rows) if its slot is free and its generator idle, else None."""
+        c = self.begun
+        if c >= min(self.used + 2, self.count):
+            return None
+        rng, rows = self._chunk(c)
+        if c > self.used and self.ready[(c - 1) % 2] != c - 1 and self._chunk(c - 1)[0] is rng:
+            return None
+        self.begun += 1
+        return c, rng, rows
+
+    def _draw(self, c: int, rng: np.random.Generator, rows: int) -> None:
+        rng.standard_normal(out=self.slots[c % 2][:rows])
+        with self.cond:
+            self.ready[c % 2] = c
+            self.cond.notify_all()
+
+    def _ahead(self) -> None:
+        try:
+            while True:
+                with self.cond:
+                    job = None
+                    while not self.stop and self.begun < self.count:
+                        job = self._claim()
+                        if job is not None:
+                            break
+                        self.cond.wait()
+                    if job is None:
+                        return
+                self._draw(*job)
+        finally:
+            with self.cond:
+                self.stop = True
+                self.cond.notify_all()
+
+    def start(self) -> None:
+        """Start the thread that draws the chunks ahead."""
+        self.thread = threading.Thread(target=self._ahead, name="mildspde-series-draws",
+                                       daemon=True)
+        self.thread.start()
+
+    def close(self) -> None:
+        """Stop the thread, if one runs, and wait for it to end."""
+        with self.cond:
+            self.stop = True
+            self.cond.notify_all()
+        if self.thread is not None:
+            self.thread.join()
+
+    def take(self, s: int, width: int):
+        """Yield (0, s, z) once: z holds the (s, width) normals of the next
+        chunk, which must be s rows of this width; it is given back when
+        the caller asks for more."""
+        e = self.used
+        if width != self.width or e == self.count or self._chunk(e)[1] != s:
+            raise RuntimeError("series draws asked for out of their sequence")
+        while True:
+            with self.cond:
+                if self.ready[e % 2] == e:
+                    break
+                job = self._claim()
+                if job is None:
+                    if self.stop:
+                        raise RuntimeError("the series draw thread stopped early")
+                    self.cond.wait()
+                    continue
+            self._draw(*job)
+        try:
+            yield 0, s, self.slots[e % 2][:s]
+        finally:
+            with self.cond:
+                self.used = e + 1
+                self.cond.notify_all()
+
+
+def _own_draws(rng: np.random.Generator, s: int, width: int, k: int):
+    """Yield (lo, hi, z) over s rows of `width` normals drawn in order from
+    rng into one reused buffer, `_buffer_rows` rows at a time."""
+    chunk = _buffer_rows(width, k)
+    buf = np.empty((min(s, chunk), width))
+    for lo in range(0, s, chunk):
+        hi = min(s, lo + chunk)
+        rng.standard_normal(out=buf[: hi - lo])
+        yield lo, hi, buf[: hi - lo]
+
+
+def _series_blocks(rng, s: int, k: int, weights_x: np.ndarray, ledger=None,
+                   extra: int = 0):
     """Stream the series draws of s rows of k directions block by block.
 
     weights_x holds the d weights of the X terms, each repeated k times.
     Row i draws its X terms, its Y terms, then `extra` further normals:
-    2 * d * k + extra normals. Rows are drawn in order
-    into one reused buffer of at most _SERIES_BLOCK_NORMALS normals (one
-    row if a row is larger), and X is weighted in place; yields
+    2 * d * k + extra normals. rng is a generator, whose rows are drawn
+    in order into one reused buffer (`_own_draws`), or the `_SeriesDraws`
+    whose next chunk these s rows are. X is weighted in place; yields
     (lo, hi, x, y, g) with x and y of shape (hi - lo, d, k) and g the
-    (hi - lo, extra) further normals. A block also holds at most
+    (hi - lo, extra) further normals. A block holds at most
+    _SERIES_BLOCK_NORMALS normals (one row if a row is larger) and
     _SERIES_BLOCK_NORMALS / k^2 rows, so a caller's (rows, k, k) scratch
     stays within one block's size when k^2 exceeds the row width.
     """
     d = weights_x.size // k
     width = 2 * d * k + extra
-    chunk = max(1, _SERIES_BLOCK_NORMALS // max(width, k * k))
-    buf = np.empty((min(s, chunk), width))
-    for lo in range(0, s, chunk):
-        hi = min(s, lo + chunk)
-        z = buf[: hi - lo]
-        rng.standard_normal(out=z)
+    draws = (rng.take(s, width) if isinstance(rng, _SeriesDraws)
+             else _own_draws(rng, s, width, k))
+    for lo, hi, z in draws:
         _charge(ledger, (hi - lo) * width)
         # a 2-D update: when the row width is no multiple of k, numpy cannot
         # rule out overlap within a strided 3-D view and copies it first

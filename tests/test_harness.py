@@ -670,6 +670,136 @@ def test_non_finite_path_is_reported(workers):
             run_study(cfg)
 
 
+def _alg2_study():
+    # one worker; the DFM reference samples Algorithm 2 (D = 19) over a
+    # 490-step and a 22-step block, which a draw-ahead cuts into chunks of
+    # 245 and 22 rows per path
+    prob = make_example(1)
+    rows = (LadderRow("DFM", n=4, m=64, k=4, d=6), LadderRow("EES", n=8, m=128, k=8))
+    return StudyConfig(problem=prob, rows=rows, reference=ReferenceSpec("DFM", n=8, k=8, m=512),
+                       paths=3, seed=5)
+
+
+@pytest.fixture
+def series_threads(monkeypatch):
+    """`started` records every draw-ahead thread started; set(cpus) makes
+    the harness see that many CPUs."""
+    import types
+    import mildspde.harness as harness
+    from mildspde.noise import _SeriesDraws
+    started, start = [], _SeriesDraws.start
+
+    def counted(draws):
+        started.append(draws)
+        start(draws)
+
+    monkeypatch.setattr(_SeriesDraws, "start", counted)
+    return types.SimpleNamespace(
+        started=started, set=lambda cpus: monkeypatch.setattr(harness, "_cpu_count",
+                                                              lambda: cpus))
+
+
+def test_series_thread_starts_only_where_it_pays(series_threads):
+    # a spare CPU and a series of at least 2^16 normals per path and block
+    cfg, prob = _alg2_study(), make_example(1)
+    series_threads.set(1)
+    run_study(cfg)
+    estimate_sup_second_moment(prob, "DFM", n=8, k=4, m=200, paths=3, seed=7)
+    assert series_threads.started == []
+    series_threads.set(2)
+    run_study(cfg)
+    estimate_sup_second_moment(prob, "DFM", n=8, k=4, m=200, paths=3, seed=7)
+    assert len(series_threads.started) == 2
+    # 200 steps of 2 x 54 x 4 normals pay, 64 of 2 x 23 x 4 do not
+    estimate_sup_second_moment(prob, "DFM", n=8, k=4, m=64, paths=3, seed=7)
+    # neither does a reference with 490 steps of 2 x 4 x 8 + 28 normals,
+    # nor an Euler-type reference or kind, which draws no series
+    run_study(replace(cfg, reference=ReferenceSpec("DFM", n=8, k=8, m=512, d=4)))
+    run_study(replace(cfg, reference=ReferenceSpec("EES", n=8, k=8, m=512)))
+    estimate_sup_second_moment(prob, "EES", n=8, k=4, m=200, paths=3, seed=7)
+    assert len(series_threads.started) == 2
+
+
+def test_cpu_count_falls_back_to_the_host_count(monkeypatch):
+    import mildspde.harness as harness
+    assert harness._cpu_count() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert harness._cpu_count() == 3
+
+
+def test_no_series_thread_outlives_a_study(series_threads):
+    import threading
+    series_threads.set(2)
+    before = threading.active_count()
+    run_study(_alg2_study())
+    assert len(series_threads.started) == 1 and threading.active_count() == before
+    # the reference overflows in its first block, while the thread draws
+    cfg = replace(_alg2_study(), problem=replace(make_example(1), drift=_OverflowDrift()),
+                  reference=ReferenceSpec("MIL", n=8, k=8, m=512))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="^non-finite state: seed 5, path 0, scheme MIL$"):
+            run_study(cfg)
+    assert len(series_threads.started) == 2 and threading.active_count() == before
+
+
+def test_no_series_thread_outlives_a_sup_moment_estimate(series_threads):
+    import threading
+    series_threads.set(2)
+    before = threading.active_count()
+    estimate_sup_second_moment(make_example(1), "DFM", n=8, k=4, m=200, paths=3, seed=7)
+    assert len(series_threads.started) == 1 and threading.active_count() == before
+    prob = replace(make_example(1), drift=_OverflowDrift())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="^non-finite state: seed 7, path 0, scheme DFM$"):
+            estimate_sup_second_moment(prob, "DFM", n=8, k=4, m=200, paths=3, seed=7)
+    assert len(series_threads.started) == 2 and threading.active_count() == before
+
+
+@pytest.mark.parametrize("block_normals", [None, 3000])
+def test_series_thread_leaves_the_bytes(monkeypatch, series_threads, block_normals):
+    # drawn ahead on a thread or inline, at the default chunks and at
+    # chunks of a few rows, a study and a sup-moment estimate are the same
+    import mildspde.noise as noise
+    if block_normals:
+        monkeypatch.setattr(noise, "_SERIES_BLOCK_NORMALS", block_normals)
+    cfg, prob = _alg2_study(), make_example(1)
+    default = run_study(cfg)
+    sup = estimate_sup_second_moment(prob, "DFM", n=8, k=4, m=200, paths=3, seed=7)
+    series_threads.started.clear()
+    for cpus in (1, 2):
+        series_threads.set(cpus)
+        rep = run_study(cfg)
+        assert rep.csv_text() == default.csv_text()
+        assert rep.json_text() == default.json_text()
+        assert estimate_sup_second_moment(prob, "DFM", n=8, k=4, m=200, paths=3,
+                                          seed=7) == sup
+    assert len(series_threads.started) == 2
+
+
+def test_series_thread_holds_no_more_memory_than_one_buffer(series_threads):
+    # the two slots a thread draws ahead into split the one an inline run
+    # draws into, so the study's peak stays where it was
+    import tracemalloc
+    cfg = _alg2_study()
+
+    def peak(cpus):
+        series_threads.set(cpus)
+        tracemalloc.start()
+        try:
+            run_study(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)                               # fills the problem's per-dimension caches
+    inline, ahead = peak(1), peak(2)
+    assert len(series_threads.started) == 1
+    assert ahead <= inline + 64 * 1024
+
+
 def test_single_worker_study_never_loads_the_process_pool():
     # the pool and multiprocessing cost ~2 MB RSS; only a study with more
     # than one worker imports them

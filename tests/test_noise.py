@@ -551,3 +551,85 @@ def test_substreams_are_uncorrelated():
     rho = np.corrcoef(x)
     off = rho[~np.eye(len(keys), dtype=bool)]
     assert np.abs(off).max() < bound
+
+
+def _stream_chunks(draws, blocks, paths):
+    # the order in which the study feed asks for a _SeriesDraws' chunks
+    for s in blocks:
+        for lo in range(0, s, draws.rows):
+            for p in range(paths):
+                rows = min(draws.rows, s - lo)
+                yield p, rows, draws.take(rows, draws.width)
+
+
+@pytest.mark.parametrize("paths", [1, 3])
+def test_series_draws_ahead_keep_every_generators_order(paths):
+    # a thread and the caller draw small chunks at once while the
+    # interpreter switches threads as often as it can, and each draw waits
+    # a random while between being begun and reaching its generator; every chunk
+    # must hold exactly its generator's next normals, as if drawn inline
+    import random
+    import sys
+    import time
+    pause = random.Random(0)
+
+    class Slow:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, out):
+            time.sleep(pause.uniform(0.0, 4e-4))
+            return self.rng.standard_normal(out=out)
+
+    blocks, width = [5, 9, 1, 4] * 25, 7
+    draws = noise._SeriesDraws([Slow(substream(3, p)) for p in range(paths)], blocks, width,
+                               k=1)
+    assert draws.rows == 5            # half of the longest block, rounded up
+    expect = [substream(3, p) for p in range(paths)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        draws.start()
+        for p, rows, chunk in _stream_chunks(draws, blocks, paths):
+            for _, _, z in chunk:
+                assert np.array_equal(z, expect[p].standard_normal((rows, width)))
+        draws.thread.join(timeout=30)
+        assert not draws.thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+        draws.close()
+    with pytest.raises(RuntimeError, match="out of their sequence"):
+        next(draws.take(1, width))
+
+
+def test_series_draws_slots_split_what_one_buffer_holds():
+    # the two slots hold the rows one inline buffer would, so drawing ahead
+    # adds no buffer: criterion 7's 100-step blocks at its Algorithm 2
+    # width fit a buffer of 2^18 / 2552 = 102 rows, and blocks of 200 rows
+    # of 16^2 or more normals fill one of 2^18 / 16^2 = 1024 rows
+    for width, k, block, buffer in ((2552, 16, 100, 100), (216, 16, 2000, 1024),
+                                    (2552, 16, 300, 102)):
+        assert min(block, noise._SERIES_BLOCK_NORMALS // max(width, k * k)) == buffer
+        draws = noise._SeriesDraws([substream(0, 0)] * 4, [block] * 3, width, k)
+        assert [z.shape for z in draws.slots] == [(buffer // 2, width)] * 2
+    # a single chunk takes one slot; the other stays empty
+    single = noise._SeriesDraws([substream(0, 0)], [3], 10, 2)
+    assert [z.shape for z in single.slots] == [(2, 10), (1, 10)]
+
+
+def test_series_draws_report_a_thread_that_failed(monkeypatch):
+    # a thread that stops early must raise in the caller, not hang it
+    import threading
+
+    class Failing:
+        def standard_normal(self, out):
+            raise MemoryError("no room for the draws")
+
+    monkeypatch.setattr(threading, "excepthook", lambda args: None)
+    draws = noise._SeriesDraws([Failing()], [4, 4], 3, k=1)
+    draws.start()
+    draws.thread.join(timeout=30)
+    assert not draws.thread.is_alive()
+    with pytest.raises(RuntimeError, match="the series draw thread stopped early"):
+        next(draws.take(draws.rows, 3))
+    draws.close()
