@@ -66,13 +66,18 @@ when the process may use more CPUs than the study has workers (the
 estimator counts as one) and one path's series of one block is large
 enough to pay for it (`_AHEAD_MIN_NORMALS`), a second thread draws those
 normals ahead (`_SeriesDraws`): block by block, a chunk of rows at a
-time, each path's from its own generator, into two slots that split the
-one buffer an inline sampler uses, while the sampler draws a chunk itself
-when the thread has not got to it. Otherwise each path's sampler draws
-its own, inline. The thread calls nothing but `standard_normal` and is
-joined when the chunk or the estimate returns or raises. Every generator
-still draws its normals in order, so the thread cannot change a report
-either.
+time (a quarter of the rows one inline buffer holds), each path's from
+its own generator, into a ring of six slots, while the sampler draws a
+chunk itself when the thread has not got to it. The feed then hands out
+the block's lattice series one chunk of rows at a time, and the
+reference (or the estimator's scheme) steps through each before the next
+is sampled, so the thread refills slots while it steps and the block's
+iterated integrals are never held whole, which offsets most of the
+ring's half buffer beyond the inline one. Otherwise each path's sampler draws
+its own, inline, and the block's series comes as one range. The thread
+calls nothing but `standard_normal` and is joined when the chunk or the
+estimate returns or raises. Every generator still draws its normals in
+order, so the thread cannot change a report either.
 
 A reference or row state that turns non-finite stops its integration and
 raises ValueError naming the seed, path and scheme.
@@ -332,15 +337,15 @@ def measure_order(report: StudyReport, axis: str = "M",
 _BLOCK_ELEMS = 2**17
 # ... but at least this many steps: every block costs each path a few
 # generator and sampler calls of fixed overhead (~60 us per Algorithm 2 call
-# at K = 16; a series drawn ahead makes two where one inline call fits),
+# at K = 16; a series drawn ahead makes four where one inline call fits),
 # which must stay small next to the block's draws when a chunk holds many
 # paths
 _BLOCK_MIN_STEPS = 64
 # a lattice series is drawn ahead only where one path's draws for one block
-# hold at least this many normals: split in two, each chunk then takes ~0.4 ms
-# to draw, several times the fixed cost of the extra sampler call the split
-# adds (mil-allgrid-ex3's 72 x 216 normals ran ~9% slower drawn ahead;
-# BENCH_24.json)
+# hold at least this many normals: split in four, each chunk then takes
+# ~0.2 ms to draw, a few times the fixed cost of each extra sampler call the
+# split adds (mil-allgrid-ex3's 72 x 216 normals ran ~9% slower drawn ahead
+# in two chunks; BENCH_24.json)
 _AHEAD_MIN_NORMALS = 2**16
 
 
@@ -370,18 +375,22 @@ def _cpu_count() -> int:
 
 
 def _series(sampler, rngs: Sequence, db: np.ndarray, h: float, d: int,
-            eta: np.ndarray, rows: Optional[int] = None) -> np.ndarray:
-    """(P, s, k, k) iterated integrals of the (P, s, k) increments db,
-    straight into their blocks of the result: `rows` steps at a time (all
-    s if None), each by every path i in turn, drawn by sampler from rngs[i]
-    (a generator, or the `_SeriesDraws` whose next chunk it is)."""
-    out = np.empty(db.shape + db.shape[-1:])
-    step = rows or db.shape[1]
-    for lo in range(0, db.shape[1], step):
+            eta: np.ndarray, rows: Optional[int] = None):
+    """Yield (lo, hi, iq): the (P, hi - lo, k, k) iterated integrals of
+    steps lo..hi-1 of the (P, s, k) increments db, `rows` steps at a time
+    (all s, in one range, if None), each range by every path i in turn,
+    drawn by sampler from rngs[i] (a generator, or the `_SeriesDraws` whose
+    next chunk it is) straight into its block of iq. iq is one array,
+    reused: it holds a range until the next is asked for."""
+    paths, s, k = db.shape
+    step = rows or s
+    out = np.empty((paths, min(step, s), k, k))
+    for lo in range(0, s, step):
+        hi = min(s, lo + step)
         for i, rng in enumerate(rngs):
-            sampler(rng, np.ascontiguousarray(db[i, lo:lo + step]), h, d, eta,
-                    out=out[i, lo:lo + step])
-    return out
+            sampler(rng, np.ascontiguousarray(db[i, lo:hi]), h, d, eta,
+                    out=out[i, : hi - lo])
+        yield lo, hi, out[:, : hi - lo]
 
 
 class _NoiseFeed:
@@ -407,7 +416,8 @@ class _NoiseFeed:
     ahead on a second thread (`_SeriesDraws`, over all its blocks) when the
     process may use more CPUs than the `workers` running feeds at once and
     one path's series of one block holds at least _AHEAD_MIN_NORMALS
-    normals, and joins that thread on leaving.
+    normals, and joins that thread on leaving. Drawn ahead, a block's
+    lattice series comes one chunk of rows at a time; inline, in one range.
     """
 
     def __init__(self, horizon: float, lattice: int, eta: np.ndarray,
@@ -463,12 +473,14 @@ class _NoiseFeed:
         return [(a, min(self.lattice, a + block)) for a in range(0, self.lattice, block)]
 
     def lattice_noise(self, a: int, b: int):
-        """(P, b - a, K) increments of lattice steps a..b-1 and, with a
-        lattice series, their (P, b - a, K, K) iterated integrals, else
-        None."""
+        """(P, b - a, K) increments db of lattice steps a..b-1 and the
+        ranges (lo, hi, iq) that cover them: with a lattice series, iq holds
+        the (P, hi - lo, K, K) iterated integrals of db's steps lo..hi-1
+        (`_series`, a chunk of rows at a time when drawn ahead); without
+        one, the single range is (0, b - a, None)."""
         db = self._increments(self.rngs, b - a, self.h)
         if self.lattice_series is None:
-            return db, None
+            return db, [(0, b - a, None)]
         sampler, d, rngs = self.lattice_series
         if self.draws is None:
             return db, _series(sampler, rngs, db, self.h, d, self.eta)
@@ -503,9 +515,10 @@ class _NoiseFeed:
             self.done[m], self.last[m] = upto, vals[:, -1]
             incs[m] = np.diff(vals, axis=1)
         del w
-        iqs = {m: _series(alg1_iterated_batch, rngs, incs[m][:, :, :k], self.horizon / m,
-                          d, self.eta[:k])
-               for m, k, d, rngs in self.series if incs[m].shape[1]}
+        # every grid's series comes in one range
+        iqs = {m: iq for m, k, d, rngs in self.series if incs[m].shape[1]
+               for _, _, iq in _series(alg1_iterated_batch, rngs, incs[m][:, :, :k],
+                                       self.horizon / m, d, self.eta[:k])}
         return incs, iqs
 
 
@@ -593,8 +606,9 @@ def _run_chunk(args):
     """All rows on paths lo..hi-1, streamed over the lattice in the blocks
     of their noise feed (`_study_feed`).
 
-    Per block the reference steps on the lattice noise and lets its
-    series go before the grids' noise is made; then every row continues
+    Per block the reference steps on the lattice noise, one range of its
+    series at a time (`_NoiseFeed.lattice_noise`), and lets the series go
+    before the grids' noise is made; then every row continues
     its batched integration from its last states as far as its grid's
     increments are complete. Only observed states are kept: the
     reference's at every lattice step a row observes, and each row's
@@ -626,10 +640,11 @@ def _run_chunk(args):
 
     with feed:
         for a, b in feed.spans():
-            db, ref_iq = feed.lattice_noise(a, b)
-            i0, i1, states = ref_run.advance(db, ref_iq)
-            ref_states[:, i0:i1] = states
-            del ref_iq, states
+            db, ranges = feed.lattice_noise(a, b)
+            for lo, hi, ref_iq in ranges:
+                i0, i1, states = ref_run.advance(db[:, lo:hi], ref_iq)
+                ref_states[:, i0:i1] = states
+            del ranges, ref_iq, states
             incs, iqs = feed.grid_noise(db, a, b)
             for row, run, sq in zip(config.rows, runs, sq_errors):
                 inc = incs[row.m]
@@ -716,7 +731,8 @@ def estimate_sup_second_moment(problem: ProblemSpec, kind: str, n: int, k: int,
     fractional norm of order delta, Milstein-type kinds sampling their
     series at the D1 depth of m. Path i draws its increments from the
     substream (71, m, i, 1) and its series from (71, m, i, 2); all paths
-    step at once, in the blocks of one noise feed."""
+    step at once, in the blocks of one noise feed, one range of the series
+    at a time."""
     cfg = SchemeConfig(kind=kind, n=n, k=k, m=m)
     _check_integers(paths=paths)
     if paths < 1:
@@ -732,8 +748,10 @@ def estimate_sup_second_moment(problem: ProblemSpec, kind: str, n: int, k: int,
     acc = np.zeros(m + 1)
     with _NoiseFeed(problem.horizon, m, problem.q_law.values(k), streams(1), series) as feed:
         for a, b in feed.spans():
-            i0, i1, states = run.advance(*feed.lattice_noise(a, b))
-            # path by path, as the sum over paths has always been added
-            for traj in states:
-                acc[i0:i1] += (traj**2 * weights[None, :]).sum(axis=1)
+            db, ranges = feed.lattice_noise(a, b)
+            for lo, hi, iq in ranges:
+                i0, i1, states = run.advance(db[:, lo:hi], iq)
+                # path by path, as the sum over paths has always been added
+                for traj in states:
+                    acc[i0:i1] += (traj**2 * weights[None, :]).sum(axis=1)
     return float((acc / paths).max())

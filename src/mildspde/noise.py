@@ -49,9 +49,9 @@ one reused buffer of at most 2^18 normals (2 MB, cache-sized; one row if
 a row is larger) and 2^18 / K^2 rows, X is weighted in place, and the
 halves are contracted as views. A study's lattice series may pass a
 `_SeriesDraws` in place of the generator: it knows every draw the feed's
-calls will make, hands each call its rows from two slots that split that
-buffer's rows and that a second thread fills ahead, and keeps every
-generator's draws in order, so the numbers are the same. Algorithm 1
+calls will make, hands each call its rows from a ring of six slots, each
+a quarter of that buffer's rows, that a second thread fills ahead, and
+keeps every generator's draws in order, so the numbers are the same. Algorithm 1
 shifts Y by sqrt(2/h) db in place; Algorithm 2 adds the shift's share,
 (sum_r x_r) c^T, as one outer product. Every sampler finishes each block in place into its output
 (which the batch samplers take from the caller as `out`, if given) with
@@ -188,9 +188,14 @@ def _tail_scale(d: int) -> float:
     return math.sqrt(_S_INF / _partial_basel(d))
 
 
-# normals per block of the series draws (2 MB, fits a core's L2 cache); a
-# series drawn ahead splits a block's rows over two slots
+# normals per block of the series draws (2 MB, fits a core's L2 cache)
 _SERIES_BLOCK_NORMALS = 1 << 18
+# a series drawn ahead (`_SeriesDraws`) cuts the rows one buffer holds into
+# this many chunks and keeps a ring of this many chunks' slots: one and a
+# half buffers, whose extra half a study mostly offsets by stepping its
+# reference a chunk of rows at a time (harness module docstring)
+_AHEAD_SPLIT = 4
+_AHEAD_SLOTS = 6
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -228,20 +233,21 @@ def _row_normals(sampler, k: int, d: int) -> int:
 
 class _SeriesDraws:
     """The series normals of a known sequence of sampler calls, drawn ahead
-    into two slots on a second thread.
+    into a ring of slots on a second thread.
 
     Each row draws `width` normals. One buffer of `_own_draws` would hold
-    the rows of the longest block, up to `_buffer_rows`; the two slots
-    split those rows, so a chunk is at most `rows`, half of them rounded
-    up, and the slots together hold what the buffer would. Block
-    by block (`blocks` gives each block's rows), the rows of a block are
-    taken a chunk at a time, and each chunk of rows by every generator in
-    `rngs` in turn, one sampler call per chunk. So consecutive chunks come
-    from different generators unless there is only one. Chunk c is drawn
-    into slot c % 2 once chunk c - 2 is given back. Chunks are begun in
-    order, and none while its generator still draws the one before, so
-    each generator draws its rows in order. Split draws equal whole ones,
-    so every call gets the normals it would draw itself.
+    the rows of the longest block, up to `_buffer_rows`; a chunk is at most
+    `rows`, a quarter of them rounded up, and the ring holds six chunks
+    (one slot per chunk if there are fewer), half a buffer more than the
+    inline buffer. Block by block (`blocks` gives each block's rows), the
+    rows of a block are taken a chunk at a time, and each chunk of rows by
+    every generator in `rngs` in turn, one sampler call per chunk. So
+    consecutive chunks come from different generators unless there is only
+    one. Chunk c is drawn into slot c % slots once chunk c - slots is given
+    back. Chunks are begun in order, and none while an earlier chunk of its
+    generator is still being drawn, so each generator draws its rows in
+    order. Split draws equal whole ones, so every call gets the normals it
+    would draw itself.
 
     `take` hands out the next chunk, which stays valid until it is given
     back. `start` runs the thread, which draws the chunks as their slots
@@ -257,16 +263,17 @@ class _SeriesDraws:
     def __init__(self, rngs: Sequence[np.random.Generator], blocks: Sequence[int],
                  width: int, k: int):
         self.rngs, self.blocks, self.width = rngs, blocks, width
-        self.rows = max(1, -(-min(max(blocks, default=0), _buffer_rows(width, k)) // 2))
+        longest = min(max(blocks, default=0), _buffer_rows(width, k))
+        self.rows = max(1, -(-longest // _AHEAD_SPLIT))
         self.starts = [0]            # the first chunk of every block, then the count
         for s in blocks:
             self.starts.append(self.starts[-1] + len(rngs) * -(-s // self.rows))
         self.count = self.starts[-1]
-        # with at most two chunks, each slot holds one chunk or none
-        rows = ([self._chunk(c)[1] if c < self.count else 0 for c in (0, 1)]
-                if self.count <= 2 else [self.rows] * 2)
+        # with fewer chunks than slots, each chunk has a slot of its own rows
+        rows = ([self._chunk(c)[1] for c in range(self.count)]
+                if self.count < _AHEAD_SLOTS else [self.rows] * _AHEAD_SLOTS)
         self.slots = [np.empty((n, width)) for n in rows]
-        self.ready = [-1, -1]        # the chunk each slot holds, once drawn
+        self.ready = [-1] * len(rows)    # the chunk each slot holds, once drawn
         self.begun = 0               # chunks whose drawing has begun
         self.used = 0                # chunks handed out and given back
         self.cond = threading.Condition()
@@ -281,20 +288,23 @@ class _SeriesDraws:
 
     def _claim(self):
         """Under the lock: begin the next chunk and return (c, generator,
-        rows) if its slot is free and its generator idle, else None."""
-        c = self.begun
-        if c >= min(self.used + 2, self.count):
+        rows) if its slot is free and no earlier chunk of its generator is
+        still being drawn, else None."""
+        c, n = self.begun, len(self.slots)
+        if c >= min(self.used + n, self.count):
             return None
         rng, rows = self._chunk(c)
-        if c > self.used and self.ready[(c - 1) % 2] != c - 1 and self._chunk(c - 1)[0] is rng:
+        if any(self.ready[e % n] != e and self._chunk(e)[0] is rng
+               for e in range(self.used, c)):
             return None
         self.begun += 1
         return c, rng, rows
 
     def _draw(self, c: int, rng: np.random.Generator, rows: int) -> None:
-        rng.standard_normal(out=self.slots[c % 2][:rows])
+        n = len(self.slots)
+        rng.standard_normal(out=self.slots[c % n][:rows])
         with self.cond:
-            self.ready[c % 2] = c
+            self.ready[c % n] = c
             self.cond.notify_all()
 
     def _ahead(self) -> None:
@@ -333,12 +343,12 @@ class _SeriesDraws:
         """Yield (0, s, z) once: z holds the (s, width) normals of the next
         chunk, which must be s rows of this width; it is given back when
         the caller asks for more."""
-        e = self.used
+        e, n = self.used, len(self.slots)
         if width != self.width or e == self.count or self._chunk(e)[1] != s:
             raise RuntimeError("series draws asked for out of their sequence")
         while True:
             with self.cond:
-                if self.ready[e % 2] == e:
+                if self.ready[e % n] == e:
                     break
                 job = self._claim()
                 if job is None:
@@ -348,7 +358,7 @@ class _SeriesDraws:
                     continue
             self._draw(*job)
         try:
-            yield 0, s, self.slots[e % 2][:s]
+            yield 0, s, self.slots[e % n][:s]
         finally:
             with self.cond:
                 self.used = e + 1
@@ -374,7 +384,8 @@ def _series_blocks(rng, s: int, k: int, weights_x: np.ndarray, ledger=None,
     Row i draws its X terms, its Y terms, then `extra` further normals:
     2 * d * k + extra normals. rng is a generator, whose rows are drawn
     in order into one reused buffer (`_own_draws`), or the `_SeriesDraws`
-    whose next chunk these s rows are. X is weighted in place; yields
+    whose next chunk, a quarter of a block's rows at most, these s rows
+    are. X is weighted in place; yields
     (lo, hi, x, y, g) with x and y of shape (hi - lo, d, k) and g the
     (hi - lo, extra) further normals. A block holds at most
     _SERIES_BLOCK_NORMALS normals (one row if a row is larger) and

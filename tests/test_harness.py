@@ -761,27 +761,34 @@ def test_no_series_thread_outlives_a_sup_moment_estimate(series_threads):
 @pytest.mark.parametrize("block_normals", [None, 3000])
 def test_series_thread_leaves_the_bytes(monkeypatch, series_threads, block_normals):
     # drawn ahead on a thread or inline, at the default chunks and at
-    # chunks of a few rows, a study and a sup-moment estimate are the same
+    # chunks of a few rows, a study and a sup-moment estimate are the same;
+    # with 2 paths and 1 path, fewer generators than the ring has slots
     import mildspde.noise as noise
     if block_normals:
         monkeypatch.setattr(noise, "_SERIES_BLOCK_NORMALS", block_normals)
-    cfg, prob = _alg2_study(), make_example(1)
-    default = run_study(cfg)
-    sup = estimate_sup_second_moment(prob, "DFM", n=8, k=4, m=200, paths=3, seed=7)
+    prob = make_example(1)
+    cfgs = [_alg2_study(), replace(_alg2_study(), paths=2)]
+    default = [run_study(cfg) for cfg in cfgs]
+    sup = [estimate_sup_second_moment(prob, "DFM", n=8, k=4, m=200, paths=paths, seed=7)
+           for paths in (3, 1)]
     series_threads.started.clear()
     for cpus in (1, 2):
         series_threads.set(cpus)
-        rep = run_study(cfg)
-        assert rep.csv_text() == default.csv_text()
-        assert rep.json_text() == default.json_text()
-        assert estimate_sup_second_moment(prob, "DFM", n=8, k=4, m=200, paths=3,
-                                          seed=7) == sup
-    assert len(series_threads.started) == 2
+        for cfg, want in zip(cfgs, default):
+            rep = run_study(cfg)
+            assert rep.csv_text() == want.csv_text()
+            assert rep.json_text() == want.json_text()
+        for paths, want in zip((3, 1), sup):
+            assert estimate_sup_second_moment(prob, "DFM", n=8, k=4, m=200, paths=paths,
+                                              seed=7) == want
+    assert len(series_threads.started) == 4
 
 
 def test_series_thread_holds_no_more_memory_than_one_buffer(series_threads):
-    # the two slots a thread draws ahead into split the one an inline run
-    # draws into, so the study's peak stays where it was
+    # the ring a thread draws ahead into holds half a buffer more than an
+    # inline run draws into, but the reference steps one chunk of rows at a
+    # time, so the block's iterated integrals are never held whole and the
+    # study's peak stays where it was
     import tracemalloc
     cfg = _alg2_study()
 

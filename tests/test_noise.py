@@ -562,12 +562,14 @@ def _stream_chunks(draws, blocks, paths):
                 yield p, rows, draws.take(rows, draws.width)
 
 
-@pytest.mark.parametrize("paths", [1, 3])
+@pytest.mark.parametrize("paths", [1, 3, 6, 8])
 def test_series_draws_ahead_keep_every_generators_order(paths):
     # a thread and the caller draw small chunks at once while the
     # interpreter switches threads as often as it can, and each draw waits
     # a random while between being begun and reaching its generator; every chunk
-    # must hold exactly its generator's next normals, as if drawn inline
+    # must hold exactly its generator's next normals, as if drawn inline.
+    # With fewer generators than the ring's six slots, a generator's next
+    # chunk may come due while any of its earlier ones is still drawn
     import random
     import sys
     import time
@@ -584,7 +586,7 @@ def test_series_draws_ahead_keep_every_generators_order(paths):
     blocks, width = [5, 9, 1, 4] * 25, 7
     draws = noise._SeriesDraws([Slow(substream(3, p)) for p in range(paths)], blocks, width,
                                k=1)
-    assert draws.rows == 5            # half of the longest block, rounded up
+    assert draws.rows == 3            # a quarter of the longest block, rounded up
     expect = [substream(3, p) for p in range(paths)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -603,18 +605,18 @@ def test_series_draws_ahead_keep_every_generators_order(paths):
 
 
 def test_series_draws_slots_split_what_one_buffer_holds():
-    # the two slots hold the rows one inline buffer would, so drawing ahead
-    # adds no buffer: criterion 7's 100-step blocks at its Algorithm 2
-    # width fit a buffer of 2^18 / 2552 = 102 rows, and blocks of 200 rows
-    # of 16^2 or more normals fill one of 2^18 / 16^2 = 1024 rows
+    # the ring's six slots each hold a quarter of the rows one inline
+    # buffer would, rounded up: criterion 7's 100-step blocks at its
+    # Algorithm 2 width fit a buffer of 2^18 / 2552 = 102 rows, and blocks
+    # of 2000 rows of 16^2 or more normals fill one of 2^18 / 16^2 = 1024
     for width, k, block, buffer in ((2552, 16, 100, 100), (216, 16, 2000, 1024),
                                     (2552, 16, 300, 102)):
         assert min(block, noise._SERIES_BLOCK_NORMALS // max(width, k * k)) == buffer
         draws = noise._SeriesDraws([substream(0, 0)] * 4, [block] * 3, width, k)
-        assert [z.shape for z in draws.slots] == [(buffer // 2, width)] * 2
-    # a single chunk takes one slot; the other stays empty
-    single = noise._SeriesDraws([substream(0, 0)], [3], 10, 2)
-    assert [z.shape for z in single.slots] == [(2, 10), (1, 10)]
+        assert [z.shape for z in draws.slots] == [(-(-buffer // 4), width)] * 6
+    # fewer chunks than slots: one slot per chunk, of that chunk's rows
+    few = noise._SeriesDraws([substream(0, 0)], [5], 10, 2)
+    assert few.rows == 2 and [z.shape for z in few.slots] == [(2, 10), (2, 10), (1, 10)]
 
 
 def test_series_draws_report_a_thread_that_failed(monkeypatch):
